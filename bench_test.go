@@ -177,9 +177,8 @@ var benchSkews = []float64{8, 12}
 // enough inputs appear in the attack experiments: min(2^s, 2^(keybits−s))
 // must stay above the attack budgets, and 12-input toys cannot hold 12
 // bits of skewness (the paper's b09/b10 remark), so they would only
-// measure the scale artifact. The slowest-to-lock control circuit
-// (s9234-s, ~30 s per lock) is reserved for Fig. 4 to keep the whole
-// harness under go test's default timeout; run the full-size sweeps with
+// measure the scale artifact. s9234-s (0.2–1.1 s per 8-bit lock over
+// seeds 1–3) is reserved for Fig. 4; run the full-size sweeps with
 // cmd/attack.
 func suiteByName(names ...string) []netlistgen.Benchmark {
 	var out []netlistgen.Benchmark

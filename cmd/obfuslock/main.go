@@ -23,8 +23,9 @@
 // during the run plus <prefix>.heap.pprof and <prefix>.allocs.pprof at
 // exit, -debug-addr serves /metrics, /flight and /debug/pprof live (spans
 // label the profiles), -ledger writes a ledger.json run record, and -v
-// prints cache statistics after the run. Any telemetry flag arms a flight
-// recorder whose recent-span ring is dumped to stderr on SIGQUIT or panic.
+// prints the critical-node verdict, the blend attempts and cache
+// statistics. Any telemetry flag arms a flight recorder whose recent-span
+// ring is dumped to stderr on SIGQUIT or panic.
 package main
 
 import (
@@ -63,7 +64,7 @@ func main() {
 	cacheFlags.Register(flag.CommandLine)
 	tele.Register(flag.CommandLine)
 
-	verbose := flag.Bool("v", false, "print cache statistics after the run")
+	verbose := flag.Bool("v", false, "print the critical-node verdict, blend attempts and cache statistics")
 	workers := flag.Int("workers", 0, "GOMAXPROCS override for the construction (0: leave as is)")
 	flag.Parse()
 
@@ -148,6 +149,13 @@ func main() {
 	fmt.Printf("mode=%s key-bits=%d skew=%.1f bits L-nodes=%d attachments=%d\n",
 		rep.Mode, rep.KeyBits, rep.SkewBits, rep.LockingNodes, rep.Attachments)
 	fmt.Printf("nodes %d -> %d, runtime %v\n", rep.OrigNodes, rep.EncNodes, rep.Runtime)
+	if *verbose {
+		critical := rep.CriticalNode
+		if critical == "" {
+			critical = "unchecked"
+		}
+		fmt.Printf("critical-node=%s blend-attempts=%d\n", critical, rep.BlendAttempts)
+	}
 
 	if *verify {
 		vsp := tracer.Span("verify", obfuslock.TraceBool("sweep", *sweep))

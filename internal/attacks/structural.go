@@ -414,8 +414,8 @@ func StructuralClassifier(l *locking.Locked, topK int) ClassifierResult {
 // CriticalNodeSurvives checks whether any node of enc (keys bound to an
 // arbitrary wrong key) is functionally equivalent to the given function of
 // the original inputs — the paper's combinational-equivalence check that
-// all critical nodes were eliminated. The search runs on one shared
-// incremental solver (see cec.FindEquivalentNode).
+// all critical nodes were eliminated. It is the "found" view of
+// cec.FindNode: false covers both a refuted and an undecided search.
 func CriticalNodeSurvives(ctx context.Context, l *locking.Locked, specG *aig.AIG, spec aig.Lit, opt cec.FindOptions) (aig.Lit, bool) {
 	anyKey := make([]bool, l.KeyBits)
 	bound := l.ApplyKey(anyKey)

@@ -338,14 +338,16 @@ func LitsEquivalent(ctx context.Context, g *aig.AIG, x, y aig.Lit, budget int64)
 	return false, false
 }
 
-// FindOptions configures FindEquivalentNode.
+// FindOptions configures FindNode and FindEquivalentNode.
 type FindOptions struct {
 	// SimWords of 64 random patterns build the signature shortlist (0: 8).
 	SimWords int
-	// Seed for the shortlist patterns.
+	// Seed for the shortlist patterns and the swept proofs.
 	Seed int64
-	// Budget bounds each candidate's SAT query (the conflict cap applies
-	// per query; an exhausted query skips that candidate).
+	// Budget caps every SAT query of the scan: a candidate's quick query
+	// (which never gets more than quickConflicts) and each query of its
+	// swept proof. A candidate whose proof exhausts it leaves the scan
+	// Undecided.
 	Budget exec.Budget
 	// Simp controls CNF preprocessing of the shared candidate solver.
 	// Variable elimination is forced off regardless: the scan keeps
@@ -353,84 +355,146 @@ type FindOptions struct {
 	Simp simp.Options
 	// Trace receives the cec.find_node span (nil: disabled).
 	Trace *obs.Tracer
-	// Cache memoizes completed scans (nil: disabled). The answer names a
+	// Cache memoizes decided scans (nil: disabled). The answer names a
 	// concrete node of g, so the key uses the exact netlist hashes
 	// (aig.StructuralHash), not the canonical fingerprint: a
 	// renumbered-but-isomorphic graph would make the cached literal
-	// meaningless. Cancelled scans are never stored.
+	// meaningless. Undecided scans are never stored.
 	Cache *memo.Cache
 }
 
 // DefaultFindOptions matches the paper's elimination check: 512 patterns
-// and a 100k-conflict cap per candidate.
+// and a 100k-conflict cap per query.
 func DefaultFindOptions() FindOptions {
 	return FindOptions{SimWords: 8, Seed: 1, Budget: exec.WithConflicts(100000)}
 }
 
-// FindEquivalentNode searches g for a node (in either phase) functionally
+// FindVerdict is the outcome of a node search.
+type FindVerdict uint8
+
+const (
+	// Undecided: some candidate's proof ran out of budget (or the context
+	// was cancelled) and no other candidate was proven equivalent.
+	Undecided FindVerdict = iota
+	// Found: a node was proven equivalent to the spec.
+	Found
+	// Refuted: every node of the graph, in both phases, was proven to
+	// differ from the spec.
+	Refuted
+)
+
+// String names the verdict as the cec.find_node span records it.
+func (v FindVerdict) String() string {
+	switch v {
+	case Found:
+		return "found"
+	case Refuted:
+		return "refuted"
+	}
+	return "undecided"
+}
+
+// quickConflicts caps a candidate's first query on the shared solver. A
+// plain query on a candidate that differs, or that shares the spec's
+// structure, answers well within it; a candidate it cannot settle goes to
+// the swept proof, which handles restructured equivalent cones far
+// better than a monolithic miter.
+const quickConflicts = 2000
+
+// FindEquivalentNode is the "found" view of FindNode: the matching literal
+// and true when a node was proven equivalent, false when the scan refuted
+// every node or was left undecided.
+func FindEquivalentNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec aig.Lit, opt FindOptions) (aig.Lit, bool) {
+	lit, v := FindNode(ctx, g, specG, spec, opt)
+	return lit, v == Found
+}
+
+// FindNode searches g for a node (in either phase) functionally
 // equivalent to the function computed by literal spec in graph specG, where
 // both graphs share the same primary-input ordering. It returns the
-// matching literal in g and true, or false when no node matches.
+// matching literal in g with Found, Refuted when no node matches, or
+// Undecided when the budget could not settle some candidate.
 //
 // This implements the attacker's "does the critical node still exist?"
-// query from the paper's structural-security evaluation: simulation
-// signatures shortlist candidates, every solver counterexample further
-// prunes the shortlist, and all SAT queries run on one shared incremental
-// solver (no per-candidate solver construction).
-func FindEquivalentNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec aig.Lit, opt FindOptions) (aig.Lit, bool) {
+// query from the paper's structural-security evaluation. Simulation
+// signatures shortlist candidates. Each candidate first gets a cheap query
+// on one shared incremental solver; one it leaves open is proven by a
+// swept check (Options.Sweep) of its cone against the spec's cone. Every
+// counterexample, from either stage, prunes the rest of the shortlist.
+func FindNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec aig.Lit, opt FindOptions) (aig.Lit, FindVerdict) {
 	if g.NumInputs() != specG.NumInputs() {
-		panic("cec: FindEquivalentNode input mismatch")
+		panic("cec: FindNode input mismatch")
 	}
 	if opt.SimWords <= 0 {
 		opt.SimWords = 8
 	}
 	if !opt.Cache.Enabled() || opt.Budget.Timeout != 0 {
-		return findEquivalentNode(ctx, g, specG, spec, opt)
+		return findNode(ctx, g, specG, spec, opt)
 	}
-	key := fmt.Sprintf("cec.find|%016x|%016x|spec=%d|sw=%d|seed=%d|conf=%d|simp=%s",
+	// v2: earlier keys could hold a "not found" left by a skipped,
+	// budget-exhausted candidate.
+	key := fmt.Sprintf("cec.find|v2|%016x|%016x|spec=%d|sw=%d|seed=%d|conf=%d|simp=%s",
 		g.StructuralHash(), specG.StructuralHash(), spec, opt.SimWords,
 		opt.Seed, opt.Budget.Conflicts, simpSig(opt.Simp))
 	type findVerdict struct {
 		Found bool    `json:"found"`
 		Lit   aig.Lit `json:"lit,omitempty"`
 	}
-	computed := false
+	var (
+		lit      aig.Lit
+		verdict  FindVerdict
+		computed bool
+	)
 	v, err := memo.Do(opt.Cache, key, func() (findVerdict, error) {
+		lit, verdict = findNode(ctx, g, specG, spec, opt)
 		computed = true
-		if ctx != nil && ctx.Err() != nil {
-			return findVerdict{}, ctx.Err()
+		if verdict == Undecided {
+			return findVerdict{}, errUndecided
 		}
-		lit, found := findEquivalentNode(ctx, g, specG, spec, opt)
-		if ctx != nil && ctx.Err() != nil {
-			// A cancelled scan may have stopped early: not a real verdict.
-			return findVerdict{}, ctx.Err()
-		}
-		return findVerdict{Found: found, Lit: lit}, nil
+		return findVerdict{Found: verdict == Found, Lit: lit}, nil
 	})
-	if err != nil && !computed {
-		// A concurrent leader was cancelled; run the scan locally.
-		return findEquivalentNode(ctx, g, specG, spec, opt)
+	if computed {
+		return lit, verdict
 	}
 	if err != nil {
-		return 0, false
+		// A concurrent leader was undecided; run the scan locally.
+		return findNode(ctx, g, specG, spec, opt)
 	}
-	if !computed {
-		opt.Trace.Counter("cec.find_node.cache_hit").Inc()
+	opt.Trace.Counter("cec.find_node.cache_hit").Inc()
+	if v.Found {
+		return v.Lit, Found
 	}
-	return v.Lit, v.Found
+	return 0, Refuted
 }
 
-func findEquivalentNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec aig.Lit, opt FindOptions) (aig.Lit, bool) {
+// coneGraph returns a graph over all of src's inputs with the function of
+// root as its single output.
+func coneGraph(src *aig.AIG, root aig.Lit) *aig.AIG {
+	g := aig.New()
+	pis := make([]aig.Lit, src.NumInputs())
+	for i := range pis {
+		pis[i] = g.AddInput(src.InputName(i))
+	}
+	g.AddOutput(g.ImportCone(src, pis, []aig.Lit{root})[0], "f")
+	return g
+}
+
+func findNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec aig.Lit, opt FindOptions) (aig.Lit, FindVerdict) {
 	sp := opt.Trace.Span("cec.find_node",
 		obs.Int("nodes", int64(g.NumNodes())))
+	queries, proofs := 0, 0
+	end := func(lit aig.Lit, v FindVerdict) (aig.Lit, FindVerdict) {
+		sp.End(obs.Bool("found", v == Found), obs.Int("sat_queries", int64(queries)),
+			obs.Int("swept_proofs", int64(proofs)), obs.Str("verdict", v.String()))
+		return lit, v
+	}
 
 	// Combined graph for SAT confirmation: import specG into a copy of g.
 	// Structural hashing may land the spec cone directly on a node of g.
 	comb := g.Copy()
 	specIn := comb.ImportCone(specG, comb.Inputs(), []aig.Lit{spec})[0]
 	if v := specIn.Var(); v >= 1 && v <= g.MaxVar() {
-		sp.End(obs.Bool("found", true), obs.Int("sat_queries", 0))
-		return specIn, true
+		return end(specIn, Found)
 	}
 
 	// Signature-bucketed shortlist: candidates whose simulated words match
@@ -460,8 +524,25 @@ func findEquivalentNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec ai
 	}
 	sp.Event("cec.shortlist", obs.Int("candidates", int64(len(queue))))
 
-	// One incremental solver for every candidate query; learnt clauses
-	// carry over, and each Sat answer prunes the remaining queue.
+	// prune replays a counterexample on the remaining shortlist and keeps
+	// the candidates that agree with the spec on it.
+	prune := func(pattern []bool) {
+		lits := make([]aig.Lit, 0, len(queue)+1)
+		lits = append(lits, queue...)
+		lits = append(lits, specIn)
+		vals := comb.EvalLits(pattern, lits...)
+		specV := vals[len(vals)-1]
+		kept := queue[:0]
+		for i, q := range queue {
+			if vals[i] == specV {
+				kept = append(kept, q)
+			}
+		}
+		queue = kept
+	}
+
+	// One incremental solver for every quick query; learnt clauses carry
+	// over between candidates.
 	s := sat.New()
 	s.SetContext(ctx)
 	e := cnf.NewEncoder(comb, s)
@@ -472,44 +553,52 @@ func findEquivalentNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec ai
 	fopt := opt.Simp
 	fopt.NoVarElim = true
 	simp.Apply(s, fopt, opt.Trace)
-	queries := 0
+	quick := opt.Budget.ConflictCap()
+	if quick < 0 || quick > quickConflicts {
+		quick = quickConflicts
+	}
+	popt := Options{Seed: opt.Seed, Budget: opt.Budget, Sweep: true, SweepWords: 8, Simp: opt.Simp, Trace: opt.Trace}
+	var specCone *aig.AIG
+	undecided := false
 	for len(queue) > 0 {
 		if ctx != nil && ctx.Err() != nil {
-			sp.End(obs.Bool("found", false), obs.Int("sat_queries", int64(queries)))
-			return 0, false
+			return end(0, Undecided)
 		}
 		cand := queue[0]
 		queue = queue[1:]
 		lc := e.Encode(cand)[0]
 		d := cnf.XorLit(s, lc, lspec)
-		s.SetBudget(opt.Budget.ConflictCap())
+		s.SetBudget(quick)
 		queries++
 		switch s.Solve(d) {
 		case sat.Unsat:
-			sp.End(obs.Bool("found", true), obs.Int("sat_queries", int64(queries)))
-			return cand, true
+			return end(cand, Found)
 		case sat.Sat:
-			// Replay the counterexample on the remaining shortlist.
 			pattern := make([]bool, comb.NumInputs())
 			for i := range pattern {
 				pattern[i] = s.ModelValue(e.InputLit(i))
 			}
-			lits := make([]aig.Lit, 0, len(queue)+1)
-			lits = append(lits, queue...)
-			lits = append(lits, specIn)
-			vals := comb.EvalLits(pattern, lits...)
-			specV := vals[len(vals)-1]
-			kept := queue[:0]
-			for i, q := range queue {
-				if vals[i] == specV {
-					kept = append(kept, q)
-				}
-			}
-			queue = kept
+			prune(pattern)
+			continue
+		}
+		// The quick query was inconclusive: prove the candidate's cone
+		// against the spec's with the swept engine.
+		if specCone == nil {
+			specCone = coneGraph(specG, spec)
+		}
+		proofs++
+		r, err := Check(ctx, coneGraph(g, cand), specCone, popt)
+		switch {
+		case err != nil || !r.Decided:
+			undecided = true
+		case r.Equivalent:
+			return end(cand, Found)
 		default:
-			// Budget exhausted: skip this candidate, keep scanning.
+			prune(r.Counterexample)
 		}
 	}
-	sp.End(obs.Bool("found", false), obs.Int("sat_queries", int64(queries)))
-	return 0, false
+	if undecided {
+		return end(0, Undecided)
+	}
+	return end(0, Refuted)
 }

@@ -30,9 +30,20 @@ import (
 	"obfuslock/internal/skew"
 )
 
-// criticalSurvives checks whether any node of the wrong-key-bound netlist
-// computes the given spec function of the original inputs.
-func criticalSurvives(ctx context.Context, l *locking.Locked, specG *aig.AIG, spec aig.Lit, tr *obs.Tracer, so simp.Options, cache *memo.Cache) bool {
+// Critical-node verdicts of a lock report.
+const (
+	// CriticalEliminated: no node of the netlist computes the protected
+	// output's function or L; both searches were refuted.
+	CriticalEliminated = "eliminated"
+	// CriticalSurvives: some node was proven to compute one of them.
+	CriticalSurvives = "survives"
+	// CriticalUndecided: a search ran out of budget.
+	CriticalUndecided = "undecided"
+)
+
+// wrongKeyBound binds l's key inputs to a wrong key: all zeros, or, when
+// that is the correct key, all zeros but the first bit.
+func wrongKeyBound(l *locking.Locked) *aig.AIG {
 	wrong := make([]bool, l.KeyBits)
 	same := true
 	for i, b := range l.Key {
@@ -44,13 +55,19 @@ func criticalSurvives(ctx context.Context, l *locking.Locked, specG *aig.AIG, sp
 	if same && l.KeyBits > 0 {
 		wrong[0] = !wrong[0]
 	}
-	bound := l.ApplyKey(wrong)
+	return l.ApplyKey(wrong)
+}
+
+// criticalVerdict searches the wrong-key-bound netlist for a node computing
+// the given spec function of the original inputs.
+func criticalVerdict(ctx context.Context, l *locking.Locked, specG *aig.AIG, spec aig.Lit, tr *obs.Tracer, so simp.Options, cache *memo.Cache) cec.FindVerdict {
+	bound := wrongKeyBound(l)
 	fopt := cec.DefaultFindOptions()
 	fopt.Trace = tr
 	fopt.Simp = so
 	fopt.Cache = cache
-	_, found := cec.FindEquivalentNode(ctx, bound, specG, spec, fopt)
-	return found
+	_, v := cec.FindNode(ctx, bound, specG, spec, fopt)
+	return v
 }
 
 // Options configures ObfusLock.
@@ -143,6 +160,15 @@ type Report struct {
 	// 2^(l−s) keys survive, so both sides must be large. Small circuits
 	// cannot push this high — the paper's b09/b10 remark.
 	EffectiveBits float64
+	// CriticalNode is the verdict of the CEC check that no node of the
+	// shipped netlist computes the protected output's function or L
+	// (CriticalEliminated, CriticalSurvives or CriticalUndecided). It is
+	// empty when no check ran: direct mode, and DisableObfuscation, whose
+	// bare XOR keeps the critical node by design.
+	CriticalNode string
+	// BlendAttempts counts the blend-and-check rounds the lock made (at
+	// most 6); a lock that exhausts them ships its last candidate.
+	BlendAttempts int
 	// OrigNodes / EncNodes are AIG sizes before and after locking.
 	OrigNodes int
 	EncNodes  int
@@ -183,6 +209,8 @@ func Lock(ctx context.Context, c *aig.AIG, opt Options) (*Result, error) {
 		obs.Int("key_bits", int64(res.Report.KeyBits)),
 		obs.Float("skew_bits", res.Report.SkewBits),
 		obs.Int("enc_nodes", int64(res.Report.EncNodes)),
+		obs.Str("critical_node", res.Report.CriticalNode),
+		obs.Int("blend_attempts", int64(res.Report.BlendAttempts)),
 		obs.Dur("runtime", res.Report.Runtime))
 	// One observation per locked circuit: across a sweep this is the
 	// lock-time distribution behind the paper's Table I column.
@@ -421,12 +449,25 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 			NumInputs: m, KeyBits: keyBits, Key: bubbles,
 		}
 	}
-	clean := func(g *aig.AIG) bool {
+	// check is the paper's CEC check on a candidate netlist. It searches
+	// for F first and for L only once F is refuted; the netlist is clean
+	// only when both searches are refuted.
+	check := func(g *aig.AIG) string {
 		csp := sp.Span("lock.cec")
 		lk := mk(g)
-		ok := !criticalSurvives(ctx, lk, c, specF, opt.Trace, opt.Simp, opt.Cache) && !criticalSurvives(ctx, lk, specLG, specL, opt.Trace, opt.Simp, opt.Cache)
-		csp.End(obs.Bool("clean", ok))
-		return ok
+		v := criticalVerdict(ctx, lk, c, specF, opt.Trace, opt.Simp, opt.Cache)
+		if v == cec.Refuted {
+			v = criticalVerdict(ctx, lk, specLG, specL, opt.Trace, opt.Simp, opt.Cache)
+		}
+		verdict := CriticalUndecided
+		switch v {
+		case cec.Refuted:
+			verdict = CriticalEliminated
+		case cec.Found:
+			verdict = CriticalSurvives
+		}
+		csp.End(obs.Bool("clean", verdict == CriticalEliminated), obs.Str("verdict", verdict))
+		return verdict
 	}
 
 	// Blend, assemble and verify elimination. L is built from nodes of C,
@@ -434,13 +475,19 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 	// a node equivalent to a critical function; the construction is fully
 	// randomized, so retrying with a fresh seed (and a growing rule
 	// budget) produces a different netlist until the CEC check is clean.
-	var encC *aig.AIG
+	// An undecided check is retried like a failed one, never accepted.
+	var (
+		encC     *aig.AIG
+		verdict  string
+		attempts int
+	)
 	reshape, elim := opt.ReshapeApplications, opt.ElimApplications
 	const blendAttempts = 6
 	for attempt := int64(0); attempt < blendAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: lock cancelled: %w", err)
 		}
+		attempts++
 		wa := work.Copy()
 		var blended aig.Lit
 		blendSp := sp.Span("lock.blend",
@@ -506,22 +553,23 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 			rw := rewrite.FunctionalRewrite(cand, rewrite.ObfuscationOptions(opt.Seed+4+attempt))
 			rw = rewrite.Balance(rw)
 			rsp.End(obs.Int("nodes", int64(rw.NumNodes())))
-			if clean(rw) {
+			if verdict = check(rw); verdict == CriticalEliminated {
 				encC = rw
 				break
 			}
 		}
 		bal := rewrite.Balance(cand)
-		if clean(bal) {
+		if verdict = check(bal); verdict == CriticalEliminated {
 			encC = bal
 			break
 		}
 		reshape += reshape / 2
 		elim += elim / 2
 		if attempt == blendAttempts-1 {
-			// Keep the last candidate rather than failing the lock; the
-			// security tests surface this case.
+			// Keep the last candidate rather than failing the lock, and
+			// report what the check says about that netlist.
 			encC = cand
+			verdict = check(cand)
 		}
 	}
 
@@ -537,6 +585,8 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 			Attachments:     lc.Attachments,
 			ProtectedOutput: po,
 			EffectiveBits:   math.Min(lc.SkewBits, float64(keyBits)-lc.SkewBits),
+			CriticalNode:    verdict,
+			BlendAttempts:   attempts,
 			OrigNodes:       c.NumNodes(),
 			EncNodes:        encC.NumNodes(),
 		},

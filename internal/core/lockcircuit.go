@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"obfuslock/internal/aig"
 	"obfuslock/internal/memo"
@@ -274,6 +275,25 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 	supportOK := func() bool {
 		return float64(len(curSup)) >= curBits+marginFor(curBits)
 	}
+	// unmet names the goals the loop below is still working towards;
+	// hardening is only pursued once the other three hold.
+	unmet := func() []string {
+		var goals []string
+		if curBits < opt.TargetBits {
+			goals = append(goals, fmt.Sprintf("skew %.1f bits below target", curBits))
+		}
+		if lc.Attachments < minAttachments {
+			goals = append(goals, fmt.Sprintf("attachments %d of %d", lc.Attachments, minAttachments))
+		}
+		if !supportOK() {
+			goals = append(goals, fmt.Sprintf("support margin: support %d inputs, needs %.1f (skew + %.1f margin)",
+				len(curSup), curBits+marginFor(curBits), marginFor(curBits)))
+		}
+		if len(goals) == 0 {
+			goals = append(goals, "hardening: on-set still affine or holds an all-zeros/all-ones point")
+		}
+		return goals
+	}
 	hardenOK := false
 	hardenChecks := 0
 	for curBits < opt.TargetBits || lc.Attachments < minAttachments || !supportOK() || !hardenOK {
@@ -372,8 +392,8 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 				maxSupport += 8
 			}
 			if stall > 60 {
-				return nil, fmt.Errorf("core: locking-circuit construction stalled at %.1f bits (target %g)",
-					curBits, opt.TargetBits)
+				return nil, fmt.Errorf("core: locking-circuit construction stalled at %.1f bits (target %g): %s",
+					curBits, opt.TargetBits, strings.Join(unmet(), "; "))
 			}
 			continue
 		}

@@ -33,6 +33,34 @@ func RandomInputs(n, words int, seed int64) [][]uint64 {
 	return in
 }
 
+// ExhaustiveInputs returns input words enumerating all 2^n patterns of n
+// inputs: pattern p sets input i to bit i of p, so every node's words are
+// its exact truth table. Below 6 inputs the patterns repeat to fill one
+// word.
+func ExhaustiveInputs(n int) [][]uint64 {
+	low := [6]uint64{
+		0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+		0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+	}
+	words := 1
+	if n > 6 {
+		words = 1 << (n - 6)
+	}
+	in := make([][]uint64, n)
+	for i := range in {
+		in[i] = make([]uint64, words)
+		for w := range in[i] {
+			switch {
+			case i < 6:
+				in[i][w] = low[i]
+			case w>>(i-6)&1 == 1:
+				in[i][w] = ^uint64(0)
+			}
+		}
+	}
+	return in
+}
+
 // Run simulates the whole graph under the given input words (one slice per
 // primary input, all the same length).
 func Run(g *aig.AIG, inputs [][]uint64) *Vectors {

@@ -147,3 +147,16 @@ func BenchmarkRunRandom(b *testing.B) {
 		RunRandom(g, 16, int64(i))
 	}
 }
+
+func TestExhaustiveInputsEnumerate(t *testing.T) {
+	for _, n := range []int{3, 6, 9} {
+		in := ExhaustiveInputs(n)
+		for p := 0; p < 1<<n; p++ {
+			for i, b := range Pattern(in, p) {
+				if b != (p>>i&1 == 1) {
+					t.Fatalf("n=%d pattern %d input %d = %t", n, p, i, b)
+				}
+			}
+		}
+	}
+}
