@@ -155,7 +155,6 @@ func main() {
 		Deterministic: *det,
 		Simp:          sopt,
 		DIPBatch:      solver.DIPBatch,
-		SatWorkers:    solver.Workers(),
 		Trace:         tracer,
 		Cache:         cache,
 	}
@@ -220,7 +219,6 @@ func main() {
 	aopt.Trace = tracer
 	aopt.Simp = sopt
 	aopt.DIPBatch = solver.DIPBatch
-	aopt.SatWorkers = solver.Workers()
 	aopt.Cache = cache
 
 	// report prints the outcome and returns false when no key came back —
@@ -272,7 +270,7 @@ func main() {
 		}
 	case "removal":
 		sps := attacks.SPS(l, 256, *seed, 10)
-		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(*sweepCEC, *sweepWords, *seed, solver.Workers(), tracer, sopt, cache))
+		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(*sweepCEC, *sweepWords, *seed, tracer, sopt, cache))
 		fmt.Printf("removal: success=%v tried=%d runtime=%v\n", r.Success, r.Tried, r.Runtime)
 	case "bypass":
 		wrong := make([]bool, l.KeyBits)
@@ -280,7 +278,7 @@ func main() {
 		fmt.Printf("bypass: success=%v patterns=%d exhausted=%v runtime=%v\n",
 			r.Success, r.Patterns, r.Exhausted, r.Runtime)
 	case "valkyrie":
-		r := attacks.Valkyrie(ctx, l, orig, 8, 128, *seed, cecOptions(*sweepCEC, *sweepWords, *seed, solver.Workers(), tracer, sopt, cache))
+		r := attacks.Valkyrie(ctx, l, orig, 8, 128, *seed, cecOptions(*sweepCEC, *sweepWords, *seed, tracer, sopt, cache))
 		fmt.Printf("valkyrie: found-pair=%v restore-only=%v pairs-tried=%d runtime=%v\n",
 			r.FoundPair, r.RestoreOnly, r.PairsTried, r.Runtime)
 	case "spi":
@@ -297,14 +295,13 @@ func main() {
 
 // cecOptions builds the equivalence-check configuration for the attacks
 // that prove candidate modifications equivalent to the oracle.
-func cecOptions(sweep bool, sweepWords int, seed int64, satWorkers int, tracer *obs.Tracer, sopt simp.Options, cache *memo.Cache) cec.Options {
+func cecOptions(sweep bool, sweepWords int, seed int64, tracer *obs.Tracer, sopt simp.Options, cache *memo.Cache) cec.Options {
 	opt := cec.DefaultOptions()
 	if sweep {
 		opt = cec.SweepOptions()
 		opt.SweepWords = sweepWords
 	}
 	opt.Seed = seed
-	opt.Budget.SatWorkers = satWorkers
 	opt.Trace = tracer
 	opt.Simp = sopt
 	opt.Cache = cache

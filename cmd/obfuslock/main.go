@@ -165,7 +165,6 @@ func main() {
 			copt.SweepWords = *sweepWords
 		}
 		copt.Seed = *seed
-		copt.Budget.SatWorkers = solver.Workers()
 		copt.Trace = tracer
 		copt.Simp = sopt
 		copt.Cache = cache
@@ -186,7 +185,6 @@ func main() {
 		aopt.Trace = tracer
 		aopt.Simp = sopt
 		aopt.DIPBatch = solver.DIPBatch
-		aopt.SatWorkers = solver.Workers()
 		aopt.Cache = cache
 		a, _ := obfuslock.AttackNamed("sat")
 		r := a.Run(ctx, res.Locked, obfuslock.NewOracle(c), aopt)

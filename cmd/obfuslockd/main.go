@@ -100,16 +100,14 @@ func main() {
 	defer cache.Close()
 
 	def := service.TenantLimits{
-		MaxActive:     *maxActive,
-		MaxTimeoutMS:  maxTimeout.Milliseconds(),
-		MaxConflicts:  *maxConflicts,
-		MaxSatWorkers: solver.Workers(),
+		MaxActive:    *maxActive,
+		MaxTimeoutMS: maxTimeout.Milliseconds(),
+		MaxConflicts: *maxConflicts,
 	}
 	for name, tl := range overrides {
 		// Tenant overrides set the quota; budget ceilings are global.
 		tl.MaxTimeoutMS = def.MaxTimeoutMS
 		tl.MaxConflicts = def.MaxConflicts
-		tl.MaxSatWorkers = def.MaxSatWorkers
 		overrides[name] = tl
 	}
 

@@ -221,53 +221,3 @@ func TestTableIWorkersByteIdentical(t *testing.T) {
 		t.Fatal("deterministic metrics.json carries non-zero lock_seconds")
 	}
 }
-
-// satWorkerKeysAt attacks a handful of SARLock'd multiplier instances —
-// large enough that the attack miter clears the parallel portfolio's
-// minimum-clause floor — at the given SAT portfolio width and returns
-// each instance's recovered key plus its iteration and query counts.
-func satWorkerKeysAt(t *testing.T, satWorkers int) ([][]bool, []int, []int) {
-	t.Helper()
-	const instances = 4
-	keys := make([][]bool, instances)
-	iters := make([]int, instances)
-	queries := make([]int, instances)
-	for i := 0; i < instances; i++ {
-		orig := netlistgen.Multiplier(4) // 8 inputs
-		l, err := lockbase.SARLock(orig, 8, int64(i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := attacks.DefaultIOOptions()
-		opt.MaxIterations = 400 // > 2^8 SARLock DIPs
-		opt.SatWorkers = satWorkers
-		r := attacks.SATAttack(context.Background(), l, locking.NewOracle(orig), opt)
-		if !r.Exact {
-			t.Fatalf("instance %d workers=%d: not exact: %+v", i, satWorkers, r)
-		}
-		keys[i] = r.Key
-		iters[i] = r.Iterations
-		queries[i] = r.Queries
-	}
-	return keys, iters, queries
-}
-
-// TestSatWorkersKeysByteIdentical pins the parallel-portfolio
-// determinism contract at the attack level: the SAT attack recovers
-// byte-identical keys with identical iteration and query counts at 1
-// and 4 SAT workers, because only solves whose models come from the
-// portfolio's sequential-equivalent parent (and whose Unsat answers are
-// terminal for the round) ride the portfolio.
-func TestSatWorkersKeysByteIdentical(t *testing.T) {
-	k1, i1, q1 := satWorkerKeysAt(t, 1)
-	k4, i4, q4 := satWorkerKeysAt(t, 4)
-	for i := range k1 {
-		if !equalBools(k1[i], k4[i]) {
-			t.Fatalf("instance %d: key differs between 1 and 4 SAT workers: %v vs %v", i, k1[i], k4[i])
-		}
-		if i1[i] != i4[i] || q1[i] != q4[i] {
-			t.Fatalf("instance %d: trajectory differs between 1 and 4 SAT workers: iters %d vs %d, queries %d vs %d",
-				i, i1[i], i4[i], q1[i], q4[i])
-		}
-	}
-}

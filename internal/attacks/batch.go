@@ -202,22 +202,6 @@ func (st *attackState) blockDIP(dip []bool) {
 	st.s.AddClause(lits...)
 }
 
-// solveMiter is the round-deciding miter solve: it rides the parallel
-// portfolio when the attack is configured with more than one SAT
-// worker. Only solves whose Sat models come from the portfolio's
-// pristine parent — and whose Unsat answers are purely semantic for the
-// rest of the attack — may go through here; the enumeration re-solves
-// inside dipRound must not, because their Sat/Unsat rhythm shapes the
-// incremental solver state that later rounds build on, and an
-// early-adopted helper refutation there would make that state (and
-// hence later DIP models) depend on the worker count.
-func (st *attackState) solveMiter(assumps ...sat.Lit) sat.Status {
-	if st.satWorkers > 1 {
-		return st.s.SolveParallel(st.ctx, st.satWorkers, assumps...)
-	}
-	return st.s.Solve(assumps...)
-}
-
 // dipRound runs the solve-and-enumerate half of one pipeline round: it
 // solves the active miter and, on Sat, harvests up to k distinct DIPs by
 // blocking each one and re-solving. The returned status is the round's
@@ -227,7 +211,7 @@ func (st *attackState) solveMiter(assumps ...sat.Lit) sat.Status {
 // until the I/O constraints land, and Unknown (budget or cancellation)
 // is noticed by the caller on the next round.
 func (st *attackState) dipRound(k int) (sat.Status, [][]bool) {
-	status := st.solveMiter(st.actDiff)
+	status := st.s.Solve(st.actDiff)
 	if status != sat.Sat {
 		return status, nil
 	}
@@ -283,7 +267,7 @@ func (st *attackState) answerBatch(dips [][]bool) [][]bool {
 // current model is still a consistent key and is returned as-is.
 func (st *attackState) extractKey() []bool {
 	off := st.actDiff.Not()
-	if st.solveMiter(off) != sat.Sat {
+	if st.s.Solve(off) != sat.Sat {
 		return nil
 	}
 	key := make([]bool, st.l.KeyBits)
@@ -298,7 +282,7 @@ func (st *attackState) extractKey() []bool {
 			continue
 		}
 		trial := append(assumps[:len(assumps):len(assumps)], kl.Not())
-		switch st.solveMiter(trial...) {
+		switch st.s.Solve(trial...) {
 		case sat.Sat:
 			key[i] = false
 			for j := i + 1; j < st.l.KeyBits; j++ {

@@ -37,17 +37,6 @@ type IOOptions struct {
 	// redundant batch. Any width recovers the same canonical key on
 	// exact termination — batching changes wall clock, not answers.
 	DIPBatch int
-	// SatWorkers selects the parallelism of the attack's individual
-	// miter solves (sat.Solver.SolveParallel): 0 or 1 keep the
-	// sequential solver, negative resolves to GOMAXPROCS, n > 1 runs an
-	// n-worker deterministic portfolio. The recovered key, iteration and
-	// query counts are byte-identical at every setting (same resolution
-	// convention as exec.Budget.SatWorkers); only wall clock changes.
-	// Termination-round solves and key extraction ride the portfolio;
-	// the within-round enumeration re-solves stay sequential, because
-	// their Sat/Unsat alternation feeds the parent solver state that
-	// later rounds replay.
-	SatWorkers int
 	// Simp controls CNF preprocessing of the miter before the first DIP
 	// solve and inprocessing between iterations (zero value: enabled
 	// with inprocessing every 16 DIPs; simp.Off() disables; set
@@ -142,10 +131,6 @@ type attackState struct {
 	actDiff sat.Lit // activation literal for the difference miter
 	stopped func() bool
 	queue   *DIPSub
-	// ctx and satWorkers drive the parallel portfolio of the round
-	// solves (see solveMiter); satWorkers is already resolved.
-	ctx        context.Context
-	satWorkers int
 	// cone amortizes I/O-constraint folding across a batch: one
 	// bit-parallel pass over the locked circuit per batch instead of a
 	// full-graph constant fold per DIP.
@@ -188,7 +173,6 @@ func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Orac
 		xLits: xLits, k1Lits: k1, k2Lits: k2, actDiff: act,
 		stopped: func() bool { return ctx.Err() != nil },
 		queue:   opt.Queue,
-		ctx:     ctx, satWorkers: exec.SatWorkers(opt.SatWorkers),
 		cone:    locking.NewKeyCone(l.Enc, l.NumInputs),
 		spec:    aig.New(),
 		hDIP:    tr.Histogram(MetricDIPLatency),

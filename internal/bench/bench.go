@@ -230,7 +230,10 @@ func buildGate(g *aig.AIG, typ string, ins []aig.Lit) (aig.Lit, error) {
 }
 
 // Write emits the graph in .bench format. Internal nodes are named n<var>;
-// complemented edges materialize NOT gates on demand.
+// complemented edges materialize NOT gates named <signal>_n on demand.
+// Generated names never shadow a declared input or output name (or each
+// other): a clash is resolved by appending _<k>, so every netlist Read
+// accepts survives a Write+Read round trip.
 func Write(w io.Writer, g *aig.AIG) error {
 	bw := bufio.NewWriter(w)
 	if g.Name != "" {
@@ -240,13 +243,24 @@ func Write(w io.Writer, g *aig.AIG) error {
 	fmt.Fprintf(bw, "# %d inputs, %d outputs, %d gates\n", st.Inputs, st.Outputs, st.Nodes())
 
 	names := make(map[uint32]string, g.MaxVar()+1)
+	taken := make(map[string]bool, g.NumInputs()+g.NumOutputs())
 	for i := 0; i < g.NumInputs(); i++ {
 		name := g.InputName(i)
 		names[g.InputVar(i)] = name
+		taken[name] = true
 		fmt.Fprintf(bw, "INPUT(%s)\n", name)
 	}
 	for i := 0; i < g.NumOutputs(); i++ {
+		taken[g.OutputName(i)] = true
 		fmt.Fprintf(bw, "OUTPUT(%s)\n", g.OutputName(i))
+	}
+	fresh := func(want string) string {
+		name := want
+		for k := 1; taken[name]; k++ {
+			name = fmt.Sprintf("%s_%d", want, k)
+		}
+		taken[name] = true
+		return name
 	}
 
 	needConst := false
@@ -264,8 +278,8 @@ func Write(w io.Writer, g *aig.AIG) error {
 		}
 	}
 	if needConst {
-		fmt.Fprintf(bw, "const0 = gnd\n")
-		names[0] = "const0"
+		names[0] = fresh("const0")
+		fmt.Fprintf(bw, "%s = gnd\n", names[0])
 	}
 
 	// Emit NOT gates lazily: invName returns a name for a literal.
@@ -278,7 +292,11 @@ func Write(w io.Writer, g *aig.AIG) error {
 		if n, ok := inverted[l.Var()]; ok {
 			return n
 		}
-		n := base + "_n"
+		want := base + "_n"
+		if !definable(want) {
+			want = fmt.Sprintf("n%d_n", l.Var())
+		}
+		n := fresh(want)
 		fmt.Fprintf(bw, "%s = NOT(%s)\n", n, base)
 		inverted[l.Var()] = n
 		return n
@@ -295,32 +313,31 @@ func Write(w io.Writer, g *aig.AIG) error {
 		if op == aig.OpInput || op == aig.OpConst {
 			continue
 		}
-		names[v] = fmt.Sprintf("n%d", v)
+		name := fresh(fmt.Sprintf("n%d", v))
+		names[v] = name
 		fan := g.Fanins(v)
 		switch op {
 		case aig.OpAnd:
-			fmt.Fprintf(bw, "n%d = AND(%s, %s)\n", v, litName(fan[0]), litName(fan[1]))
+			fmt.Fprintf(bw, "%s = AND(%s, %s)\n", name, litName(fan[0]), litName(fan[1]))
 		case aig.OpXor:
-			fmt.Fprintf(bw, "n%d = XOR(%s, %s)\n", v, litName(fan[0]), litName(fan[1]))
+			fmt.Fprintf(bw, "%s = XOR(%s, %s)\n", name, litName(fan[0]), litName(fan[1]))
 		case aig.OpMaj:
-			fmt.Fprintf(bw, "n%d = MAJ(%s, %s, %s)\n", v,
+			fmt.Fprintf(bw, "%s = MAJ(%s, %s, %s)\n", name,
 				litName(fan[0]), litName(fan[1]), litName(fan[2]))
 		}
 	}
 
-	// Primary outputs: emit BUF/NOT so the declared names exist.
+	// Primary outputs: emit BUF/NOT so the declared names exist (once per
+	// name: a repeated OUTPUT declaration names the same signal).
+	defined := make(map[string]bool, g.NumOutputs())
 	for i := 0; i < g.NumOutputs(); i++ {
 		po := g.Output(i)
 		oname := g.OutputName(i)
-		if po.IsConst() {
-			if po == aig.ConstTrue {
-				fmt.Fprintf(bw, "%s = NOT(const0)\n", oname)
-			} else {
-				fmt.Fprintf(bw, "%s = BUF(const0)\n", oname)
-			}
+		if defined[oname] {
 			continue
 		}
-		driver := names[po.Var()]
+		defined[oname] = true
+		driver := names[po.Var()] // the constant's driver is names[0]
 		if driver == oname && !po.IsCompl() {
 			continue // an input directly feeding an identically-named output
 		}
@@ -331,4 +348,13 @@ func Write(w io.Writer, g *aig.AIG) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// definable reports whether Read parses "<name> = ..." as a gate
+// defining name: the line must not read as a comment or a declaration,
+// and the name must not contain the '=' that ends it.
+func definable(name string) bool {
+	lower := strings.ToLower(name)
+	return !strings.Contains(name, "=") && !strings.HasPrefix(name, "#") &&
+		!strings.HasPrefix(lower, "input(") && !strings.HasPrefix(lower, "output(")
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"obfuslock/internal/aig"
 	"obfuslock/internal/cec"
+	"obfuslock/internal/sim"
 )
 
 const sampleNetlist = `
@@ -45,15 +47,16 @@ func TestReadSample(t *testing.T) {
 	}
 }
 
-func TestReadOutOfOrder(t *testing.T) {
-	src := `
+const outOfOrderNetlist = `
 INPUT(a)
 INPUT(b)
 OUTPUT(f)
 f = AND(t, a)
 t = OR(a, b)
 `
-	g, err := Read(strings.NewReader(src))
+
+func TestReadOutOfOrder(t *testing.T) {
+	g, err := Read(strings.NewReader(outOfOrderNetlist))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +66,7 @@ t = OR(a, b)
 	}
 }
 
-func TestReadConstantsAndWideGates(t *testing.T) {
-	src := `
+const constWideNetlist = `
 INPUT(a)
 INPUT(b)
 INPUT(c)
@@ -79,7 +81,9 @@ y = XNOR(a, b, c)
 f = OR(w, x, y, zero)
 k = BUF(one)
 `
-	g, err := Read(strings.NewReader(src))
+
+func TestReadConstantsAndWideGates(t *testing.T) {
+	g, err := Read(strings.NewReader(constWideNetlist))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,4 +210,99 @@ func TestReadOversizedLine(t *testing.T) {
 	if !strings.Contains(msg, "1 MiB line buffer") || !strings.Contains(msg, "line 3") {
 		t.Fatalf("want a 'line 3 exceeds the 1 MiB line buffer' diagnostic, got: %v", err)
 	}
+}
+
+// roundTripNetlists are accepted netlists whose signal names clash with
+// the names Write generates (n<var>, <signal>_n, const0) or that Read
+// cannot parse as the left-hand side of a gate.
+var roundTripNetlists = []struct{ name, src string }{
+	{"input named like an internal node",
+		"INPUT(a)\nINPUT(n3)\nOUTPUT(o)\nx = AND(a, n3)\no = NOT(x)\n"},
+	{"input named like an inverter",
+		"INPUT(a)\nINPUT(a_n)\nOUTPUT(o)\nt = NOT(a)\no = AND(t, a_n)\n"},
+	{"input named like the constant",
+		"INPUT(const0)\nOUTPUT(z)\nOUTPUT(o)\nz = gnd\no = BUF(const0)\n"},
+	{"output declared twice",
+		"INPUT(a)\nINPUT(b)\nOUTPUT(o)\nOUTPUT(o)\no = AND(a, b)\n"},
+	{"inverted input with '=' in its name",
+		"INPUT(a=b)\nINPUT(c)\nOUTPUT(o)\nt = NOT(a=b)\no = AND(t, c)\n"},
+	{"inverted input named like a comment",
+		"INPUT(#a)\nINPUT(c)\nOUTPUT(o)\nt = NOT(#a)\no = AND(t, c)\n"},
+	{"inverted input named like a declaration",
+		"INPUT(input(a)\nINPUT(c)\nOUTPUT(o)\nt = NOT(input(a)\no = AND(t, c)\n"},
+}
+
+func TestRoundTripNames(t *testing.T) {
+	for _, tc := range roundTripNetlists {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := Read(strings.NewReader(tc.src))
+			if err != nil {
+				t.Fatalf("netlist rejected: %v", err)
+			}
+			checkRoundTrip(t, g)
+		})
+	}
+}
+
+// checkRoundTrip asserts that Write followed by Read reproduces g: the
+// same interface names in the same order, simulating equal on random
+// patterns.
+func checkRoundTrip(t *testing.T, g *aig.AIG) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("written netlist rejected: %v\n%s", err, buf.String())
+	}
+	if back.NumInputs() != g.NumInputs() || back.NumOutputs() != g.NumOutputs() {
+		t.Fatalf("interface changed: %v -> %v\n%s", g.Stats(), back.Stats(), buf.String())
+	}
+	for i := 0; i < g.NumInputs(); i++ {
+		if back.InputName(i) != g.InputName(i) {
+			t.Fatalf("input %d renamed %q -> %q", i, g.InputName(i), back.InputName(i))
+		}
+	}
+	for i := 0; i < g.NumOutputs(); i++ {
+		if back.OutputName(i) != g.OutputName(i) {
+			t.Fatalf("output %d renamed %q -> %q", i, g.OutputName(i), back.OutputName(i))
+		}
+	}
+	if g.NumInputs() == 0 {
+		if want, got := g.Eval(nil), back.Eval(nil); !reflect.DeepEqual(want, got) {
+			t.Fatalf("constant outputs changed: %v -> %v\n%s", want, got, buf.String())
+		}
+		return
+	}
+	in := sim.RandomInputs(g.NumInputs(), 4, 1)
+	want, got := sim.Run(g, in), sim.Run(back, in)
+	for i := 0; i < g.NumOutputs(); i++ {
+		if !reflect.DeepEqual(want.Output(i), got.Output(i)) {
+			t.Fatalf("output %q simulates differently after the round trip\n%s", g.OutputName(i), buf.String())
+		}
+	}
+}
+
+// FuzzBenchRead checks the parser against the writer: any netlist Read
+// accepts must survive Write+Read with its interface and function
+// intact.
+func FuzzBenchRead(f *testing.F) {
+	for _, src := range []string{sampleNetlist, outOfOrderNetlist, constWideNetlist} {
+		f.Add(src)
+	}
+	for _, tc := range roundTripNetlists {
+		f.Add(tc.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 4096 {
+			return
+		}
+		g, err := Read(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, g)
+	})
 }

@@ -17,14 +17,11 @@ import (
 // one type so their schemas cannot drift apart; fields a given
 // benchmark does not measure are simply omitted.
 type Record struct {
-	NsPerOp     int64 `json:"ns_per_op"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	Queries     int   `json:"queries,omitempty"`
-	Iterations  int   `json:"iterations,omitempty"`
-	// Shared counts learnt clauses exported between parallel-portfolio
-	// workers (BENCH_sat_par.json; zero for sequential solves).
-	Shared int64     `json:"shared_clauses,omitempty"`
-	Solver sat.Stats `json:"solver"`
+	NsPerOp     int64     `json:"ns_per_op"`
+	AllocsPerOp int64     `json:"allocs_per_op"`
+	Queries     int       `json:"queries,omitempty"`
+	Iterations  int       `json:"iterations,omitempty"`
+	Solver      sat.Stats `json:"solver"`
 }
 
 // ReadRecords parses a BENCH_*.json artifact: a JSON object mapping

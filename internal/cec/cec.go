@@ -80,23 +80,14 @@ type Options struct {
 // (microseconds), one observation per SAT proof attempt.
 const MetricProofLatency = "cec.proof_us"
 
-// timedSolve runs one proof solve — on the parallel portfolio when the
-// budget asks for more than one SAT worker — recording its latency into
-// h (which may be nil, in which case the clock is never read). With a
-// conflict cap in force SolveParallel falls back to the sequential
-// solver internally, so budgeted verdicts stay worker-count-invariant.
-func timedSolve(ctx context.Context, s *sat.Solver, workers int, h *obs.Histogram, assumps ...sat.Lit) sat.Status {
-	solve := func() sat.Status {
-		if workers > 1 {
-			return s.SolveParallel(ctx, workers, assumps...)
-		}
+// timedSolve runs one Solve recording its latency into h (which may be
+// nil, in which case the clock is never read).
+func timedSolve(s *sat.Solver, h *obs.Histogram, assumps ...sat.Lit) sat.Status {
+	if h == nil {
 		return s.Solve(assumps...)
 	}
-	if h == nil {
-		return solve()
-	}
 	t0 := time.Now()
-	st := solve()
+	st := s.Solve(assumps...)
 	h.RecordDuration(time.Since(t0))
 	return st
 }
@@ -226,7 +217,7 @@ func check(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (Resul
 	if !simp.Apply(s, opt.Simp, opt.Trace) {
 		return Result{Equivalent: true, Decided: true, SolverStats: s.Stats()}, nil
 	}
-	switch timedSolve(ctx, s, opt.Budget.SatWorkerCount(), opt.Trace.Histogram(MetricProofLatency)) {
+	switch timedSolve(s, opt.Trace.Histogram(MetricProofLatency)) {
 	case sat.Unsat:
 		return Result{Equivalent: true, Decided: true, SolverStats: s.Stats()}, nil
 	case sat.Sat:
@@ -303,7 +294,7 @@ func checkSwept(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (
 	if !simp.Apply(s, opt.Simp, opt.Trace) {
 		return Result{Equivalent: true, Decided: true, SolverStats: stats()}, nil
 	}
-	switch timedSolve(ctx, s, opt.Budget.SatWorkerCount(), opt.Trace.Histogram(MetricProofLatency)) {
+	switch timedSolve(s, opt.Trace.Histogram(MetricProofLatency)) {
 	case sat.Unsat:
 		return Result{Equivalent: true, Decided: true, SolverStats: stats()}, nil
 	case sat.Sat:

@@ -23,13 +23,10 @@ import (
 )
 
 // Solver groups the SAT-tuning flags common to every solver-backed tool:
-// -simp, -sat-workers and -dip-batch.
+// -simp and -dip-batch.
 type Solver struct {
 	// Simp is the -simp value (CNF pre-/inprocessing on).
 	Simp bool
-	// SatWorkers is the raw -sat-workers value in the CLI convention
-	// (1: sequential, 0: all cores); Workers() maps it to the internal one.
-	SatWorkers int
 	// DIPBatch is the -dip-batch value.
 	DIPBatch int
 }
@@ -38,8 +35,6 @@ type Solver struct {
 func (s *Solver) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&s.Simp, "simp", true,
 		"SatELite-style CNF preprocessing/inprocessing in every SAT solver")
-	fs.IntVar(&s.SatWorkers, "sat-workers", 1,
-		"parallel SAT portfolio width per solve; results are byte-identical at any width (1: sequential, 0: GOMAXPROCS)")
 	fs.IntVar(&s.DIPBatch, "dip-batch", 0,
 		"DIPs enumerated per solver round and answered in one bit-parallel oracle pass (0: default width, 1: classic serial loop)")
 }
@@ -50,16 +45,6 @@ func (s *Solver) SimpOptions() simp.Options {
 		return simp.Off()
 	}
 	return simp.Default()
-}
-
-// Workers maps the CLI's -sat-workers convention (0 means "all cores")
-// onto the internal exec.SatWorkers one (negative means "all cores",
-// 0 means sequential).
-func (s *Solver) Workers() int {
-	if s.SatWorkers == 0 {
-		return -1
-	}
-	return s.SatWorkers
 }
 
 // Cache groups the result-cache flags: -cache, -cache-dir, -cache-mb.

@@ -68,21 +68,11 @@ type problem struct {
 }
 
 // enumerateUpTo counts models over the projection literals, stopping at
-// limit+1. Returns count and whether the solver stayed decisive. With
-// workers > 1 each solve rides the deterministic parallel portfolio
-// (sound here: every Sat model is the portfolio parent's own, and the
-// terminating Unsat is the enumeration's last solve), though the
-// default conflict-capped budget keeps the solver sequential anyway.
-func enumerateUpTo(ctx context.Context, s *sat.Solver, workers int, proj []sat.Lit, limit int) (int, bool) {
-	solve := s.Solve
-	if workers > 1 {
-		solve = func(assumps ...sat.Lit) sat.Status {
-			return s.SolveParallel(ctx, workers, assumps...)
-		}
-	}
+// limit+1. Returns count and whether the solver stayed decisive.
+func enumerateUpTo(s *sat.Solver, proj []sat.Lit, limit int) (int, bool) {
 	count := 0
 	for count <= limit {
-		switch solve() {
+		switch s.Solve() {
 		case sat.Sat:
 			count++
 			block := make([]sat.Lit, len(proj))
@@ -122,7 +112,7 @@ func approxTraced(ctx context.Context, p problem, opt Options, sp *obs.Span) Res
 	s.SetBudget(opt.Budget.ConflictCap())
 	s.SetContext(ctx)
 	freezeAndSimp(s, proj, opt)
-	n, ok := enumerateUpTo(ctx, s, opt.Budget.SatWorkerCount(), proj, opt.Pivot)
+	n, ok := enumerateUpTo(s, proj, opt.Pivot)
 	if !ok {
 		return Result{Decided: false}
 	}
@@ -159,7 +149,7 @@ func approxTraced(ctx context.Context, p problem, opt Options, sp *obs.Span) Res
 			// Simplify after the parity constraints so the XOR chain
 			// variables are eliminable too.
 			freezeAndSimp(s, proj, opt)
-			return enumerateUpTo(ctx, s, opt.Budget.SatWorkerCount(), proj, opt.Pivot)
+			return enumerateUpTo(s, proj, opt.Pivot)
 		}
 		probes := 0
 		lastCell := 0

@@ -27,12 +27,6 @@ type Budget struct {
 	// value exhausts immediately (propagation-only solves), a positive
 	// value is the cap. See ConflictCap.
 	Conflicts int64
-	// SatWorkers selects the parallelism of individual SAT calls
-	// (sat.Solver.SolveParallel): 0 or 1 keep today's sequential solver,
-	// a negative value resolves to GOMAXPROCS, n > 1 runs an n-worker
-	// deterministic portfolio. Results are byte-identical at every
-	// setting; only wall-clock changes. See SatWorkerCount.
-	SatWorkers int
 }
 
 // WithConflicts returns a conflict-capped budget with no wall-clock bound.
@@ -69,24 +63,6 @@ func (b Budget) ConflictCap() int64 {
 		return b.Conflicts
 	}
 }
-
-// SatWorkers resolves a -sat-workers style setting into the argument
-// convention of sat.Solver.SolveParallel: 0 means 1 (the sequential
-// default, so a zero Budget behaves exactly like before the portfolio
-// existed), negative means GOMAXPROCS, positive is taken as-is.
-func SatWorkers(n int) int {
-	switch {
-	case n == 0:
-		return 1
-	case n < 0:
-		return runtime.GOMAXPROCS(0)
-	default:
-		return n
-	}
-}
-
-// SatWorkerCount resolves the budget's SatWorkers field (see SatWorkers).
-func (b Budget) SatWorkerCount() int { return SatWorkers(b.SatWorkers) }
 
 // DeriveSeed expands a master seed into an independent per-task seed
 // using the splitmix64 finalizer. Derived seeds depend only on (master,

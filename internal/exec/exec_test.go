@@ -23,24 +23,6 @@ func TestConflictCap(t *testing.T) {
 	}
 }
 
-func TestSatWorkersResolution(t *testing.T) {
-	if got := SatWorkers(0); got != 1 {
-		t.Errorf("SatWorkers(0) = %d, want 1 (sequential default)", got)
-	}
-	if got := SatWorkers(3); got != 3 {
-		t.Errorf("SatWorkers(3) = %d, want 3", got)
-	}
-	if got := SatWorkers(-1); got < 1 {
-		t.Errorf("SatWorkers(-1) = %d, want >= 1 (GOMAXPROCS)", got)
-	}
-	if got := (Budget{SatWorkers: 4}).SatWorkerCount(); got != 4 {
-		t.Errorf("SatWorkerCount with SatWorkers=4 = %d", got)
-	}
-	if got := (Budget{}).SatWorkerCount(); got != 1 {
-		t.Errorf("zero Budget SatWorkerCount = %d, want 1", got)
-	}
-}
-
 func TestBindTimeout(t *testing.T) {
 	ctx, cancel := Budget{Timeout: time.Millisecond}.Bind(context.Background())
 	defer cancel()

@@ -60,11 +60,6 @@ type Budget struct {
 	// Exact attack outcomes are identical at any width; iteration-count
 	// cells can differ between widths but are deterministic per width.
 	DIPBatch int
-	// SatWorkers is the per-solve parallel portfolio width of each cell's
-	// attack (0 or 1: sequential; negative: GOMAXPROCS; n>1: n workers).
-	// Independent of Workers (sweep-cell parallelism); results are
-	// byte-identical at any value.
-	SatWorkers int
 	// Trace, when non-nil, receives lock and attack spans for every
 	// sweep cell plus table1.cell wrapper spans.
 	Trace *obs.Tracer
@@ -202,7 +197,6 @@ func TableIEntry(ctx context.Context, b netlistgen.Benchmark, skewBits float64, 
 	aopt.Trace = budget.Trace
 	aopt.Simp = budget.Simp
 	aopt.DIPBatch = budget.DIPBatch
-	aopt.SatWorkers = budget.SatWorkers
 	aopt.Cache = budget.Cache
 	if budget.Deterministic {
 		// Deterministic cells are bounded by iteration count only; a
@@ -299,7 +293,67 @@ type Fig4Stats struct {
 	// CriticalVisible reports whether a critical node — a node whose
 	// function equals the original protected cone or the locking circuit
 	// L — still exists in the netlist (the red outlier of Fig. 4(a)/(b)).
-	CriticalVisible bool
+	// It is Undecided when a scan ran out of budget without finding one.
+	CriticalVisible Verdict
+}
+
+// Verdict is a yes/no finding that a budget-bounded check may leave
+// open. The zero value is Undecided, so an unsettled check never reads
+// as a pass.
+type Verdict uint8
+
+const (
+	// Undecided: the check ran out of budget (or was cancelled).
+	Undecided Verdict = iota
+	// No: the check proved the finding false.
+	No
+	// Yes: the check proved the finding true.
+	Yes
+)
+
+// String renders decided verdicts as "true"/"false" and an open one as
+// "undecided".
+func (v Verdict) String() string {
+	switch v {
+	case Yes:
+		return "true"
+	case No:
+		return "false"
+	}
+	return "undecided"
+}
+
+// criticalEliminated scans the locked netlist, keys bound to an
+// arbitrary (all-zero) value, for a node computing spec: Yes when the
+// scan refuted every node, No when it found one.
+func criticalEliminated(ctx context.Context, l *locking.Locked, specG *aig.AIG, spec aig.Lit, fopt cec.FindOptions) Verdict {
+	bound := l.ApplyKey(make([]bool, l.KeyBits))
+	switch _, v := cec.FindNode(ctx, bound, specG, spec, fopt); v {
+	case cec.Refuted:
+		return Yes
+	case cec.Found:
+		return No
+	}
+	return Undecided
+}
+
+// criticalVisible is Fig. 4's red outlier: does a node of the locked
+// netlist (keys bound as in criticalEliminated) compute the protected
+// output spec or, when lf is non-nil, the locking circuit lf's output?
+func criticalVisible(ctx context.Context, l *locking.Locked, specG *aig.AIG, spec aig.Lit, lf *aig.AIG, fopt cec.FindOptions) Verdict {
+	bound := l.ApplyKey(make([]bool, l.KeyBits))
+	_, vc := cec.FindNode(ctx, bound, specG, spec, fopt)
+	vl := cec.Refuted
+	if lf != nil {
+		_, vl = cec.FindNode(ctx, bound, lf, lf.Output(0), fopt)
+	}
+	switch {
+	case vc == cec.Found || vl == cec.Found:
+		return Yes
+	case vc == cec.Refuted && vl == cec.Refuted:
+		return No
+	}
+	return Undecided
 }
 
 // Fig4 locks the circuit twice — without and with structural
@@ -343,13 +397,7 @@ func fig4Stats(ctx context.Context, res *core.Result, c *aig.AIG, cache *memo.Ca
 	// The red outlier: does a node computing a critical function survive?
 	fopt := cec.DefaultFindOptions()
 	fopt.Cache = cache
-	_, sc := attacks.CriticalNodeSurvives(ctx, l, c, c.Output(res.Report.ProtectedOutput), fopt)
-	sl := false
-	if res.LockingFunction != nil {
-		_, sl = attacks.CriticalNodeSurvives(ctx, l, res.LockingFunction,
-			res.LockingFunction.Output(0), fopt)
-	}
-	st.CriticalVisible = sc || sl
+	st.CriticalVisible = criticalVisible(ctx, l, c, c.Output(res.Report.ProtectedOutput), res.LockingFunction, fopt)
 	return st
 }
 
@@ -531,7 +579,7 @@ func Fig5(ctx context.Context, suite []netlistgen.Benchmark, skews []float64, se
 // StructuralRow summarizes the structural-attack evaluation of one lock.
 type StructuralRow struct {
 	Bench              string
-	CriticalEliminated bool
+	CriticalEliminated Verdict
 	ValkyrieBroke      bool
 	SPIWrong           bool
 	RemovalFailed      bool
@@ -571,8 +619,7 @@ func Structural(ctx context.Context, suite []netlistgen.Benchmark, skewBits floa
 		fopt := cec.DefaultFindOptions()
 		fopt.Seed = bseed
 		fopt.Cache = cache
-		_, survives := attacks.CriticalNodeSurvives(ctx, l, c, c.Output(res.Report.ProtectedOutput), fopt)
-		row.CriticalEliminated = !survives
+		row.CriticalEliminated = criticalEliminated(ctx, l, c, c.Output(res.Report.ProtectedOutput), fopt)
 		copt := cec.SweepOptions()
 		copt.Budget = exec.WithConflicts(50000)
 		copt.Cache = cache

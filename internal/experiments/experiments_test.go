@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"obfuslock/internal/cec"
+	"obfuslock/internal/exec"
+	"obfuslock/internal/locking"
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/simp"
 )
@@ -67,10 +70,10 @@ func TestFig4BeforeAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !before.CriticalVisible {
+	if before.CriticalVisible != Yes {
 		t.Fatal("naive double-flip should expose a critical node")
 	}
-	if after.CriticalVisible {
+	if after.CriticalVisible != No {
 		t.Fatal("transformation left a critical node visible")
 	}
 	totalBefore, totalAfter := 0, 0
@@ -115,8 +118,38 @@ func TestStructuralBattery(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	r := rows[0]
-	if !r.CriticalEliminated || r.ValkyrieBroke || !r.SPIWrong || !r.RemovalFailed {
+	if r.CriticalEliminated != Yes || r.ValkyrieBroke || !r.SPIWrong || !r.RemovalFailed {
 		t.Fatalf("structural resistance violated: %+v", r)
+	}
+}
+
+// A critical-node scan the budget leaves open is neither a structural
+// pass (critical node eliminated) nor a Fig. 4 pass (no critical node
+// visible). The fixture's locked netlist is an AND-lowered multiplier:
+// the protected product bit survives there, but only a SAT proof can
+// show it, and a propagation-only budget cannot.
+func TestCriticalScanUndecidedIsNotAPass(t *testing.T) {
+	const n = 8
+	c := netlistgen.Multiplier(n)
+	l := &locking.Locked{Scheme: "none", Enc: c.LowerToAnd(), NumInputs: c.NumInputs()}
+	spec := c.Output(n)
+	fopt := cec.DefaultFindOptions()
+	fopt.Budget = exec.WithConflicts(-1)
+	ctx := context.Background()
+	if v := criticalEliminated(ctx, l, c, spec, fopt); v != Undecided || v.String() != "undecided" {
+		t.Errorf("structural row: critical-eliminated = %v, want undecided", v)
+	}
+	if v := criticalVisible(ctx, l, c, spec, nil, fopt); v != Undecided || v.String() != "undecided" {
+		t.Errorf("Fig. 4: critical-visible = %v, want undecided", v)
+	}
+	// With the default budget the same scans decide, printing the bytes
+	// the tables always had.
+	fopt = cec.DefaultFindOptions()
+	if v := criticalEliminated(ctx, l, c, spec, fopt); v.String() != "false" {
+		t.Errorf("decided structural row prints %q, want false", v)
+	}
+	if v := criticalVisible(ctx, l, c, spec, nil, fopt); v.String() != "true" {
+		t.Errorf("decided Fig. 4 panel prints %q, want true", v)
 	}
 }
 

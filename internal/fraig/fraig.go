@@ -300,15 +300,7 @@ func (sw *sweeper) prove(ctx context.Context, v uint32, s *sat.Solver, enc *cnf.
 		if sw.hProof != nil {
 			t0 = time.Now()
 		}
-		// Unbudgeted proofs ride the parallel portfolio (a conflict cap
-		// makes SolveParallel fall back to the sequential solver, so
-		// budgeted sweeps stay exactly as before).
-		var status sat.Status
-		if wk := opt.Budget.SatWorkerCount(); wk > 1 {
-			status = s.SolveParallel(ctx, wk, d)
-		} else {
-			status = s.Solve(d)
-		}
+		status := s.Solve(d)
 		if sw.hProof != nil {
 			sw.hProof.RecordDuration(time.Since(t0))
 		}

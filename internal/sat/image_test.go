@@ -1,7 +1,6 @@
 package sat
 
 import (
-	"context"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -125,10 +124,8 @@ func TestImageReplayIndependent(t *testing.T) {
 
 // TestImageRestoredSolversConcurrent proves two solvers restored from
 // the same image share no mutable state: driven concurrently with
-// different workloads (one of them a parallel portfolio solve), each
-// must produce exactly the answers a serially-driven twin produces.
-// Run under -race this also guards the clone path SolveParallel
-// depends on.
+// different workloads, each must produce exactly the answers a
+// serially-driven twin produces.
 func TestImageRestoredSolversConcurrent(t *testing.T) {
 	s, n := randomPreSearchSolver(t, 17)
 	img := s.Export()
@@ -137,15 +134,10 @@ func TestImageRestoredSolversConcurrent(t *testing.T) {
 		st    Status
 		model []bool
 	}
-	drive := func(r *Solver, extra Lit, parallel bool) []outcome {
+	drive := func(r *Solver, extra Lit) []outcome {
 		var outs []outcome
 		for step := 0; step < 4; step++ {
-			var st Status
-			if parallel {
-				st = r.SolveParallel(context.Background(), 3, extra)
-			} else {
-				st = r.Solve(extra)
-			}
+			st := r.Solve(extra)
 			o := outcome{st: st}
 			if st == Sat {
 				o.model = r.Model()
@@ -165,13 +157,13 @@ func TestImageRestoredSolversConcurrent(t *testing.T) {
 
 	litA, litB := MkLit(0, false), MkLit(1, true)
 	// Serial references first.
-	wantA := drive(NewFromImage(img), litA, false)
-	wantB := drive(NewFromImage(img), litB, false)
+	wantA := drive(NewFromImage(img), litA)
+	wantB := drive(NewFromImage(img), litB)
 
 	ra, rb := NewFromImage(img), NewFromImage(img)
 	done := make(chan []outcome, 2)
-	go func() { done <- drive(ra, litA, false) }()
-	go func() { done <- drive(rb, litB, true) }()
+	go func() { done <- drive(ra, litA) }()
+	go func() { done <- drive(rb, litB) }()
 	got1, got2 := <-done, <-done
 	match := func(got, want []outcome) bool {
 		if len(got) != len(want) {

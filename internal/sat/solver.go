@@ -184,22 +184,6 @@ type Solver struct {
 	stopTick  int
 	ctxDone   <-chan struct{}
 
-	// reduceBase is the learnt-database reduction trigger floor
-	// (reduceDB fires when numLocal exceeds reduceBase +
-	// Conflicts/10). Portfolio helpers diversify it; New sets the
-	// default.
-	reduceBase int
-	// parShare, when non-nil, receives every learnt clause at learn
-	// time — the export side of the parallel portfolio (parallel.go).
-	// Nil outside SolveParallel, keeping the sequential search loop at
-	// one predictable branch per conflict.
-	parShare *shareBuf
-	// parStats accumulates the work of retired portfolio helpers; it is
-	// kept out of stats so the parent's own counters (which feed search
-	// heuristics like the reduceDB trigger) never depend on the worker
-	// count. Stats() reports the sum.
-	parStats Stats
-
 	progressFn    func(Progress)
 	progressEvery int64
 	progressNext  int64
@@ -221,13 +205,6 @@ type Solver struct {
 	lastDecProps   int64
 	lbdStamp       []uint32
 	lbdGen         uint32
-	// Portfolio telemetry (parallel.go): epochs run, clauses exchanged,
-	// helper wins and per-epoch latency. Attached together with the
-	// histograms above; all nil when detached.
-	cParEpochs *obs.Counter
-	cParShared *obs.Counter
-	cParWinner *obs.Counter
-	hParEpoch  *obs.Histogram
 
 	// Simplification state (see simp.go). frozen vars are exempt from
 	// variable elimination; elim vars have been resolved away and their
@@ -253,12 +230,13 @@ type Solver struct {
 	simpTrailMark int
 }
 
-// defaultReduceBase is the stock learnt-database reduction floor.
-const defaultReduceBase = 2000
+// reduceBase is the learnt-database reduction trigger floor: reduceDB
+// fires when numLocal exceeds reduceBase + Conflicts/10.
+const reduceBase = 2000
 
 // New returns an empty solver.
 func New() *Solver {
-	s := &Solver{ok: true, varInc: 1, claInc: 1, simpMark: -1, reduceBase: defaultReduceBase}
+	s := &Solver{ok: true, varInc: 1, claInc: 1, simpMark: -1}
 	s.order.s = s
 	return s
 }
@@ -282,9 +260,8 @@ func (s *Solver) NumClauses() int {
 	return n
 }
 
-// Stats returns work counters accumulated across all Solve calls,
-// including the effort spent by SolveParallel portfolio helpers.
-func (s *Solver) Stats() Stats { return s.stats.Add(s.parStats) }
+// Stats returns work counters accumulated across all Solve calls.
+func (s *Solver) Stats() Stats { return s.stats }
 
 // SetBudget limits the total number of conflicts available to subsequent
 // Solve calls; Solve returns Unknown when it is exhausted. A negative value
@@ -799,9 +776,6 @@ func (s *Solver) search(nConflicts int64, assumps []Lit) Status {
 				c := s.attachLearnt(learnt, lbd)
 				s.uncheckedEnqueue(learnt[0], c)
 			}
-			if s.parShare != nil {
-				s.parShare.add(learnt, lbd)
-			}
 			s.varInc /= 0.95
 			s.claInc /= 0.999
 			continue
@@ -813,7 +787,7 @@ func (s *Solver) search(nConflicts int64, assumps []Lit) Status {
 			s.exhausted = true
 			return Unknown
 		}
-		if s.numLocal > s.reduceBase+int(s.stats.Conflicts/10) {
+		if s.numLocal > reduceBase+int(s.stats.Conflicts/10) {
 			s.reduceDB()
 		}
 		// Place assumptions, then decide.

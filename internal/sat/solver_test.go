@@ -171,7 +171,7 @@ func TestStopCallback(t *testing.T) {
 func TestContextCancellation(t *testing.T) {
 	// An already-cancelled context aborts before any search.
 	s := New()
-	pigeonhole(s, 10, 9)
+	pigeonhole(s, 8, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s.SetContext(ctx)
@@ -195,6 +195,53 @@ func TestContextCancellation(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancellation honored only after %v", elapsed)
+	}
+}
+
+// random3SAT adds a deterministic random 3-SAT formula (distinct
+// variables per clause) to the solver. Around ratio 4.5 the instances
+// mix satisfiable and unsatisfiable outcomes and are non-trivial for
+// unit propagation.
+func random3SAT(s *Solver, vars, clauses int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < vars; i++ {
+		s.NewVar()
+	}
+	for i := 0; i < clauses; i++ {
+		a := rng.Intn(vars)
+		b := rng.Intn(vars)
+		for b == a {
+			b = rng.Intn(vars)
+		}
+		c := rng.Intn(vars)
+		for c == a || c == b {
+			c = rng.Intn(vars)
+		}
+		s.AddClause(MkLit(a, rng.Intn(2) == 0), MkLit(b, rng.Intn(2) == 0), MkLit(c, rng.Intn(2) == 0))
+	}
+}
+
+// TestSolvePreCancelledContext is the regression test for the
+// pre-cancelled-context fix: Solve must return Unknown immediately
+// instead of burning a restart round.
+func TestSolvePreCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	s := New()
+	random3SAT(s, 60, 280, 7)
+	s.SetContext(ctx)
+	before := s.Stats()
+	if st := s.Solve(); st != Unknown {
+		t.Fatalf("Solve on pre-cancelled context: got %v, want Unknown", st)
+	}
+	if d := s.Stats().Sub(before); d.Conflicts != 0 || d.Decisions != 0 {
+		t.Fatalf("Solve did work under a pre-cancelled context: %+v", d)
+	}
+	// The solver recovers once the hook is cleared.
+	s.SetContext(nil)
+	if st := s.Solve(); st == Unknown {
+		t.Fatal("solver must solve normally after the cancelled context is removed")
 	}
 }
 

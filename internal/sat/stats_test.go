@@ -6,7 +6,7 @@ import (
 )
 
 // Stats.Sub and Stats.Add are written out field by field, so a newly
-// added counter silently vanishes from attack deltas and portfolio
+// added counter silently vanishes from attack deltas and summed
 // aggregates if either method is not extended. Setting every field to a
 // distinct value via reflection and checking the arithmetic identities
 // catches a forgotten field no matter what it is called.

@@ -12,17 +12,6 @@ const (
 	// MetricPropsPerDecision is the number of propagations between
 	// consecutive branching decisions.
 	MetricPropsPerDecision = "sat.props_per_decision"
-	// MetricParEpochs counts SolveParallel epoch barriers.
-	MetricParEpochs = "sat.par_epochs"
-	// MetricParShared counts learnt clauses exchanged at epoch barriers
-	// (summed over exporting workers).
-	MetricParShared = "sat.par_shared"
-	// MetricParWinner counts SolveParallel calls decided by a helper
-	// worker rather than the parent search.
-	MetricParWinner = "sat.par_winner"
-	// MetricParEpochLatency is the wall-clock of each epoch barrier in
-	// microseconds.
-	MetricParEpochLatency = "sat.par_epoch_us"
 )
 
 // SetTelemetry attaches distribution telemetry to the solver: every
@@ -36,16 +25,11 @@ const (
 func (s *Solver) SetTelemetry(reg *obs.Registry) {
 	if reg == nil {
 		s.hConflictDepth, s.hLBD, s.hPropsPerDec = nil, nil, nil
-		s.cParEpochs, s.cParShared, s.cParWinner, s.hParEpoch = nil, nil, nil, nil
 		return
 	}
 	s.hConflictDepth = reg.Histogram(MetricConflictDepth)
 	s.hLBD = reg.Histogram(MetricLBD)
 	s.hPropsPerDec = reg.Histogram(MetricPropsPerDecision)
-	s.cParEpochs = reg.Counter(MetricParEpochs)
-	s.cParShared = reg.Counter(MetricParShared)
-	s.cParWinner = reg.Counter(MetricParWinner)
-	s.hParEpoch = reg.Histogram(MetricParEpochLatency)
 	s.lastDecProps = s.stats.Propagations
 }
 

@@ -7,14 +7,12 @@ import (
 )
 
 // Exec converts the wire budget into the in-process exec.Budget. The
-// two are the same vocabulary — wall clock, conflict cap, SAT portfolio
-// width — with the wire side pinned to integer milliseconds so encoded
+// two are the same vocabulary — wall clock and conflict cap — with the wire side pinned to integer milliseconds so encoded
 // jobs never depend on Go duration formatting.
 func (b Budget) Exec() exec.Budget {
 	return exec.Budget{
-		Timeout:    time.Duration(b.TimeoutMS) * time.Millisecond,
-		Conflicts:  b.MaxConflicts,
-		SatWorkers: b.SatWorkers,
+		Timeout:   time.Duration(b.TimeoutMS) * time.Millisecond,
+		Conflicts: b.MaxConflicts,
 	}
 }
 
@@ -24,6 +22,5 @@ func BudgetFrom(b exec.Budget) Budget {
 	return Budget{
 		TimeoutMS:    int64(b.Timeout / time.Millisecond),
 		MaxConflicts: b.Conflicts,
-		SatWorkers:   b.SatWorkers,
 	}
 }

@@ -20,10 +20,6 @@ type TenantLimits struct {
 	// MaxConflicts caps (and defaults) the per-solve conflict budget
 	// (0: no ceiling).
 	MaxConflicts int64
-	// MaxSatWorkers caps the per-solve SAT portfolio width (0: no
-	// ceiling). Widths are byte-identical in results, so clamping only
-	// limits resource use, never changes answers.
-	MaxSatWorkers int
 }
 
 // Clamp applies the ceiling to a requested budget: requests above a cap
@@ -36,9 +32,6 @@ func (tl TenantLimits) Clamp(b Budget) Budget {
 	}
 	if tl.MaxConflicts > 0 && (b.MaxConflicts == 0 || b.MaxConflicts > tl.MaxConflicts) {
 		b.MaxConflicts = tl.MaxConflicts
-	}
-	if tl.MaxSatWorkers > 0 && (b.SatWorkers <= 0 || b.SatWorkers > tl.MaxSatWorkers) {
-		b.SatWorkers = tl.MaxSatWorkers
 	}
 	return b
 }

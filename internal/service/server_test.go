@@ -451,14 +451,14 @@ func TestBudgetClampWrittenBack(t *testing.T) {
 	runner := &stubRunner{}
 	srv := New(Config{
 		Runner:        runner,
-		DefaultLimits: TenantLimits{MaxTimeoutMS: 1000, MaxConflicts: 500, MaxSatWorkers: 2},
+		DefaultLimits: TenantLimits{MaxTimeoutMS: 1000, MaxConflicts: 500},
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	spec := validSpec(KindCEC)
-	spec.Budget = &Budget{TimeoutMS: 99_000, SatWorkers: 64}
+	spec.Budget = &Budget{TimeoutMS: 99_000}
 	_, data := postJob(t, ts, spec, "?wait=1")
 	var st Status
 	json.Unmarshal(data, &st)
@@ -466,7 +466,7 @@ func TestBudgetClampWrittenBack(t *testing.T) {
 	if len(seen) != 1 || seen[0].Budget == nil {
 		t.Fatalf("runner saw %+v", seen)
 	}
-	want := Budget{TimeoutMS: 1000, MaxConflicts: 500, SatWorkers: 2}
+	want := Budget{TimeoutMS: 1000, MaxConflicts: 500}
 	if *seen[0].Budget != want {
 		t.Errorf("clamped budget = %+v, want %+v", *seen[0].Budget, want)
 	}

@@ -42,8 +42,7 @@ func Kinds() []string {
 }
 
 // Budget is the wire form of an execution budget: wall clock in
-// milliseconds, a SAT conflict cap, and the per-solve SAT portfolio
-// width. It is the same vocabulary as the in-process exec.Budget — the
+// milliseconds and a SAT conflict cap. It is the same vocabulary as the in-process exec.Budget — the
 // facade converts between the two losslessly — with explicit integer
 // units so the JSON never depends on Go duration formatting.
 type Budget struct {
@@ -51,10 +50,6 @@ type Budget struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MaxConflicts caps SAT conflicts per solve (0: unlimited).
 	MaxConflicts int64 `json:"max_conflicts,omitempty"`
-	// SatWorkers is the deterministic SAT portfolio width per solve
-	// (0 or 1: sequential; n>1: n workers; results are byte-identical
-	// at every setting).
-	SatWorkers int `json:"sat_workers,omitempty"`
 }
 
 // SchemeOptions parameterizes the locking schemes. It is the single

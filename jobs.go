@@ -35,7 +35,7 @@ type JobResult = service.JobResult
 type JobError = service.Error
 
 // JobBudget is the wire form of an execution Budget (integer
-// milliseconds, conflict cap, SAT portfolio width).
+// milliseconds and a conflict cap).
 type JobBudget = service.Budget
 
 // JobAttackOptions is the serializable subset of AttackOptions: the
@@ -209,7 +209,6 @@ func runAttackJob(ctx context.Context, spec JobSpec, rt JobRuntime, budget JobBu
 		}
 	}
 	opt.Timeout = time.Duration(budget.TimeoutMS) * time.Millisecond
-	opt.SatWorkers = budget.SatWorkers
 	opt.Trace = rt.Trace
 	opt.Simp = rt.Simp
 	opt.Cache = rt.Cache
