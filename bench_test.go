@@ -322,7 +322,7 @@ func BenchmarkStructuralAttacks(b *testing.B) {
 		}
 		if i == 0 {
 			for _, r := range rows {
-				if r.CriticalEliminated != experiments.Yes || r.ValkyrieBroke || !r.SPIWrong || !r.RemovalFailed {
+				if r.CriticalEliminated != experiments.Yes || r.ValkyrieResisted != experiments.Yes || !r.SPIWrong || r.RemovalResisted != experiments.Yes {
 					b.Errorf("%s: structural resistance violated: %+v", r.Bench, r)
 				}
 			}

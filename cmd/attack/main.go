@@ -35,9 +35,11 @@
 // spans/events — dumped to stderr on SIGQUIT, panic, or when a single
 // attack exhausts its budget without a key.
 //
-// The equivalence checks inside the removal and Valkyrie attacks run
-// SAT-swept by default (-sweep, -sweep-words; see DESIGN.md "Equivalence
-// checking & SAT sweeping"); -sweep=false forces the monolithic miter.
+// The equivalence checks inside the removal and Valkyrie attacks share one
+// base miter of the oracle and the locked netlist, SAT-swept once per
+// attack by default (-sweep, -sweep-words; see DESIGN.md "Pinned checks
+// against one swept base"); each candidate then rebuilds only its fanout
+// cone. -sweep=false runs no sweep: the base is only strashed.
 //
 // Exit status is non-zero when a key-recovery attack returns no key, so
 // scripted resilience sweeps can branch on the result.
@@ -86,7 +88,7 @@ func main() {
 	skews := flag.String("skews", "10,20,30", "comma-separated skewness levels for experiment modes")
 	workers := flag.Int("workers", 0, "experiment parallelism (0: GOMAXPROCS)")
 	det := flag.Bool("det", false, "deterministic sweep: no wall-clock cells or timeouts; output is byte-reproducible")
-	sweepCEC := flag.Bool("sweep", true, "use SAT sweeping (fraig) for the equivalence checks of removal/valkyrie")
+	sweepCEC := flag.Bool("sweep", true, "SAT-sweep (fraig) the base miter of removal/valkyrie once per attack")
 	sweepWords := flag.Int("sweep-words", 8, "64-pattern signature words seeding the sweep's equivalence classes")
 
 	var solver cliflags.Solver

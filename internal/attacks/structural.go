@@ -68,97 +68,50 @@ func skewBits(p float64) float64 {
 	return -math.Log2(h)
 }
 
-// replaceNodes rebuilds g with each variable in repl replaced by the given
-// constant. All replacements refer to variables of g (one pass, so several
-// nodes can be pinned at once).
-func replaceNodes(g *aig.AIG, repl map[uint32]bool) *aig.AIG {
-	ng := aig.New()
-	ng.Name = g.Name
-	m := make([]aig.Lit, g.MaxVar()+1)
-	m[0] = aig.ConstFalse
-	constOf := func(val bool) aig.Lit {
-		if val {
-			return aig.ConstTrue
-		}
-		return aig.ConstFalse
-	}
-	for i := 0; i < g.NumInputs(); i++ {
-		v := g.InputVar(i)
-		m[v] = ng.AddInput(g.InputName(i))
-		if val, ok := repl[v]; ok {
-			m[v] = constOf(val)
-		}
-	}
-	mapped := func(l aig.Lit) aig.Lit { return m[l.Var()].NotIf(l.IsCompl()) }
-	for v := uint32(1); v <= g.MaxVar(); v++ {
-		if g.Op(v) == aig.OpInput {
-			continue
-		}
-		fan := g.Fanins(v)
-		var nl aig.Lit
-		switch g.Op(v) {
-		case aig.OpAnd:
-			nl = ng.And(mapped(fan[0]), mapped(fan[1]))
-		case aig.OpXor:
-			nl = ng.Xor(mapped(fan[0]), mapped(fan[1]))
-		case aig.OpMaj:
-			nl = ng.Maj(mapped(fan[0]), mapped(fan[1]), mapped(fan[2]))
-		}
-		if val, ok := repl[v]; ok {
-			nl = constOf(val)
-		}
-		m[v] = nl
-	}
-	for i := 0; i < g.NumOutputs(); i++ {
-		ng.AddOutput(mapped(g.Output(i)), g.OutputName(i))
-	}
-	return ng
-}
-
-// replaceNode rebuilds g with a single variable replaced by a constant.
-func replaceNode(g *aig.AIG, target uint32, val bool) *aig.AIG {
-	return replaceNodes(g, map[uint32]bool{target: val})
-}
-
 // RemovalResult reports a removal attack outcome.
 type RemovalResult struct {
 	Success  bool
 	Node     uint32
 	Constant bool
 	Tried    int
-	Runtime  time.Duration
+	// Undecided counts checks the budget or a cancellation left open; a
+	// search stopped by cancellation counts its unchecked rest as one
+	// more. A failed search with Undecided > 0 proves no resistance.
+	Undecided int
+	Runtime   time.Duration
 }
 
 // Removal runs the removal attack: take the most skewed candidate nodes,
 // replace each with a constant (both polarities), bind an arbitrary key,
 // and check equivalence with the original. Single-flip defences fall to
-// this; ObfusLock leaves no removable node.
-func Removal(ctx context.Context, l *locking.Locked, orig *aig.AIG, candidates []uint32, opt cec.Options) RemovalResult {
+// this; ObfusLock leaves no removable node. The checks share one base
+// (cec.NewPinned); opt.Cache is not consulted.
+func Removal(ctx context.Context, l *locking.Locked, orig *aig.AIG, candidates []uint32, opt cec.Options) (res RemovalResult) {
 	start := time.Now()
-	res := RemovalResult{}
-	anyKey := make([]bool, l.KeyBits) // all-zero wrong key
+	defer func() { res.Runtime = time.Since(start) }()
+	pc, err := cec.NewPinned(ctx, orig, l.Enc, make([]bool, l.KeyBits), opt)
+	if err != nil {
+		res.Undecided++
+		return res
+	}
 	for _, cand := range candidates {
-		if ctx != nil && ctx.Err() != nil {
-			break
-		}
 		for _, val := range []bool{false, true} {
+			if ctx != nil && ctx.Err() != nil {
+				res.Undecided++
+				return res
+			}
 			res.Tried++
-			mod := replaceNode(l.Enc, cand, val)
-			bound := (&locking.Locked{
-				Scheme: l.Scheme, Enc: mod,
-				NumInputs: l.NumInputs, KeyBits: l.KeyBits, Key: anyKey,
-			}).ApplyKey(anyKey)
-			r, err := cec.Check(ctx, orig, bound, opt)
-			if err == nil && r.Decided && r.Equivalent {
+			switch r := pc.Check(ctx, map[uint32]bool{cand: val}); {
+			case !r.Decided:
+				res.Undecided++
+			case r.Equivalent:
 				res.Success = true
 				res.Node = cand
 				res.Constant = val
-				res.Runtime = time.Since(start)
 				return res
 			}
 		}
 	}
-	res.Runtime = time.Since(start)
 	return res
 }
 
@@ -245,35 +198,52 @@ type ValkyrieResult struct {
 	// attack then still needs the perturb node, which ObfusLock removes.
 	RestoreOnly bool
 	PairsTried  int
-	Runtime     time.Duration
+	// Undecided counts checks the budget or a cancellation left open, as
+	// in RemovalResult.
+	Undecided int
+	Runtime   time.Duration
 }
 
 // Valkyrie runs a Valkyrie-style vulnerability assessment (Limaye et al.):
 // shortlist skewed nodes, then search for a node pair whose simultaneous
 // constant replacement makes the locked circuit equivalent to the oracle.
-func Valkyrie(ctx context.Context, l *locking.Locked, orig *aig.AIG, shortlist int, simWords int, seed int64, opt cec.Options) ValkyrieResult {
+// The checks share one base (cec.NewPinned); opt.Cache is not consulted.
+func Valkyrie(ctx context.Context, l *locking.Locked, orig *aig.AIG, shortlist int, simWords int, seed int64, opt cec.Options) (res ValkyrieResult) {
 	start := time.Now()
-	res := ValkyrieResult{}
+	defer func() { res.Runtime = time.Since(start) }()
 	sps := SPS(l, simWords, seed, shortlist)
-	anyKey := make([]bool, l.KeyBits)
-	bindAndCheck := func(mod *aig.AIG) bool {
-		bound := (&locking.Locked{
-			Scheme: l.Scheme, Enc: mod,
-			NumInputs: l.NumInputs, KeyBits: l.KeyBits, Key: anyKey,
-		}).ApplyKey(anyKey)
-		r, err := cec.Check(ctx, orig, bound, opt)
-		return err == nil && r.Decided && r.Equivalent
+	pc, err := cec.NewPinned(ctx, orig, l.Enc, make([]bool, l.KeyBits), opt)
+	if err != nil {
+		res.Undecided++
+		return res
+	}
+	// equal checks one variant; stop reports a cancelled search.
+	equal := func(pins map[uint32]bool) bool {
+		r := pc.Check(ctx, pins)
+		if !r.Decided {
+			res.Undecided++
+		}
+		return r.Decided && r.Equivalent
+	}
+	stop := func() bool {
+		if ctx != nil && ctx.Err() != nil {
+			res.Undecided++
+			return true
+		}
+		return false
 	}
 	// Phase 1: restore-only (single-node) replacements.
 	for _, cand := range sps.Candidates {
 		for _, val := range []bool{false, true} {
-			if bindAndCheck(replaceNode(l.Enc, cand, val)) {
+			if stop() {
+				return res
+			}
+			if equal(map[uint32]bool{cand: val}) {
 				res.RestoreOnly = true
 				res.Restore = cand
 				// A single node sufficed — report it as a full break.
 				res.FoundPair = true
 				res.Perturb = cand
-				res.Runtime = time.Since(start)
 				return res
 			}
 		}
@@ -281,25 +251,25 @@ func Valkyrie(ctx context.Context, l *locking.Locked, orig *aig.AIG, shortlist i
 	// Phase 2: pairs.
 	for i, p := range sps.Candidates {
 		for j, r := range sps.Candidates {
-			if i == j || (ctx != nil && ctx.Err() != nil) {
+			if i == j {
 				continue
 			}
 			for _, pv := range []bool{false, true} {
 				for _, rv := range []bool{false, true} {
+					if stop() {
+						return res
+					}
 					res.PairsTried++
-					mod := replaceNodes(l.Enc, map[uint32]bool{p: pv, r: rv})
-					if bindAndCheck(mod) {
+					if equal(map[uint32]bool{p: pv, r: rv}) {
 						res.FoundPair = true
 						res.Perturb = p
 						res.Restore = r
-						res.Runtime = time.Since(start)
 						return res
 					}
 				}
 			}
 		}
 	}
-	res.Runtime = time.Since(start)
 	return res
 }
 

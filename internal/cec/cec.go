@@ -3,7 +3,9 @@
 // by the structural attacks and the critical-node elimination check. The
 // sweeping mode (Options.Sweep) fraigs the combined miter graph — merging
 // the internally equivalent logic the two sides share — before the final,
-// much smaller, miter solve.
+// much smaller, miter solve. Pinned checks many constant-pinned variants
+// of one implementation against one such base, rebuilding only each
+// variant's fanout cone.
 package cec
 
 import (
@@ -73,6 +75,7 @@ type Options struct {
 	// remains a valid refutation for any pair with the same fingerprints.
 	// Wall-clock-bounded checks (Budget.Timeout set) are never cached:
 	// their verdicts depend on machine speed, not only on the key.
+	// Pinned checks never consult it.
 	Cache *memo.Cache
 }
 
@@ -273,38 +276,45 @@ func checkSwept(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (
 		// whether unrelated internal candidates ran out of budget.
 		return Result{Equivalent: true, Decided: true, SolverStats: fr.SolverStats}, nil
 	}
+	r := solvePairs(ctx, red, pending, opt)
+	r.SolverStats = r.SolverStats.Add(fr.SolverStats)
+	return r, nil
+}
+
+// solvePairs decides whether every literal pair of g computes the same
+// function with one miter solve under opt.Budget and opt.Simp.
+func solvePairs(ctx context.Context, g *aig.AIG, pairs [][2]aig.Lit, opt Options) Result {
 	s := sat.New()
 	s.SetBudget(opt.Budget.ConflictCap())
 	s.SetContext(ctx)
 	s.SetTelemetry(opt.Trace.Registry())
-	e := cnf.NewEncoder(red, s)
-	inputs := make([]sat.Lit, red.NumInputs())
+	e := cnf.NewEncoder(g, s)
+	inputs := make([]sat.Lit, g.NumInputs())
 	for i := range inputs {
 		inputs[i] = e.InputLit(i)
 	}
-	diffs := make([]sat.Lit, len(pending))
-	for i, p := range pending {
+	diffs := make([]sat.Lit, len(pairs))
+	for i, p := range pairs {
 		lits := e.Encode(p[0], p[1])
 		diffs[i] = cnf.XorLit(s, lits[0], lits[1])
 	}
 	s.AddClause(cnf.OrLit(s, diffs...))
-	stats := func() sat.Stats { return s.Stats().Add(fr.SolverStats) }
-	// The reduced miter is a one-shot solve: full preprocessing
-	// (elimination included) is sound here.
+	// The miter is a one-shot solve: full preprocessing (elimination
+	// included) is sound here.
 	if !simp.Apply(s, opt.Simp, opt.Trace) {
-		return Result{Equivalent: true, Decided: true, SolverStats: stats()}, nil
+		return Result{Equivalent: true, Decided: true, SolverStats: s.Stats()}
 	}
 	switch timedSolve(s, opt.Trace.Histogram(MetricProofLatency)) {
 	case sat.Unsat:
-		return Result{Equivalent: true, Decided: true, SolverStats: stats()}, nil
+		return Result{Equivalent: true, Decided: true, SolverStats: s.Stats()}
 	case sat.Sat:
 		cex := make([]bool, len(inputs))
 		for i, l := range inputs {
 			cex[i] = s.ModelValue(l)
 		}
-		return Result{Equivalent: false, Counterexample: cex, Decided: true, SolverStats: stats()}, nil
+		return Result{Equivalent: false, Counterexample: cex, Decided: true, SolverStats: s.Stats()}
 	}
-	return Result{SolverStats: stats()}, nil
+	return Result{SolverStats: s.Stats()}
 }
 
 // LitsEquivalent decides whether two literals of the same graph compute the

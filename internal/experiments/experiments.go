@@ -580,9 +580,23 @@ func Fig5(ctx context.Context, suite []netlistgen.Benchmark, skews []float64, se
 type StructuralRow struct {
 	Bench              string
 	CriticalEliminated Verdict
-	ValkyrieBroke      bool
-	SPIWrong           bool
-	RemovalFailed      bool
+	// ValkyrieResisted and RemovalResisted are Yes when every check of
+	// the search was decided and none restored the circuit.
+	ValkyrieResisted Verdict
+	SPIWrong         bool
+	RemovalResisted  Verdict
+}
+
+// resisted is the verdict of a structural search that found a break or
+// not, with some of its checks possibly left undecided.
+func resisted(found bool, undecided int) Verdict {
+	switch {
+	case found:
+		return No
+	case undecided > 0:
+		return Undecided
+	}
+	return Yes
 }
 
 // Structural locks each benchmark and runs the structural attack battery.
@@ -624,15 +638,15 @@ func Structural(ctx context.Context, suite []netlistgen.Benchmark, skewBits floa
 		copt.Budget = exec.WithConflicts(50000)
 		copt.Cache = cache
 		vr := attacks.Valkyrie(ctx, l, c, 6, 64, bseed, copt)
-		row.ValkyrieBroke = vr.FoundPair
+		row.ValkyrieResisted = resisted(vr.FoundPair, vr.Undecided)
 		spi := attacks.SPI(l, 6)
 		ok, _ := l.VerifyKey(c, spi.Key)
 		row.SPIWrong = !ok
 		sps := attacks.SPS(l, 64, bseed, 8)
 		rm := attacks.Removal(ctx, l, c, sps.Candidates, copt)
-		row.RemovalFailed = !rm.Success
+		row.RemovalResisted = resisted(rm.Success, rm.Undecided)
 		fmt.Fprintf(&buf, "%-10s %19v  %17v  %9v  %16v\n",
-			b.Name, row.CriticalEliminated, !row.ValkyrieBroke, row.SPIWrong, row.RemovalFailed)
+			b.Name, row.CriticalEliminated, row.ValkyrieResisted, row.SPIWrong, row.RemovalResisted)
 		return out{row: row, ok: true, text: buf.Bytes()}
 	}, func(i int, o out) {
 		if o.ok {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"obfuslock/internal/attacks"
 	"obfuslock/internal/cec"
 	"obfuslock/internal/exec"
 	"obfuslock/internal/locking"
@@ -118,7 +119,7 @@ func TestStructuralBattery(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	r := rows[0]
-	if r.CriticalEliminated != Yes || r.ValkyrieBroke || !r.SPIWrong || !r.RemovalFailed {
+	if r.CriticalEliminated != Yes || r.ValkyrieResisted != Yes || !r.SPIWrong || r.RemovalResisted != Yes {
 		t.Fatalf("structural resistance violated: %+v", r)
 	}
 }
@@ -150,6 +151,41 @@ func TestCriticalScanUndecidedIsNotAPass(t *testing.T) {
 	}
 	if v := criticalVisible(ctx, l, c, spec, nil, fopt); v.String() != "true" {
 		t.Errorf("decided Fig. 4 panel prints %q, want true", v)
+	}
+}
+
+// A removal or Valkyrie search that found nothing but left a check open
+// is not resistance. The removal fixture pins a node that drives no
+// output of an AND-lowered multiplier, so the variant restores the
+// circuit, but without sweeping only a SAT proof can show it and a
+// propagation-only budget cannot. The Valkyrie search is cancelled
+// before its first check.
+func TestStructuralSearchUndecidedIsNotAPass(t *testing.T) {
+	c := netlistgen.Multiplier(8)
+	enc := c.LowerToAnd()
+	dangling := enc.And(enc.Input(0), enc.Input(1).Not()).Var()
+	if enc.FanoutCounts()[dangling] != 0 || dangling != enc.MaxVar() {
+		t.Fatal("fixture node is not a fresh, dangling node")
+	}
+	l := &locking.Locked{Scheme: "none", Enc: enc, NumInputs: c.NumInputs()}
+	ctx := context.Background()
+	opt := cec.DefaultOptions()
+	opt.Budget = exec.WithConflicts(-1)
+	rm := attacks.Removal(ctx, l, c, []uint32{dangling}, opt)
+	if v := resisted(rm.Success, rm.Undecided); v != Undecided || v.String() != "undecided" {
+		t.Errorf("removal-resisted = %v (%+v), want undecided", v, rm)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	vr := attacks.Valkyrie(cancelled, l, c, 6, 64, 1, cec.SweepOptions())
+	if v := resisted(vr.FoundPair, vr.Undecided); v != Undecided || vr.PairsTried != 0 {
+		t.Errorf("valkyrie-resisted = %v (%+v), want undecided with no pair tried", v, vr)
+	}
+	// Swept, the same removal check decides and prints the bytes the
+	// table always had.
+	rm = attacks.Removal(ctx, l, c, []uint32{dangling}, cec.SweepOptions())
+	if v := resisted(rm.Success, rm.Undecided); v.String() != "false" {
+		t.Errorf("decided removal prints %q (%+v), want false", v, rm)
 	}
 }
 

@@ -96,6 +96,11 @@ type Result struct {
 	// and names) and function, with proven-equivalent nodes merged and
 	// unreachable logic removed.
 	Reduced *aig.AIG
+	// Graph is the rebuilt graph before cleanup: Reduced's interface and
+	// function, every node of the input graph still reachable through Map.
+	Graph *aig.AIG
+	// Map takes each variable of the input graph to its literal in Graph.
+	Map []aig.Lit
 	// Stats counts classes, merges, refutations and proofs.
 	Stats Stats
 	// Decided is false when at least one query exhausted its budget or
@@ -215,7 +220,7 @@ func Sweep(ctx context.Context, g *aig.AIG, opt Options) *Result {
 		obs.Int("rounds", int64(sw.st.Rounds)),
 		obs.Int("nodes_out", int64(reduced.NumNodes())),
 		obs.Bool("decided", decided))
-	return &Result{Reduced: reduced, Stats: sw.st, Decided: decided, SolverStats: s.Stats()}
+	return &Result{Reduced: reduced, Graph: sw.ng, Map: sw.m, Stats: sw.st, Decided: decided, SolverStats: s.Stats()}
 }
 
 // buildClasses seeds the candidate classes from phase-normalized
