@@ -23,12 +23,10 @@ import (
 	"obfuslock/internal/experiments"
 	"obfuslock/internal/lockbase"
 	"obfuslock/internal/locking"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/rewrite"
 	"obfuslock/internal/sat"
 	"obfuslock/internal/simp"
-	"obfuslock/internal/skew"
 	"obfuslock/internal/techmap"
 )
 
@@ -57,20 +55,6 @@ func mallocCount() uint64 {
 	runtime.ReadMemStats(&ms)
 	return ms.Mallocs
 }
-
-// cacheBenchRecord is BENCH_cache.json: the same deterministic Table I
-// cell timed against a cold and a pre-warmed result cache, plus the memo
-// counters proving the warm run reused results instead of just getting
-// lucky with solver heuristics.
-type cacheBenchRecord struct {
-	ColdNs  int64   `json:"cold_ns_per_op"`
-	WarmNs  int64   `json:"warm_ns_per_op"`
-	Speedup float64 `json:"speedup"`
-	Hits    int64   `json:"memo_hits"`
-	Misses  int64   `json:"memo_misses"`
-}
-
-var cacheBenchRec *cacheBenchRecord // written by BenchmarkTableICached
 
 // recordBench files the finished (sub-)benchmark's per-op time, per-op
 // allocations (mallocs is the mallocCount delta across the b.N loop)
@@ -118,18 +102,6 @@ func TestMain(m *testing.M) {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "BENCH_attack.json:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	if cacheBenchRec != nil {
-		data, err := json.MarshalIndent(cacheBenchRec, "", "  ")
-		if err == nil {
-			err = os.WriteFile("BENCH_cache.json", append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_cache.json:", err)
 			if code == 0 {
 				code = 1
 			}
@@ -196,76 +168,6 @@ func BenchmarkTableI(b *testing.B) {
 	}
 }
 
-// BenchmarkTableICached measures the memoization tentpole on the
-// deterministic backbone of a Table I cell — lock construction plus the
-// key-correctness proof, the SAT-heavy work every sweep repeats. The cold
-// sub-benchmark pays the full solver bill into a fresh cache each op; the
-// warm one replays a pre-warmed cache. The pair lands in BENCH_cache.json
-// with the memo counters, so CI can assert the warm path actually reuses
-// results (hits > 0) rather than recomputing faster.
-func BenchmarkTableICached(b *testing.B) {
-	c := suiteByName("max-s")[0].Build()
-	cell := func(cache *memo.Cache) {
-		opt := core.DefaultOptions()
-		opt.TargetSkewBits = 8
-		opt.Seed = 1
-		opt.AllowDirect = false
-		opt.Cache = cache
-		res, err := core.Lock(context.Background(), c, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vopt := cec.DefaultOptions()
-		vopt.Cache = cache
-		if err := res.Locked.VerifyWith(context.Background(), c, vopt); err != nil {
-			b.Fatal(err)
-		}
-		// The row's reporting columns: mapped-overhead and achieved-skewness
-		// metrics of the locked netlist, both memoized layers.
-		techmap.AnalyzeWith(res.Locked.Enc, 8, 1, cache)
-		so := skew.DefaultSplittingOptions()
-		so.Seed = 1
-		so.Cache = cache
-		skew.SplittingBits(res.Locked.Enc, res.Locked.Enc.Output(0), so)
-	}
-
-	var coldNs, warmNs, hits, misses int64
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cache, err := memo.New(memo.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cell(cache)
-			cache.Close()
-		}
-		coldNs = b.Elapsed().Nanoseconds() / int64(max(b.N, 1))
-	})
-	b.Run("warm", func(b *testing.B) {
-		cache, err := memo.New(memo.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cache.Close()
-		cell(cache) // pre-warm outside the timer
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cell(cache)
-		}
-		warmNs = b.Elapsed().Nanoseconds() / int64(max(b.N, 1))
-		st := cache.Stats()
-		hits, misses = st.Hits, st.Misses
-	})
-	if coldNs > 0 && warmNs > 0 {
-		rec := &cacheBenchRecord{ColdNs: coldNs, WarmNs: warmNs,
-			Speedup: float64(coldNs) / float64(warmNs), Hits: hits, Misses: misses}
-		benchRecMu.Lock()
-		cacheBenchRec = rec
-		benchRecMu.Unlock()
-		b.ReportMetric(rec.Speedup, "warm-speedup")
-	}
-}
-
 // BenchmarkFig4 regenerates the Fig. 4 node-statistics panels on the
 // s9234-class circuit: before structural transformation the critical node
 // is discoverable; after it is eliminated.
@@ -273,7 +175,7 @@ func BenchmarkFig4(b *testing.B) {
 	bm := netlistgen.SmallSuite()[0] // s9234-s
 	c := bm.Build()
 	for i := 0; i < b.N; i++ {
-		before, after, err := experiments.Fig4(context.Background(), c, 10, 1, 0, nil)
+		before, after, err := experiments.Fig4(context.Background(), c, 10, 1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,7 +198,7 @@ func BenchmarkFig4(b *testing.B) {
 // skewness levels.
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig5(context.Background(), suiteByName("c7552-s", "max-s"), benchSkews, 1, 0, nil, os.Stderr)
+		rows, err := experiments.Fig5(context.Background(), suiteByName("c7552-s", "max-s"), benchSkews, 1, 0, os.Stderr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,7 +218,7 @@ func BenchmarkFig5(b *testing.B) {
 // evaluation: critical-node elimination, Valkyrie, SPI and removal.
 func BenchmarkStructuralAttacks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Structural(context.Background(), suiteByName("c7552-s", "max-s"), 10, 1, 0, nil, os.Stderr)
+		rows, err := experiments.Structural(context.Background(), suiteByName("c7552-s", "max-s"), 10, 1, 0, os.Stderr)
 		if err != nil {
 			b.Fatal(err)
 		}

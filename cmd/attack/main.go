@@ -65,7 +65,6 @@ import (
 	"obfuslock/internal/exec"
 	"obfuslock/internal/experiments"
 	"obfuslock/internal/locking"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sat"
@@ -75,7 +74,7 @@ import (
 func main() {
 	encPath := flag.String("enc", "", "encrypted .bench netlist")
 	oraclePath := flag.String("oracle", "", "original .bench netlist (the working chip)")
-	attackName := flag.String("attack", "sat", "attack: sat, appsat, portfolio, sensitization, sps, removal, bypass, valkyrie, spi")
+	attackName := flag.String("attack", "sat", "attack: sat, appsat, sensitization, sps, removal, bypass, valkyrie, spi")
 	timeout := flag.Duration("timeout", time.Minute, "attack timeout")
 	maxIter := flag.Int("maxiter", 2048, "DIP iteration cap")
 	seed := flag.Int64("seed", 1, "attack randomness seed")
@@ -92,10 +91,8 @@ func main() {
 	sweepWords := flag.Int("sweep-words", 8, "64-pattern signature words seeding the sweep's equivalence classes")
 
 	var solver cliflags.Solver
-	var cacheFlags cliflags.Cache
 	var tele cliflags.Telemetry
 	solver.Register(flag.CommandLine)
-	cacheFlags.Register(flag.CommandLine)
 	tele.Register(flag.CommandLine)
 
 	verbose := flag.Bool("v", false, "print cumulative SAT-solver statistics after the attack")
@@ -103,11 +100,6 @@ func main() {
 	flag.Parse()
 
 	if err := validateFlags(*encPath, *oraclePath, *attackName, *table1, *fig4, *fig5, *structural); err != nil {
-		fmt.Fprintln(os.Stderr, "attack:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err := cacheFlags.Validate(cliflags.Visited(flag.CommandLine)); err != nil {
 		fmt.Fprintln(os.Stderr, "attack:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -122,18 +114,10 @@ func main() {
 	defer sess.PanicDump()
 	tracer := sess.Tracer
 
-	cache, err := cacheFlags.Open(tracer)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "attack:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	defer cache.Close()
-
 	// writeLedger runs both on normal returns (deferred) and explicitly on
 	// the non-zero exit paths, which bypass deferred calls via os.Exit.
 	writeLedger := func() {
-		if err := sess.WriteLedger(cache); err != nil {
+		if err := sess.WriteLedger(); err != nil {
 			fmt.Fprintln(os.Stderr, "attack:", err)
 		}
 	}
@@ -158,7 +142,6 @@ func main() {
 		Simp:          sopt,
 		DIPBatch:      solver.DIPBatch,
 		Trace:         tracer,
-		Cache:         cache,
 	}
 
 	switch {
@@ -181,7 +164,7 @@ func main() {
 	case *fig4:
 		b := suite[0]
 		c := b.Build()
-		before, after, err := experiments.Fig4(ctx, c, levels[0], *seed, *workers, cache)
+		before, after, err := experiments.Fig4(ctx, c, levels[0], *seed, *workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -192,12 +175,12 @@ func main() {
 			after.SkewHist, after.KeyHist, after.MaxSkewBits, after.CriticalVisible)
 		return
 	case *fig5:
-		if _, err := experiments.Fig5(ctx, suite, levels, *seed, *workers, cache, os.Stdout); err != nil {
+		if _, err := experiments.Fig5(ctx, suite, levels, *seed, *workers, os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
 	case *structural:
-		if _, err := experiments.Structural(ctx, suite, levels[0], *seed, *workers, cache, os.Stdout); err != nil {
+		if _, err := experiments.Structural(ctx, suite, levels[0], *seed, *workers, os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
@@ -221,7 +204,6 @@ func main() {
 	aopt.Trace = tracer
 	aopt.Simp = sopt
 	aopt.DIPBatch = solver.DIPBatch
-	aopt.Cache = cache
 
 	// report prints the outcome and returns false when no key came back —
 	// the caller exits non-zero so sweep scripts can branch on it.
@@ -239,7 +221,7 @@ func main() {
 	}
 
 	gotKey := true
-	// The oracle-guided attacks (sat, appsat, portfolio) dispatch through
+	// The oracle-guided attacks (sat, appsat) dispatch through
 	// the facade's attack registry — one code path instead of a switch arm
 	// per attack; the analysis attacks below have bespoke outputs.
 	if a, ok := obfuslock.AttackNamed(*attackName); ok {
@@ -272,7 +254,7 @@ func main() {
 		}
 	case "removal":
 		sps := attacks.SPS(l, 256, *seed, 10)
-		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(*sweepCEC, *sweepWords, *seed, tracer, sopt, cache))
+		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(*sweepCEC, *sweepWords, *seed, tracer, sopt))
 		fmt.Printf("removal: success=%v tried=%d runtime=%v\n", r.Success, r.Tried, r.Runtime)
 	case "bypass":
 		wrong := make([]bool, l.KeyBits)
@@ -280,7 +262,7 @@ func main() {
 		fmt.Printf("bypass: success=%v patterns=%d exhausted=%v runtime=%v\n",
 			r.Success, r.Patterns, r.Exhausted, r.Runtime)
 	case "valkyrie":
-		r := attacks.Valkyrie(ctx, l, orig, 8, 128, *seed, cecOptions(*sweepCEC, *sweepWords, *seed, tracer, sopt, cache))
+		r := attacks.Valkyrie(ctx, l, orig, 8, 128, *seed, cecOptions(*sweepCEC, *sweepWords, *seed, tracer, sopt))
 		fmt.Printf("valkyrie: found-pair=%v restore-only=%v pairs-tried=%d runtime=%v\n",
 			r.FoundPair, r.RestoreOnly, r.PairsTried, r.Runtime)
 	case "spi":
@@ -297,7 +279,7 @@ func main() {
 
 // cecOptions builds the equivalence-check configuration for the attacks
 // that prove candidate modifications equivalent to the oracle.
-func cecOptions(sweep bool, sweepWords int, seed int64, tracer *obs.Tracer, sopt simp.Options, cache *memo.Cache) cec.Options {
+func cecOptions(sweep bool, sweepWords int, seed int64, tracer *obs.Tracer, sopt simp.Options) cec.Options {
 	opt := cec.DefaultOptions()
 	if sweep {
 		opt = cec.SweepOptions()
@@ -306,7 +288,6 @@ func cecOptions(sweep bool, sweepWords int, seed int64, tracer *obs.Tracer, sopt
 	opt.Seed = seed
 	opt.Trace = tracer
 	opt.Simp = sopt
-	opt.Cache = cache
 	return opt
 }
 
@@ -333,7 +314,7 @@ func validateFlags(encPath, oraclePath, attackName string, table1, fig4, fig5, s
 		return fmt.Errorf("-enc and -oracle are required (or use an experiment mode)")
 	}
 	known := map[string]bool{
-		"sat": true, "appsat": true, "portfolio": true, "sensitization": true,
+		"sat": true, "appsat": true, "sensitization": true,
 		"sps": true, "removal": true, "bypass": true, "valkyrie": true, "spi": true,
 	}
 	if !known[attackName] {

@@ -58,7 +58,7 @@ func main() {
 	specs := buildWorkload(*jobs, *seed, *tenant)
 
 	// The serial reference run: the same specs through the same RunJob
-	// path, one at a time, no cache. Byte-identity of the daemon's
+	// path, one at a time. Byte-identity of the daemon's
 	// results against these bytes is the whole point of the soak.
 	expected := make([][]byte, len(specs))
 	for i, spec := range specs {

@@ -23,8 +23,8 @@
 // during the run plus <prefix>.heap.pprof and <prefix>.allocs.pprof at
 // exit, -debug-addr serves /metrics, /flight and /debug/pprof live (spans
 // label the profiles), -ledger writes a ledger.json run record, and -v
-// prints the critical-node verdict, the blend attempts and cache
-// statistics. Any telemetry flag arms a flight recorder whose recent-span
+// prints the critical-node verdict and the blend attempts. Any
+// telemetry flag arms a flight recorder whose recent-span
 // ring is dumped to stderr on SIGQUIT or panic.
 package main
 
@@ -58,24 +58,16 @@ func main() {
 	sweepWords := flag.Int("sweep-words", 8, "64-pattern signature words seeding the sweep's equivalence classes")
 
 	var solver cliflags.Solver
-	var cacheFlags cliflags.Cache
 	var tele cliflags.Telemetry
 	solver.Register(flag.CommandLine)
-	cacheFlags.Register(flag.CommandLine)
 	tele.Register(flag.CommandLine)
 
-	verbose := flag.Bool("v", false, "print the critical-node verdict, blend attempts and cache statistics")
+	verbose := flag.Bool("v", false, "print the critical-node verdict and blend attempts")
 	workers := flag.Int("workers", 0, "GOMAXPROCS override for the construction (0: leave as is)")
 	flag.Parse()
 
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
-	}
-
-	if err := cacheFlags.Validate(cliflags.Visited(flag.CommandLine)); err != nil {
-		fmt.Fprintln(os.Stderr, "obfuslock:", err)
-		flag.Usage()
-		os.Exit(2)
 	}
 
 	sess, err := tele.Start("obfuslock")
@@ -86,14 +78,6 @@ func main() {
 	sess.ArmFlightDump()
 	defer sess.PanicDump()
 	tracer := sess.Tracer
-
-	cache, err := cacheFlags.Open(tracer)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "obfuslock:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	defer cache.Close()
 
 	// Ctrl-C / SIGTERM cancels the lock construction down to its SAT
 	// solves instead of killing the process mid-write.
@@ -139,7 +123,6 @@ func main() {
 	opt.FinalRewrite = !*noRewrite
 	opt.Trace = tracer
 	opt.Simp = sopt
-	opt.Cache = cache
 
 	res, err := obfuslock.LockContext(ctx, c, opt)
 	if err != nil {
@@ -167,7 +150,6 @@ func main() {
 		copt.Seed = *seed
 		copt.Trace = tracer
 		copt.Simp = sopt
-		copt.Cache = cache
 		err := res.Locked.VerifyWith(ctx, c, copt)
 		if err != nil {
 			vsp.End(obfuslock.TraceStr("error", err.Error()))
@@ -185,7 +167,6 @@ func main() {
 		aopt.Trace = tracer
 		aopt.Simp = sopt
 		aopt.DIPBatch = solver.DIPBatch
-		aopt.Cache = cache
 		a, _ := obfuslock.AttackNamed("sat")
 		r := a.Run(ctx, res.Locked, obfuslock.NewOracle(c), aopt)
 		rsp.End(obfuslock.TraceBool("key_found", r.Key != nil),
@@ -221,27 +202,12 @@ func main() {
 	}
 	fmt.Printf("wrote %s and %s\n", *out, *keyOut)
 
-	if *verbose {
-		printCacheStats(cache)
-	}
-	if err := sess.WriteLedger(cache); err != nil {
+	if err := sess.WriteLedger(); err != nil {
 		fatal(err)
 	}
 	if sess.Ledger != nil {
 		fmt.Printf("wrote %s\n", tele.LedgerPath)
 	}
-}
-
-// printCacheStats surfaces the memo cache's own counters (available even
-// without a tracer) for -v runs.
-func printCacheStats(cache *obfuslock.Cache) {
-	if cache == nil {
-		fmt.Println("cache: disabled (use -cache)")
-		return
-	}
-	st := cache.Stats()
-	fmt.Printf("cache: hits=%d misses=%d hit-ratio=%.3f dedups=%d evictions=%d spills=%d disk-loads=%d bytes=%d\n",
-		st.Hits, st.Misses, st.HitRatio(), st.InflightDedups, st.Evictions, st.Spills, st.DiskLoads, st.Bytes)
 }
 
 func fatal(err error) {

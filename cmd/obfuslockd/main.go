@@ -4,7 +4,7 @@
 // asynchronous jobs.
 //
 //	obfuslockd -addr localhost:8080 -job-workers 4 -queue-depth 64 \
-//	    -tenants "ci=4,interactive=2" -max-timeout 2m -cache
+//	    -tenants "ci=4,interactive=2" -max-timeout 2m
 //
 // Endpoints (see DESIGN.md "Service layer" and README "Running as a
 // service"):
@@ -22,8 +22,8 @@
 // submissions get 429/queue_full with Retry-After), -tenants sets
 // per-tenant active-job quotas (429/quota_exhausted), and the -max-*
 // flags cap every job's budget. Results are deterministic: a job's
-// result bytes are identical whether the daemon is idle or saturated,
-// with the cache cold or warm (cmd/loadgen asserts this).
+// result bytes are identical whether the daemon is idle or saturated
+// (cmd/loadgen asserts this).
 //
 // SIGINT/SIGTERM starts a graceful drain: new submissions get
 // 503/draining, queued and running jobs finish (or are cancelled when
@@ -61,18 +61,11 @@ func main() {
 	maxConflicts := flag.Int64("max-conflicts", 0, "per-solve SAT conflict ceiling (0: none)")
 
 	var solver cliflags.Solver
-	var cacheFlags cliflags.Cache
 	var tele cliflags.Telemetry
 	solver.Register(flag.CommandLine)
-	cacheFlags.Register(flag.CommandLine)
 	tele.Register(flag.CommandLine)
 	flag.Parse()
 
-	if err := cacheFlags.Validate(cliflags.Visited(flag.CommandLine)); err != nil {
-		fmt.Fprintln(os.Stderr, "obfuslockd:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
 	overrides, err := parseTenants(*tenants)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "obfuslockd:", err)
@@ -88,17 +81,6 @@ func main() {
 	sess.ArmFlightDump()
 	defer sess.PanicDump()
 
-	// The process-wide cache: every job of every tenant shares it. Safe
-	// for byte-identity — results are pinned equal with the cache on,
-	// off, cold or warm — so sharing only saves work, never changes it.
-	cache, err := cacheFlags.Open(sess.Tracer)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "obfuslockd:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	defer cache.Close()
-
 	def := service.TenantLimits{
 		MaxActive:    *maxActive,
 		MaxTimeoutMS: maxTimeout.Milliseconds(),
@@ -111,10 +93,7 @@ func main() {
 		overrides[name] = tl
 	}
 
-	runner := obfuslock.NewJobRunner(obfuslock.JobRuntime{
-		Cache: cache,
-		Simp:  solver.SimpOptions(),
-	})
+	runner := obfuslock.NewJobRunner(obfuslock.JobRuntime{Simp: solver.SimpOptions()})
 	srv := service.New(service.Config{
 		Runner:        withDIPBatchDefault(runner, solver.DIPBatch),
 		Workers:       *jobWorkers,
@@ -173,7 +152,7 @@ func main() {
 	hs.Shutdown(sctx)
 	cancel()
 	srv.Close()
-	if err := sess.WriteLedger(cache); err != nil {
+	if err := sess.WriteLedger(); err != nil {
 		fmt.Fprintln(os.Stderr, "obfuslockd:", err)
 	}
 	if drainErr != nil {

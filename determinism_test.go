@@ -4,14 +4,21 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
+	"obfuslock/internal/aig"
 	"obfuslock/internal/attacks"
+	"obfuslock/internal/count"
 	"obfuslock/internal/exec"
 	"obfuslock/internal/experiments"
 	"obfuslock/internal/lockbase"
 	"obfuslock/internal/locking"
 	"obfuslock/internal/netlistgen"
+	"obfuslock/internal/rewrite"
+	"obfuslock/internal/sample"
+	"obfuslock/internal/skew"
+	"obfuslock/internal/techmap"
 )
 
 // lockBench locks the small adder/comparator at a fixed seed and returns
@@ -219,5 +226,106 @@ func TestTableIWorkersByteIdentical(t *testing.T) {
 	}
 	if !bytes.Contains(mj1, []byte(`"lock_seconds": 0`)) {
 		t.Fatal("deterministic metrics.json carries non-zero lock_seconds")
+	}
+}
+
+// querySuite is a purpose-sized circuit set for the query determinism
+// check: big enough that every query layer does real SAT work, small
+// enough that two full renders stay in seconds. The reduced benchmark
+// suite is far too slow here — projected model counting alone takes
+// minutes per 48-input control circuit.
+func querySuite() []netlistgen.Benchmark {
+	return []netlistgen.Benchmark{
+		{Name: "mult4", Build: func() *aig.AIG { return netlistgen.Multiplier(4) }},
+		{Name: "addcmp6", Build: func() *aig.AIG { return netlistgen.AdderCmp(6) }},
+		{Name: "max3x8", Build: func() *aig.AIG { return netlistgen.Max(3, 8) }},
+	}
+}
+
+// renderQuerySuite runs CEC, splitting skewness, projected counting,
+// witness sampling and techmap PPA on every suite circuit at the given
+// worker count and returns the rendered report. Each cell appears twice
+// in the task list, so at workers > 1 identical queries run concurrently
+// and must agree.
+func renderQuerySuite(t *testing.T, workers int) []byte {
+	t.Helper()
+	ctx := context.Background()
+	suite := querySuite()
+
+	cell := func(i int) string {
+		b := suite[i%len(suite)]
+		c := b.Build()
+		var sb strings.Builder
+
+		// CEC: the circuit against a rewritten (equivalent) copy.
+		rw := rewrite.FunctionalRewrite(c, rewrite.ObfuscationOptions(7))
+		r, err := CheckEquivalent(ctx, c, rw, DefaultCECOptions())
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		fmt.Fprintf(&sb, "%s cec eq=%v decided=%v\n", b.Name, r.Equivalent, r.Decided)
+
+		// Skewness: splitting estimate of output 0.
+		so := skew.DefaultSplittingOptions()
+		so.Seed = 3
+		fmt.Fprintf(&sb, "%s skew bits=%.6f\n", b.Name, skew.SplittingBits(c, c.Output(0), so))
+
+		// Counting: projected models of output 0, and reachable patterns on
+		// the output cut.
+		mo := count.DefaultOptions()
+		mo.Pivot = 12
+		mo.Trials = 3
+		mo.Budget = exec.WithConflicts(50000)
+		mo.Seed = 2
+		mr := count.Models(ctx, c, c.Output(0), mo)
+		fmt.Fprintf(&sb, "%s count log2=%.6f exact=%v decided=%v\n", b.Name, mr.Log2Count, mr.Exact, mr.Decided)
+		rr := count.ReachablePatterns(ctx, c, []Lit{c.Output(0), c.Output(c.NumOutputs() - 1)}, mo)
+		fmt.Fprintf(&sb, "%s reach log2=%.6f decided=%v\n", b.Name, rr.Log2Count, rr.Decided)
+
+		// Witnesses: one cube-sampler pool draw.
+		wit := sample.NewCubeSampler(c, c.Output(0), 11).Sample(4)
+		fmt.Fprintf(&sb, "%s pool n=%d", b.Name, len(wit))
+		for _, w := range wit {
+			sb.WriteByte(' ')
+			for _, v := range w {
+				if v {
+					sb.WriteByte('1')
+				} else {
+					sb.WriteByte('0')
+				}
+			}
+		}
+		sb.WriteByte('\n')
+
+		// Techmap: the PPA report of the mapped netlist.
+		fmt.Fprintf(&sb, "%s ppa %s\n", b.Name, techmap.Analyze(c, 4, 1))
+		return sb.String()
+	}
+
+	n := 2 * len(suite) // every cell twice: concurrent identical queries
+	parts := make([]string, n)
+	exec.Collect(ctx, workers, n, func(ctx context.Context, i int) string {
+		return cell(i)
+	}, func(i int, s string) { parts[i] = s })
+
+	var buf bytes.Buffer
+	for i := 0; i < len(suite); i++ {
+		if parts[i] != parts[i+len(suite)] {
+			t.Errorf("cell %d disagrees with its duplicate:\n%s---\n%s", i, parts[i], parts[i+len(suite)])
+		}
+		buf.WriteString(parts[i])
+	}
+	return buf.Bytes()
+}
+
+// TestQuerySuiteWorkersByteIdentical pins that concurrent identical
+// cec/skew/count/sample/techmap queries render identical bytes, at 1 and
+// 4 workers.
+func TestQuerySuiteWorkersByteIdentical(t *testing.T) {
+	w1 := renderQuerySuite(t, 1)
+	w4 := renderQuerySuite(t, 4)
+	if !bytes.Equal(w1, w4) {
+		t.Fatalf("output differs between 1 and 4 workers:\n--- w1\n%s--- w4\n%s", w1, w4)
 	}
 }

@@ -59,7 +59,7 @@ func main() {
 		ov.AreaPct, ov.PowerPct, ov.DelayPct)
 
 	// Fig. 4 style check: before/after structural transformation.
-	before, after, err := experiments.Fig4(context.Background(), c, 10, 7, 0, nil)
+	before, after, err := experiments.Fig4(context.Background(), c, 10, 7, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,18 +83,22 @@ func main() {
 	fmt.Printf("  sensitization: %d/%d key bits isolatable\n", sens.NumIsolatable, l.KeyBits)
 
 	fmt.Println("red team: structural attacks")
-	_, survives := attacks.CriticalNodeSurvives(context.Background(), l, c, c.Output(res.Report.ProtectedOutput), cec.DefaultFindOptions())
-	fmt.Printf("  critical node survives CEC search: %v\n", survives)
+	// Bind an arbitrary key and search the bound netlist for the protected
+	// output's function: found, refuted (no node computes it) or undecided
+	// (the search ran out of budget, which proves nothing either way).
+	bound := l.ApplyKey(make([]bool, l.KeyBits))
+	_, critical := cec.FindNode(context.Background(), bound, c, c.Output(res.Report.ProtectedOutput), cec.DefaultFindOptions())
+	fmt.Printf("  critical node CEC search: %v\n", critical)
 
 	copt := cec.DefaultOptions()
 	copt.Budget = exec.WithConflicts(50000)
 	sps := attacks.SPS(l, 128, 1, 8)
 	rm := attacks.Removal(context.Background(), l, c, sps.Candidates, copt)
-	fmt.Printf("  SPS+removal:  success=%v (%d candidates tried)\n", rm.Success, rm.Tried)
+	fmt.Printf("  SPS+removal:  success=%v (%d candidates tried, %d undecided)\n", rm.Success, rm.Tried, rm.Undecided)
 
 	vk := attacks.Valkyrie(context.Background(), l, c, 6, 64, 1, copt)
-	fmt.Printf("  valkyrie:     found perturb/restore pair=%v (%d pairs tried)\n",
-		vk.FoundPair, vk.PairsTried)
+	fmt.Printf("  valkyrie:     found perturb/restore pair=%v (%d pairs tried, %d undecided)\n",
+		vk.FoundPair, vk.PairsTried, vk.Undecided)
 
 	spi := attacks.SPI(l, 6)
 	ok, _ := l.VerifyKey(c, spi.Key)

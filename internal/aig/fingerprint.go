@@ -11,10 +11,8 @@ import "fmt"
 //
 // The fingerprint identifies the *function representation*, not solver
 // behavior: two circuits with equal fingerprints compute the same function
-// the same way, so semantic verdicts (equivalence, model counts) transfer
-// between them, but search-dependent artifacts (which witness a SAT solver
-// happens to find) may not. Queries whose results depend on concrete
-// variable numbering should key on StructuralHash instead.
+// the same way, but search-dependent artifacts (which witness a SAT solver
+// happens to find) may differ between them.
 type Fingerprint [2]uint64
 
 // String renders the fingerprint as 32 hex digits.
@@ -97,22 +95,16 @@ func fpOpTag(op Op) uint64 {
 	}
 }
 
-// coneHashes computes the canonical per-node hash for every variable in the
-// cone of roots. piRank maps a PI variable to the input index used for its
-// leaf hash; for the whole graph this is the PI position, for a cone it is
-// the rank within the cone's sorted support (matching ExtractCone's input
-// numbering, so FingerprintCone(g, r) equals ExtractCone(r).Fingerprint()).
-func (g *AIG) coneHashes(cone map[uint32]bool, piRank func(v uint32) int) []fpHash {
+// nodeHashes computes the canonical per-node hash for every variable,
+// with each PI leaf hashed by its input position.
+func (g *AIG) nodeHashes() []fpHash {
 	h := make([]fpHash, len(g.nodes))
 	h[0] = fpHash{fpMix(fpTagConst), fpMix(fpTagConst ^ fpLane)}
 	var edges [3]fpHash
 	for v := uint32(1); v <= g.MaxVar(); v++ {
-		if cone != nil && !cone[v] {
-			continue
-		}
 		n := &g.nodes[v]
 		if n.op == OpInput {
-			h[v] = fpLeaf(fpTagInput, piRank(v))
+			h[v] = fpLeaf(fpTagInput, g.piIndex[v])
 			continue
 		}
 		fans := g.Fanins(v)
@@ -124,62 +116,19 @@ func (g *AIG) coneHashes(cone map[uint32]bool, piRank func(v uint32) int) []fpHa
 	return h
 }
 
-// fpFold folds root hashes (with phases) plus the input count into the
-// final fingerprint.
-func fpFold(numInputs int, roots []Lit, h []fpHash) Fingerprint {
+// Fingerprint returns the canonical structural hash of the whole graph:
+// its inputs (by position), outputs (in order, with phases) and every node
+// in their cones.
+func (g *AIG) Fingerprint() Fingerprint {
+	h := g.nodeHashes()
 	acc := fpHash{
-		fpMix(fpTagRoot + uint64(numInputs)),
-		fpMix(fpTagRoot ^ fpLane + uint64(numInputs)),
+		fpMix(fpTagRoot + uint64(len(g.pis))),
+		fpMix(fpTagRoot ^ fpLane + uint64(len(g.pis))),
 	}
-	for _, r := range roots {
+	for _, r := range g.pos {
 		e := fpEdge(h[r.Var()], r.IsCompl())
 		acc[0] = fpMix(acc[0]*0x100000001b3 + e[0])
 		acc[1] = fpMix(acc[1]*0xc6a4a7935bd1e995 + e[1])
 	}
 	return Fingerprint(acc)
-}
-
-// Fingerprint returns the canonical structural hash of the whole graph:
-// its inputs (by position), outputs (in order, with phases) and every node
-// in their cones.
-func (g *AIG) Fingerprint() Fingerprint {
-	h := g.coneHashes(nil, func(v uint32) int { return g.piIndex[v] })
-	return fpFold(len(g.pis), g.pos, h)
-}
-
-// FingerprintCone returns the canonical hash of the cone of roots, with
-// the cone's support renumbered to 0..k-1 in increasing PI order — the
-// same numbering ExtractCone produces, so the fingerprint of a cone equals
-// the fingerprint of its extraction as a standalone circuit.
-func (g *AIG) FingerprintCone(roots ...Lit) Fingerprint {
-	cone := g.TFI(roots...)
-	cone[0] = true
-	rank := make(map[uint32]int)
-	for _, i := range g.Support(roots...) {
-		rank[g.pis[i]] = len(rank)
-	}
-	h := g.coneHashes(cone, func(v uint32) int { return rank[v] })
-	return fpFold(len(rank), roots, h)
-}
-
-// StructuralHash returns a concrete (numbering-sensitive) 64-bit hash of
-// the exact netlist: node records in variable order, PI variables and PO
-// literals. Unlike Fingerprint it distinguishes renumbered-but-isomorphic
-// graphs, which makes it the right cache key for queries whose results are
-// tied to concrete variables (node identities, CNF variable order and the
-// solver search artifacts that follow from it).
-func (g *AIG) StructuralHash() uint64 {
-	acc := fpMix(0x27d4eb2f165667c5 + uint64(len(g.nodes)))
-	for v := uint32(1); v <= g.MaxVar(); v++ {
-		n := &g.nodes[v]
-		acc = fpMix(acc*0x100000001b3 + uint64(n.op))
-		acc = fpMix(acc*0x100000001b3 + uint64(n.fan[0])<<42 + uint64(n.fan[1])<<21 + uint64(n.fan[2]))
-	}
-	for _, v := range g.pis {
-		acc = fpMix(acc*0x100000001b3 + uint64(v))
-	}
-	for _, po := range g.pos {
-		acc = fpMix(acc*0x100000001b3 + uint64(po) + fpTagRoot)
-	}
-	return acc
 }

@@ -1,13 +1,10 @@
 package attacks
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"obfuslock/internal/cnf"
 	"obfuslock/internal/locking"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/sat"
 )
 
@@ -20,104 +17,6 @@ import (
 // geometric width ramp keeps the wide default from burning iteration
 // budgets on instances that terminate after a handful of DIPs.
 const defaultDIPBatch = 64
-
-// DIPQueue shares answered I/O pairs between concurrent attacks on the
-// same locked circuit. A portfolio wires one queue per group of
-// variants that race the same Locked/oracle pair: whenever a variant
-// answers a DIP batch it publishes the ground-truth (input, output)
-// pairs, and every other variant drains them into its own constraint
-// set at the start of its next round — one variant's oracle work
-// shrinks the others' key space for free. Pairs are ground truth for
-// the shared circuit, so importing them is always sound; arrival order
-// depends on scheduling, which is why only the (already
-// scheduling-dependent) portfolio path uses a queue.
-type DIPQueue struct {
-	mu      sync.Mutex
-	xs, ys  [][]bool
-	src     []int
-	members int
-}
-
-// NewDIPQueue returns an empty shared queue.
-func NewDIPQueue() *DIPQueue { return &DIPQueue{} }
-
-// Join registers one attack as a queue member and returns its private
-// subscription handle. Each concurrent attack needs its own handle.
-func (q *DIPQueue) Join() *DIPSub {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.members++
-	return &DIPSub{q: q, id: q.members}
-}
-
-// DIPSub is one attack's view of a shared DIPQueue: a publisher
-// identity plus a read cursor. It is owned by a single goroutine; the
-// queue itself handles cross-goroutine synchronization.
-type DIPSub struct {
-	q      *DIPQueue
-	id     int
-	cursor int
-}
-
-// Publish records a batch of answered pairs for the other members.
-// Ownership of the slices transfers to the queue: callers must not
-// mutate them afterwards.
-func (s *DIPSub) Publish(xs, ys [][]bool) {
-	if s == nil || len(xs) == 0 {
-		return
-	}
-	s.q.mu.Lock()
-	for range xs {
-		s.q.src = append(s.q.src, s.id)
-	}
-	s.q.xs = append(s.q.xs, xs...)
-	s.q.ys = append(s.q.ys, ys...)
-	s.q.mu.Unlock()
-}
-
-// Drain invokes f for every pair published by other members since the
-// previous Drain and returns how many were delivered. Entries are
-// delivered in publication order; the subscriber's own entries are
-// skipped.
-func (s *DIPSub) Drain(f func(x, y []bool)) int {
-	if s == nil {
-		return 0
-	}
-	s.q.mu.Lock()
-	n := len(s.q.xs)
-	xs := s.q.xs[s.cursor:n]
-	ys := s.q.ys[s.cursor:n]
-	src := s.q.src[s.cursor:n]
-	s.cursor = n
-	s.q.mu.Unlock()
-	delivered := 0
-	for i := range xs {
-		if src[i] == s.id {
-			continue
-		}
-		f(xs[i], ys[i])
-		delivered++
-	}
-	return delivered
-}
-
-// miterImage is the memoized form of a constructed attack miter: a
-// replayable solver snapshot plus the interface literals the loop needs.
-// All fields are exported so the value survives the memo disk spill.
-type miterImage struct {
-	Img *sat.Image `json:"img"`
-	X   []sat.Lit  `json:"x"`
-	K1  []sat.Lit  `json:"k1"`
-	K2  []sat.Lit  `json:"k2"`
-	Act sat.Lit    `json:"act"`
-}
-
-// valid checks a (possibly disk-decoded) image against the circuit the
-// attack is actually running on; anything inconsistent is rebuilt.
-func (m *miterImage) valid(l *locking.Locked) bool {
-	return m != nil && m.Img.Valid() &&
-		len(m.X) == l.NumInputs && len(m.K1) == l.KeyBits && len(m.K2) == l.KeyBits
-}
 
 // buildMiter constructs the two-copy difference miter: both copies of
 // the locked circuit share the input literals x, keep independent key
@@ -152,35 +51,6 @@ func buildMiter(l *locking.Locked) (s *sat.Solver, x, k1, k2 []sat.Lit, act sat.
 	s.FreezeLit(act)
 	s.AddClause(diff, act.Not())
 	return s, x, k1, k2, act
-}
-
-// miterKey is the memo key of a locked circuit's attack miter. The
-// fingerprint is renumbering-invariant, so isomorphic circuits share an
-// entry: the replayed search is bit-identical for the graph the image
-// was built from, and sound (same function, same interface positions)
-// for any fingerprint-equal graph — see DESIGN.md for the one nuance
-// this implies for cross-numbering search identity.
-func miterKey(l *locking.Locked) string {
-	return fmt.Sprintf("attack.miter/%s/m%d/k%d", l.Enc.Fingerprint(), l.NumInputs, l.KeyBits)
-}
-
-// cachedMiter returns a ready miter solver, replaying a memoized image
-// when the cache holds one and building (and memoizing) it otherwise.
-// With a nil cache it builds directly, image-free.
-func cachedMiter(cache *memo.Cache, l *locking.Locked) (s *sat.Solver, x, k1, k2 []sat.Lit, act sat.Lit) {
-	if cache == nil {
-		return buildMiter(l)
-	}
-	mi, err := memo.Do(cache, miterKey(l), func() (*miterImage, error) {
-		ms, mx, mk1, mk2, mact := buildMiter(l)
-		return &miterImage{Img: ms.Export(), X: mx, K1: mk1, K2: mk2, Act: mact}, nil
-	})
-	if err == nil && mi.valid(l) {
-		if rs := sat.NewFromImage(mi.Img); rs != nil {
-			return rs, mi.X, mi.K1, mi.K2, mi.Act
-		}
-	}
-	return buildMiter(l)
 }
 
 // blockDIP permanently excludes one input pattern from DIP enumeration.
@@ -234,8 +104,7 @@ func (st *attackState) dipRound(k int) (sat.Status, [][]bool) {
 }
 
 // answerBatch feeds one enumerated batch through the bit-parallel
-// oracle and records the batching histograms. Drained queue pairs never
-// pass through here — they were answered by their publisher.
+// oracle and records the batching histograms.
 func (st *attackState) answerBatch(dips [][]bool) [][]bool {
 	if st.hDPS != nil {
 		st.hDPS.Record(int64(len(dips)))

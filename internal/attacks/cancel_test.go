@@ -115,63 +115,3 @@ func TestSensitizationCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled sensitization isolated %d bits", res.NumIsolatable)
 	}
 }
-
-// Portfolio races SAT and AppSAT on a crackable lock: some variant must
-// win with a verified key, losers are cancelled, and every goroutine is
-// joined before Portfolio returns.
-func TestPortfolioWinsAndJoins(t *testing.T) {
-	orig := smallCircuit()
-	l, err := lockbase.RLL(orig, 10, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := runtime.NumGoroutine()
-	opt := DefaultIOOptions()
-	variants := []PortfolioVariant{
-		{Name: "sat", Attack: "sat", Locked: l, Oracle: locking.NewOracle(orig), Orig: orig, Opt: opt},
-		{Name: "appsat", Attack: "appsat", Locked: l, Oracle: locking.NewOracle(orig), Orig: orig, Opt: opt},
-	}
-	res := Portfolio(context.Background(), variants, nil)
-	if res.Winner == "" || res.Key == nil {
-		t.Fatalf("no winner on RLL: %+v", res)
-	}
-	ok, err := l.VerifyKey(orig, res.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("portfolio winner %q returned a wrong key", res.Winner)
-	}
-	if len(res.Outcomes) != len(variants) {
-		t.Fatalf("outcomes: got %d, want %d", len(res.Outcomes), len(variants))
-	}
-	if n := waitForGoroutines(base, 2*time.Second); n > base+2 {
-		t.Fatalf("goroutines leaked: %d before, %d after", base, n)
-	}
-}
-
-// A cancelled portfolio has no winner and still joins every variant.
-// Cancellation fires from the first DIP iteration either variant
-// reaches, so no variant can have completed before it lands.
-func TestPortfolioCancelled(t *testing.T) {
-	orig := smallCircuit()
-	l, err := lockbase.SARLock(orig, 14, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opt := DefaultIOOptions()
-	opt.Trace = obs.New(&cancelOnDIP{cancel: cancel})
-	res := Portfolio(ctx, []PortfolioVariant{
-		{Name: "sat", Attack: "sat", Locked: l, Oracle: locking.NewOracle(orig), Orig: orig, Opt: opt},
-		{Name: "appsat", Attack: "appsat", Locked: l, Oracle: locking.NewOracle(orig), Orig: orig, Opt: opt},
-	}, nil)
-	if res.Winner != "" || res.Key != nil {
-		t.Fatalf("cancelled portfolio produced a winner: %+v", res)
-	}
-	if n := waitForGoroutines(base, 2*time.Second); n > base+2 {
-		t.Fatalf("goroutines leaked: %d before, %d after", base, n)
-	}
-}

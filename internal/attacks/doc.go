@@ -42,11 +42,4 @@
 //     worker count, because the lexicographically-smallest consistent
 //     key is a property of the constraint-set semantics, not of the
 //     search path.
-//
-// Portfolio races variants of the loop concurrently; variants attacking
-// the same locked circuit share answered I/O pairs through a DIPQueue,
-// so one variant's oracle work shrinks the other's key space. Miter
-// construction is memoized through internal/memo (IOOptions.Cache) as a
-// replayable sat.Image keyed on the circuit fingerprint, so repeated
-// attacks on the same circuit skip straight to the loop.
 package attacks

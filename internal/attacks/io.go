@@ -8,7 +8,6 @@ import (
 	"obfuslock/internal/cnf"
 	"obfuslock/internal/exec"
 	"obfuslock/internal/locking"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sat"
 	"obfuslock/internal/simp"
@@ -42,17 +41,6 @@ type IOOptions struct {
 	// with inprocessing every 16 DIPs; simp.Off() disables; set
 	// InprocessEvery < 0 to preprocess once and never inprocess).
 	Simp simp.Options
-	// Cache, when non-nil, memoizes miter construction as a replayable
-	// solver image keyed on the locked circuit's fingerprint: repeated
-	// attacks on the same circuit skip encoding and go straight to the
-	// DIP loop, with bit-identical search behavior.
-	Cache *memo.Cache
-	// Queue, when non-nil, shares answered I/O pairs with concurrent
-	// attacks on the same locked circuit (see DIPQueue). Drained pairs
-	// add constraints but never count as this attack's iterations or
-	// queries. Arrival order is scheduling-dependent, so deterministic
-	// paths leave Queue nil; Portfolio wires it automatically.
-	Queue *DIPSub
 	// Trace receives an attack.sat / attack.appsat span with one dip
 	// event per DIP (elapsed time, oracle queries, per-round solver
 	// conflict/learnt deltas), AppSAT reinforce events, and periodic
@@ -110,10 +98,6 @@ type IOResult struct {
 	Iterations int
 	// Queries counts oracle queries.
 	Queries int
-	// Shared counts I/O constraints imported from a portfolio DIP queue
-	// (answered by other variants; included in neither Iterations nor
-	// Queries).
-	Shared int
 	// Runtime of the attack.
 	Runtime time.Duration
 	// SolverStats are the miter solver's cumulative work counters.
@@ -130,7 +114,6 @@ type attackState struct {
 	k2Lits  []sat.Lit
 	actDiff sat.Lit // activation literal for the difference miter
 	stopped func() bool
-	queue   *DIPSub
 	// cone amortizes I/O-constraint folding across a batch: one
 	// bit-parallel pass over the locked circuit per batch instead of a
 	// full-graph constant fold per DIP.
@@ -166,13 +149,12 @@ const (
 )
 
 func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt IOOptions, sp *obs.Span) *attackState {
-	s, xLits, k1, k2, act := cachedMiter(opt.Cache, l)
+	s, xLits, k1, k2, act := buildMiter(l)
 	tr := opt.Trace
 	st := &attackState{
 		l: l, oracle: oracle, s: s,
 		xLits: xLits, k1Lits: k1, k2Lits: k2, actDiff: act,
 		stopped: func() bool { return ctx.Err() != nil },
-		queue:   opt.Queue,
 		cone:    locking.NewKeyCone(l.Enc, l.NumInputs),
 		spec:    aig.New(),
 		hDIP:    tr.Histogram(MetricDIPLatency),
@@ -260,16 +242,6 @@ func (st *attackState) encodeSpec(spec *aig.AIG, y []bool) {
 	}
 }
 
-// drainQueue imports I/O pairs answered by other portfolio variants
-// since the last round. Imported pairs become constraints immediately
-// but are accounted separately from the attack's own work.
-func (st *attackState) drainQueue(res *IOResult) {
-	if st.queue == nil {
-		return
-	}
-	res.Shared += st.queue.Drain(func(x, y []bool) { st.addIOConstraint(x, y) })
-}
-
 // inprocessDue reports whether the serial inprocessing cadence fires
 // anywhere in the iteration span (lo, hi] that one batched round just
 // covered; the pass then runs once for the whole round.
@@ -315,7 +287,6 @@ func SATAttack(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, o
 		if opt.MaxIterations > 0 && res.Iterations+width > opt.MaxIterations {
 			width = opt.MaxIterations - res.Iterations
 		}
-		st.drainQueue(&res)
 		var roundStart time.Time
 		if st.hDIP != nil {
 			roundStart = time.Now()
@@ -347,9 +318,6 @@ func SATAttack(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, o
 					obs.Int("decisions_delta", d.Decisions))
 			}
 		})
-		if st.queue != nil {
-			st.queue.Publish(dips, ys)
-		}
 		if st.hDIP != nil {
 			st.hDIP.RecordDuration(time.Since(roundStart))
 		}
@@ -370,7 +338,6 @@ func SATAttack(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, o
 	sp.End(
 		obs.Int("iterations", int64(res.Iterations)),
 		obs.Int("queries", int64(res.Queries)),
-		obs.Int("shared", int64(res.Shared)),
 		obs.Bool("exact", res.Exact),
 		obs.Bool("timed_out", res.TimedOut),
 		obs.Bool("key_found", res.Key != nil),
@@ -413,7 +380,6 @@ func AppSAT(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 		if res.Iterations+width > opt.MaxIterations {
 			width = opt.MaxIterations - res.Iterations
 		}
-		st.drainQueue(&res)
 		var roundStart time.Time
 		if st.hDIP != nil {
 			roundStart = time.Now()
@@ -444,9 +410,6 @@ func AppSAT(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 					obs.Int("decisions_delta", d.Decisions))
 			}
 		})
-		if st.queue != nil {
-			st.queue.Publish(dips, ys)
-		}
 		if st.hDIP != nil {
 			st.hDIP.RecordDuration(time.Since(roundStart))
 		}
@@ -488,7 +451,6 @@ func AppSAT(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 	sp.End(
 		obs.Int("iterations", int64(res.Iterations)),
 		obs.Int("queries", int64(res.Queries)),
-		obs.Int("shared", int64(res.Shared)),
 		obs.Bool("exact", res.Exact),
 		obs.Bool("timed_out", res.TimedOut),
 		obs.Bool("key_found", res.Key != nil),

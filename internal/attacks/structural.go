@@ -85,7 +85,7 @@ type RemovalResult struct {
 // replace each with a constant (both polarities), bind an arbitrary key,
 // and check equivalence with the original. Single-flip defences fall to
 // this; ObfusLock leaves no removable node. The checks share one base
-// (cec.NewPinned); opt.Cache is not consulted.
+// (cec.NewPinned).
 func Removal(ctx context.Context, l *locking.Locked, orig *aig.AIG, candidates []uint32, opt cec.Options) (res RemovalResult) {
 	start := time.Now()
 	defer func() { res.Runtime = time.Since(start) }()
@@ -207,7 +207,7 @@ type ValkyrieResult struct {
 // Valkyrie runs a Valkyrie-style vulnerability assessment (Limaye et al.):
 // shortlist skewed nodes, then search for a node pair whose simultaneous
 // constant replacement makes the locked circuit equivalent to the oracle.
-// The checks share one base (cec.NewPinned); opt.Cache is not consulted.
+// The checks share one base (cec.NewPinned).
 func Valkyrie(ctx context.Context, l *locking.Locked, orig *aig.AIG, shortlist int, simWords int, seed int64, opt cec.Options) (res ValkyrieResult) {
 	start := time.Now()
 	defer func() { res.Runtime = time.Since(start) }()

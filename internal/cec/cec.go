@@ -17,18 +17,11 @@ import (
 	"obfuslock/internal/cnf"
 	"obfuslock/internal/exec"
 	"obfuslock/internal/fraig"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sat"
 	"obfuslock/internal/sim"
 	"obfuslock/internal/simp"
 )
-
-// simpSig renders the simp policy for cache descriptors.
-func simpSig(o simp.Options) string {
-	return fmt.Sprintf("%t.%t.%t.%t.%d",
-		o.Disable, o.NoVarElim, o.NoSubsume, o.NoVivify, o.InprocessEvery)
-}
 
 // Result reports the outcome of an equivalence check.
 type Result struct {
@@ -68,15 +61,6 @@ type Options struct {
 	// Trace receives cec.check / cec.find_node spans and the sweep's
 	// instrumentation (nil: disabled).
 	Trace *obs.Tracer
-	// Cache memoizes decided verdicts under the circuits' canonical
-	// fingerprints (nil: disabled). Verdicts transfer between isomorphic
-	// circuit pairs: the equivalence answer is semantic, and a cached
-	// counterexample — an input pattern over the shared PI positions —
-	// remains a valid refutation for any pair with the same fingerprints.
-	// Wall-clock-bounded checks (Budget.Timeout set) are never cached:
-	// their verdicts depend on machine speed, not only on the key.
-	// Pinned checks never consult it.
-	Cache *memo.Cache
 }
 
 // MetricProofLatency is the histogram of final miter-solve latencies
@@ -121,62 +105,12 @@ func Check(ctx context.Context, a, b *aig.AIG, opt Options) (Result, error) {
 		obs.Int("nodes_a", int64(a.NumNodes())),
 		obs.Int("nodes_b", int64(b.NumNodes())),
 		obs.Bool("sweep", opt.Sweep))
-	r, err := checkCached(ctx, a, b, opt, sp)
+	r, err := check(ctx, a, b, opt, sp)
 	r.Runtime = time.Since(start)
 	sp.End(
 		obs.Bool("equivalent", r.Equivalent),
 		obs.Bool("decided", r.Decided))
 	return r, err
-}
-
-// checkVerdict is the cacheable (semantic) part of a Result.
-type checkVerdict struct {
-	Eq  bool   `json:"eq"`
-	Cex []bool `json:"cex,omitempty"`
-}
-
-// errUndecided marks a budget-exhausted check so memo.Do does not store it.
-var errUndecided = fmt.Errorf("cec: undecided result is not cacheable")
-
-// checkCached wraps check with the content-addressed cache. Only decided,
-// non-wall-clock-bounded verdicts are stored; anything else falls through
-// to a plain compute, so enabling the cache never changes an answer.
-func checkCached(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (Result, error) {
-	if !opt.Cache.Enabled() || opt.Budget.Timeout != 0 {
-		return check(ctx, a, b, opt, sp)
-	}
-	key := fmt.Sprintf("cec.check|%s|%s|sw=%d|seed=%d|conf=%d|sweep=%t.%d|simp=%s",
-		a.Fingerprint(), b.Fingerprint(), opt.SimWords, opt.Seed,
-		opt.Budget.Conflicts, opt.Sweep, opt.SweepWords, simpSig(opt.Simp))
-	var computed *Result
-	var computeErr error
-	v, err := memo.Do(opt.Cache, key, func() (checkVerdict, error) {
-		r, err := check(ctx, a, b, opt, sp)
-		computed = &r
-		computeErr = err
-		if err != nil {
-			return checkVerdict{}, err
-		}
-		if !r.Decided {
-			return checkVerdict{}, errUndecided
-		}
-		return checkVerdict{Eq: r.Equivalent, Cex: r.Counterexample}, nil
-	})
-	if computed != nil {
-		// This call was the singleflight leader: its own result (with
-		// solver stats) is authoritative whether or not it was cached.
-		return *computed, computeErr
-	}
-	if err != nil {
-		// A concurrent leader failed or was undecided; compute locally.
-		return check(ctx, a, b, opt, sp)
-	}
-	sp.Event("cec.cache_hit")
-	return Result{
-		Equivalent:     v.Eq,
-		Counterexample: append([]bool(nil), v.Cex...),
-		Decided:        true,
-	}, nil
 }
 
 func check(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (Result, error) {
@@ -356,12 +290,6 @@ type FindOptions struct {
 	Simp simp.Options
 	// Trace receives the cec.find_node span (nil: disabled).
 	Trace *obs.Tracer
-	// Cache memoizes decided scans (nil: disabled). The answer names a
-	// concrete node of g, so the key uses the exact netlist hashes
-	// (aig.StructuralHash), not the canonical fingerprint: a
-	// renumbered-but-isomorphic graph would make the cached literal
-	// meaningless. Undecided scans are never stored.
-	Cache *memo.Cache
 }
 
 // DefaultFindOptions matches the paper's elimination check: 512 patterns
@@ -410,6 +338,18 @@ func FindEquivalentNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec ai
 	return lit, v == Found
 }
 
+// coneGraph returns a graph over all of src's inputs with the function of
+// root as its single output.
+func coneGraph(src *aig.AIG, root aig.Lit) *aig.AIG {
+	g := aig.New()
+	pis := make([]aig.Lit, src.NumInputs())
+	for i := range pis {
+		pis[i] = g.AddInput(src.InputName(i))
+	}
+	g.AddOutput(g.ImportCone(src, pis, []aig.Lit{root})[0], "f")
+	return g
+}
+
 // FindNode searches g for a node (in either phase) functionally
 // equivalent to the function computed by literal spec in graph specG, where
 // both graphs share the same primary-input ordering. It returns the
@@ -429,58 +369,6 @@ func FindNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec aig.Lit, opt
 	if opt.SimWords <= 0 {
 		opt.SimWords = 8
 	}
-	if !opt.Cache.Enabled() || opt.Budget.Timeout != 0 {
-		return findNode(ctx, g, specG, spec, opt)
-	}
-	// v2: earlier keys could hold a "not found" left by a skipped,
-	// budget-exhausted candidate.
-	key := fmt.Sprintf("cec.find|v2|%016x|%016x|spec=%d|sw=%d|seed=%d|conf=%d|simp=%s",
-		g.StructuralHash(), specG.StructuralHash(), spec, opt.SimWords,
-		opt.Seed, opt.Budget.Conflicts, simpSig(opt.Simp))
-	type findVerdict struct {
-		Found bool    `json:"found"`
-		Lit   aig.Lit `json:"lit,omitempty"`
-	}
-	var (
-		lit      aig.Lit
-		verdict  FindVerdict
-		computed bool
-	)
-	v, err := memo.Do(opt.Cache, key, func() (findVerdict, error) {
-		lit, verdict = findNode(ctx, g, specG, spec, opt)
-		computed = true
-		if verdict == Undecided {
-			return findVerdict{}, errUndecided
-		}
-		return findVerdict{Found: verdict == Found, Lit: lit}, nil
-	})
-	if computed {
-		return lit, verdict
-	}
-	if err != nil {
-		// A concurrent leader was undecided; run the scan locally.
-		return findNode(ctx, g, specG, spec, opt)
-	}
-	opt.Trace.Counter("cec.find_node.cache_hit").Inc()
-	if v.Found {
-		return v.Lit, Found
-	}
-	return 0, Refuted
-}
-
-// coneGraph returns a graph over all of src's inputs with the function of
-// root as its single output.
-func coneGraph(src *aig.AIG, root aig.Lit) *aig.AIG {
-	g := aig.New()
-	pis := make([]aig.Lit, src.NumInputs())
-	for i := range pis {
-		pis[i] = g.AddInput(src.InputName(i))
-	}
-	g.AddOutput(g.ImportCone(src, pis, []aig.Lit{root})[0], "f")
-	return g
-}
-
-func findNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec aig.Lit, opt FindOptions) (aig.Lit, FindVerdict) {
 	sp := opt.Trace.Span("cec.find_node",
 		obs.Int("nodes", int64(g.NumNodes())))
 	queries, proofs := 0, 0

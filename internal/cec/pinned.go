@@ -20,8 +20,6 @@ import (
 // apart. Every base merge is a proven equality, so a rebuilt variant
 // computes exactly the function of the variant netlist built from
 // scratch, and decided verdicts equal Check's on that netlist.
-//
-// Pinned checks never consult Options.Cache.
 type Pinned struct {
 	opt     Options
 	impl    *aig.AIG

@@ -1,7 +1,7 @@
 // Package cliflags factors the flag plumbing shared by the obfuslock
-// CLIs (obfuslock, attack, obfuslockd) into three reusable groups —
-// solver tuning, result cache, telemetry — so a flag means the same
-// thing, with the same name and the same validation, in every tool.
+// CLIs (obfuslock, attack, obfuslockd) into two reusable groups —
+// solver tuning and telemetry — so a flag means the same thing, with the
+// same name and the same validation, in every tool.
 //
 // Each group is a struct with a Register method binding its flags onto a
 // flag.FlagSet. Telemetry additionally owns the whole lifecycle of the
@@ -17,7 +17,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"obfuslock/internal/memo"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/simp"
 )
@@ -45,57 +44,6 @@ func (s *Solver) SimpOptions() simp.Options {
 		return simp.Off()
 	}
 	return simp.Default()
-}
-
-// Cache groups the result-cache flags: -cache, -cache-dir, -cache-mb.
-type Cache struct {
-	// Enabled is the -cache value.
-	Enabled bool
-	// Dir is the -cache-dir spill directory.
-	Dir string
-	// MB is the -cache-mb in-memory budget.
-	MB int
-}
-
-// Register binds the cache flags.
-func (c *Cache) Register(fs *flag.FlagSet) {
-	fs.BoolVar(&c.Enabled, "cache", false,
-		"memoize SAT-backed sub-queries in a content-addressed result cache")
-	fs.StringVar(&c.Dir, "cache-dir", "",
-		"spill the cache to <dir>/cache.jsonl and reload it on start (requires -cache)")
-	fs.IntVar(&c.MB, "cache-mb", 256,
-		"in-memory cache budget in MiB (requires -cache)")
-}
-
-// Validate enforces the cache flag contract: -cache-mb must be a
-// positive budget, and the tuning flags only mean something when the
-// cache is on. set maps the flag names the user actually passed
-// (flag.Visit) to true.
-func (c *Cache) Validate(set map[string]bool) error {
-	if set["cache-mb"] && c.MB <= 0 {
-		return fmt.Errorf("-cache-mb must be positive, got %d", c.MB)
-	}
-	if !c.Enabled && (set["cache-dir"] || set["cache-mb"]) {
-		return fmt.Errorf("-cache-dir/-cache-mb require -cache")
-	}
-	return nil
-}
-
-// Open builds the cache (nil when disabled). An unusable -cache-dir —
-// unwritable, or a corrupt spill file — is an error, reported before any
-// work starts. A nil *memo.Cache is valid everywhere and caches nothing.
-func (c *Cache) Open(tr *obs.Tracer) (*memo.Cache, error) {
-	if !c.Enabled {
-		return nil, nil
-	}
-	return memo.New(memo.Options{MaxBytes: int64(c.MB) << 20, Dir: c.Dir, Trace: tr})
-}
-
-// Visited snapshots which flags the user explicitly passed on fs.
-func Visited(fs *flag.FlagSet) map[string]bool {
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	return set
 }
 
 // Telemetry groups the observability flags: -trace, -progress, -pprof,
@@ -246,15 +194,12 @@ func (s *Session) close() {
 
 // WriteLedger finalizes and writes the run record (no-op without
 // -ledger; idempotent, so it can run both deferred and on explicit
-// non-zero exit paths). cache, when non-nil, contributes its hit ratio.
-func (s *Session) WriteLedger(cache *memo.Cache) error {
+// non-zero exit paths).
+func (s *Session) WriteLedger() error {
 	if s.Ledger == nil || s.ledgerDone {
 		return nil
 	}
 	s.ledgerDone = true
-	if st := cache.Stats(); st.Lookups() > 0 {
-		s.Ledger.AddExtra("cache_hit_ratio", st.HitRatio())
-	}
 	s.Ledger.Finish(s.Tracer)
 	return s.Ledger.WriteFile(s.ledgerPath)
 }

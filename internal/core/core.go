@@ -23,7 +23,6 @@ import (
 	"obfuslock/internal/aig"
 	"obfuslock/internal/cec"
 	"obfuslock/internal/locking"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/rewrite"
 	"obfuslock/internal/simp"
@@ -60,12 +59,11 @@ func wrongKeyBound(l *locking.Locked) *aig.AIG {
 
 // criticalVerdict searches the wrong-key-bound netlist for a node computing
 // the given spec function of the original inputs.
-func criticalVerdict(ctx context.Context, l *locking.Locked, specG *aig.AIG, spec aig.Lit, tr *obs.Tracer, so simp.Options, cache *memo.Cache) cec.FindVerdict {
+func criticalVerdict(ctx context.Context, l *locking.Locked, specG *aig.AIG, spec aig.Lit, tr *obs.Tracer, so simp.Options) cec.FindVerdict {
 	bound := wrongKeyBound(l)
 	fopt := cec.DefaultFindOptions()
 	fopt.Trace = tr
 	fopt.Simp = so
-	fopt.Cache = cache
 	_, v := cec.FindNode(ctx, bound, specG, spec, fopt)
 	return v
 }
@@ -114,11 +112,6 @@ type Options struct {
 	// value enables it; simp.Off() disables (the CLIs' -simp=false).
 	// Like tracing, it never influences randomized choices.
 	Simp simp.Options
-	// Cache memoizes the lock's SAT-backed sub-queries (skewness splitting
-	// estimates, witness pools, reachability counts, CEC scans, dead-key-bit
-	// miters) in a content-addressed store. Nil disables. Caching never
-	// changes results: a warm cache replays exactly what a cold run computes.
-	Cache *memo.Cache
 }
 
 // DefaultOptions targets 20 bits of skewness. Rule budgets keep the
@@ -294,7 +287,6 @@ func assessCircuitSkewness(c *aig.AIG, opt Options) (float64, bool) {
 			so := skew.DefaultSplittingOptions()
 			so.Seed = opt.Seed
 			so.Simp = opt.Simp
-			so.Cache = opt.Cache
 			b = skew.SplittingBits(c, po, so)
 			if b < opt.TargetSkewBits {
 				return b, true
@@ -395,7 +387,6 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 		work = c.Copy()
 		bopt := defaultBuildOptions(opt.TargetSkewBits, opt.Seed+7919*attempt)
 		bopt.Simp = opt.Simp
-		bopt.Cache = opt.Cache
 		bopt.MaxSupport = opt.MaxSupport
 		if bopt.MaxSupport == 0 {
 			bopt.MaxSupport = int(2.5*opt.TargetSkewBits) + 8
@@ -455,9 +446,9 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 	check := func(g *aig.AIG) string {
 		csp := sp.Span("lock.cec")
 		lk := mk(g)
-		v := criticalVerdict(ctx, lk, c, specF, opt.Trace, opt.Simp, opt.Cache)
+		v := criticalVerdict(ctx, lk, c, specF, opt.Trace, opt.Simp)
 		if v == cec.Refuted {
-			v = criticalVerdict(ctx, lk, specLG, specL, opt.Trace, opt.Simp, opt.Cache)
+			v = criticalVerdict(ctx, lk, specLG, specL, opt.Trace, opt.Simp)
 		}
 		verdict := CriticalUndecided
 		switch v {

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"obfuslock/internal/aig"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sample"
 	"obfuslock/internal/simp"
@@ -56,8 +55,6 @@ type buildOptions struct {
 	// Simp controls CNF preprocessing inside the witness samplers (zero
 	// value: enabled).
 	Simp simp.Options
-	// Cache memoizes splitting estimates and witness pools (nil: disabled).
-	Cache *memo.Cache
 }
 
 func defaultBuildOptions(target float64, seed int64) buildOptions {
@@ -75,36 +72,13 @@ func defaultBuildOptions(target float64, seed int64) buildOptions {
 	}
 }
 
-// condEstimate is the memoized form of one conditional-probability query.
-type condEstimate struct {
-	P  float64 `json:"p"`
-	OK bool    `json:"ok"`
-}
-
-// condProb estimates P(target=1 | cond) with n witnesses of cond. The
-// estimate is a pure function of the concrete graph, the literals, the
-// sample budget and the seed (the cube sampler's conflict budgets are
-// deterministic), so it memoizes under the graph's exact structural hash —
-// a warm cache replays the construction's sampling verbatim.
-func condProb(g *aig.AIG, target, cond aig.Lit, n int, seed int64, so simp.Options, cache *memo.Cache) (float64, bool) {
-	compute := func() condEstimate {
-		s := sample.NewCubeSampler(g, cond, seed)
-		s.Simp = so
-		p, got := sample.ConditionalProbability(g, target, cond, s, n)
-		return condEstimate{P: p, OK: got > 0}
-	}
-	if !cache.Enabled() {
-		e := compute()
-		return e.P, e.OK
-	}
-	key := fmt.Sprintf("core.condprob|%016x|t=%d|c=%d|n=%d|seed=%d|simp=%t.%t.%t.%t.%d",
-		g.StructuralHash(), target, cond, n, seed,
-		so.Disable, so.NoVarElim, so.NoSubsume, so.NoVivify, so.InprocessEvery)
-	e, err := memo.Do(cache, key, func() (condEstimate, error) { return compute(), nil })
-	if err != nil {
-		e = compute()
-	}
-	return e.P, e.OK
+// condProb estimates P(target=1 | cond) with n witnesses of cond; false
+// when cond yields no witness.
+func condProb(g *aig.AIG, target, cond aig.Lit, n int, seed int64, so simp.Options) (float64, bool) {
+	s := sample.NewCubeSampler(g, cond, seed)
+	s.Simp = so
+	p, got := sample.ConditionalProbability(g, target, cond, s, n)
+	return p, got > 0
 }
 
 // buildLockingCircuit incrementally constructs L inside work (a private
@@ -217,18 +191,9 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 		if work.EvalLits(ones, lc.Root)[0] {
 			return false
 		}
-		ps := &sample.PoolSampler{
-			Cache: opt.Cache,
-			Key: fmt.Sprintf("core.harden|%016x|root=%d|seed=%d|simp=%t.%t.%t.%t.%d",
-				work.StructuralHash(), lc.Root, opt.Seed^0x9e3779b9,
-				opt.Simp.Disable, opt.Simp.NoVarElim, opt.Simp.NoSubsume, opt.Simp.NoVivify, opt.Simp.InprocessEvery),
-			New: func() sample.Sampler {
-				cs := sample.NewCubeSampler(work, lc.Root, opt.Seed^0x9e3779b9)
-				cs.Simp = opt.Simp
-				return cs
-			},
-		}
-		wit := ps.Sample(6)
+		cs := sample.NewCubeSampler(work, lc.Root, opt.Seed^0x9e3779b9)
+		cs.Simp = opt.Simp
+		wit := cs.Sample(6)
 		if len(wit) < 3 {
 			return true // cannot test; construction estimates vouch for satisfiability
 		}
@@ -340,7 +305,7 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 			if tentative == lc.Root || tentative.IsConst() {
 				continue
 			}
-			newProb, ok := chainProb(work, tentative, lc.Root, curProb, opt.QuickSamples, opt.Seed+int64(lc.Attachments)*31+int64(try), opt.Simp, opt.Cache)
+			newProb, ok := chainProb(work, tentative, lc.Root, curProb, opt.QuickSamples, opt.Seed+int64(lc.Attachments)*31+int64(try), opt.Simp)
 			if !ok || newProb <= 0 {
 				continue
 			}
@@ -357,7 +322,7 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 			}
 			if g >= need {
 				// Accept; refine the estimate with a larger budget.
-				refined, ok2 := chainProb(work, tentative, lc.Root, curProb, opt.RefineSamples, opt.Seed^0x5bd1e995+int64(lc.Attachments), opt.Simp, opt.Cache)
+				refined, ok2 := chainProb(work, tentative, lc.Root, curProb, opt.RefineSamples, opt.Seed^0x5bd1e995+int64(lc.Attachments), opt.Simp)
 				if ok2 && refined > 0 {
 					newProb = refined
 				}
@@ -406,8 +371,8 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 
 // chainProb estimates P(next=1) from P(cur=1) and sampled conditionals —
 // one splitting step along the chain.
-func chainProb(g *aig.AIG, next, cur aig.Lit, curProb float64, samples int, seed int64, so simp.Options, cache *memo.Cache) (float64, bool) {
-	pGiven, ok := condProb(g, next, cur, samples, seed, so, cache)
+func chainProb(g *aig.AIG, next, cur aig.Lit, curProb float64, samples int, seed int64, so simp.Options) (float64, bool) {
+	pGiven, ok := condProb(g, next, cur, samples, seed, so)
 	if !ok {
 		return 0, false
 	}
@@ -416,7 +381,7 @@ func chainProb(g *aig.AIG, next, cur aig.Lit, curProb float64, samples int, seed
 	// to the SAT sampler only when rejection fails.
 	pGivenNot, ok2 := condProbRejection(g, next, cur.Not(), samples, seed+1)
 	if !ok2 {
-		pGivenNot, _ = condProb(g, next, cur.Not(), samples/2, seed+2, so, cache)
+		pGivenNot, _ = condProb(g, next, cur.Not(), samples/2, seed+2, so)
 	}
 	return pGiven*curProb + pGivenNot*(1-curProb), true
 }
@@ -456,6 +421,5 @@ func splitOpts(opt buildOptions, round int64) skew.SplittingOptions {
 	so.Seed = opt.Seed + round
 	so.SamplesPerStage = opt.RefineSamples
 	so.Simp = opt.Simp
-	so.Cache = opt.Cache
 	return so
 }

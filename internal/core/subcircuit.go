@@ -11,7 +11,6 @@ import (
 	"obfuslock/internal/count"
 	"obfuslock/internal/exec"
 	"obfuslock/internal/locking"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/rewrite"
 	"obfuslock/internal/sat"
@@ -23,7 +22,7 @@ import (
 // is wide enough AND the number of reachable patterns on it is exponential
 // in its width (checked with the approximate model counter). Primary
 // inputs stop the expansion (a PI frontier is trivially fully reachable).
-func selectCut(ctx context.Context, g *aig.AIG, po int, minCut int, seed int64, tr *obs.Tracer, so simp.Options, cache *memo.Cache) ([]uint32, float64, error) {
+func selectCut(ctx context.Context, g *aig.AIG, po int, minCut int, seed int64, tr *obs.Tracer, so simp.Options) ([]uint32, float64, error) {
 	lv, _ := g.Levels()
 	root := g.Output(po)
 	inFrontier := map[uint32]bool{}
@@ -68,7 +67,6 @@ func selectCut(ctx context.Context, g *aig.AIG, po int, minCut int, seed int64, 
 	copt.Trials = 3
 	copt.Trace = tr
 	copt.Simp = so
-	copt.Cache = cache
 	for round := 0; ; round++ {
 		for len(frontier) < minCut {
 			if !expand() {
@@ -129,7 +127,7 @@ func lockSubCircuit(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 		minCut = int(opt.TargetSkewBits) + 8
 	}
 	csp := sp.Span("lock.select_cut", obs.Int("min_cut", int64(minCut)))
-	cut, reach, err := selectCut(ctx, c, po, minCut, opt.Seed, opt.Trace, opt.Simp, opt.Cache)
+	cut, reach, err := selectCut(ctx, c, po, minCut, opt.Seed, opt.Trace, opt.Simp)
 	if err != nil {
 		csp.End(obs.Str("error", err.Error()))
 		return nil, err
@@ -171,7 +169,7 @@ func lockSubCircuit(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 		}
 		dead := 0
 		if r.LockingFunction != nil {
-			dead = deadKeyBits(ctx, c, bnd, r.LockingFunction, opt.Simp, opt.Cache)
+			dead = deadKeyBits(ctx, c, bnd, r.LockingFunction, opt.Simp)
 		}
 		if bestDead < 0 || dead < bestDead {
 			subRes, lockFn, bestDead = r, composeSubLockingFn(c, bnd, r.LockingFunction), dead
@@ -251,36 +249,7 @@ func composeSubLockingFn(c *aig.AIG, bnd []uint32, subLF *aig.AIG) *aig.AIG {
 // corrupts the shipped netlist. Only a proven UNSAT counts as dead; an
 // exhausted budget or a cancelled context gives the bit the benefit of
 // the doubt (a retry could not be validated any better).
-func deadKeyBits(ctx context.Context, c *aig.AIG, bnd []uint32, subLF *aig.AIG, so simp.Options, cache *memo.Cache) int {
-	if !cache.Enabled() {
-		return deadKeyBitsCompute(ctx, c, bnd, subLF, so)
-	}
-	// The count is a pure function of the concrete netlists (the miters
-	// follow exact node numbering), the cut and the preprocessing options:
-	// the conflict budget is deterministic. Only context cancellation is
-	// wall-clock-dependent, so a cancelled scan is never stored.
-	key := fmt.Sprintf("core.deadbits|%016x|%016x|bnd=%v|simp=%t.%t.%t.%t.%d",
-		c.StructuralHash(), subLF.StructuralHash(), bnd,
-		so.Disable, so.NoVarElim, so.NoSubsume, so.NoVivify, so.InprocessEvery)
-	var computed *int
-	v, err := memo.Do(cache, key, func() (int, error) {
-		n := deadKeyBitsCompute(ctx, c, bnd, subLF, so)
-		computed = &n
-		if ctx.Err() != nil {
-			return 0, fmt.Errorf("core: cancelled dead-key-bit scan is not cacheable")
-		}
-		return n, nil
-	})
-	if computed != nil {
-		return *computed
-	}
-	if err != nil {
-		return deadKeyBitsCompute(ctx, c, bnd, subLF, so)
-	}
-	return v
-}
-
-func deadKeyBitsCompute(ctx context.Context, c *aig.AIG, bnd []uint32, subLF *aig.AIG, so simp.Options) int {
+func deadKeyBits(ctx context.Context, c *aig.AIG, bnd []uint32, subLF *aig.AIG, so simp.Options) int {
 	g := aig.New()
 	xs := make([]aig.Lit, c.NumInputs())
 	for i := range xs {

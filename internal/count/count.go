@@ -6,7 +6,6 @@ package count
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -14,7 +13,6 @@ import (
 	"obfuslock/internal/aig"
 	"obfuslock/internal/cnf"
 	"obfuslock/internal/exec"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sat"
 	"obfuslock/internal/simp"
@@ -38,12 +36,6 @@ type Options struct {
 	// Trace receives a count.approx span with one count.trial event per
 	// XOR hashing round. Nil disables tracing.
 	Trace *obs.Tracer
-	// Cache memoizes decided estimates under the canonical fingerprint of
-	// the projected cone plus the full option descriptor (nil: disabled).
-	// Counts are semantic — the same function yields the same count — so
-	// verdicts transfer between isomorphic instances. Wall-clock-bounded
-	// queries are never cached.
-	Cache *memo.Cache
 }
 
 // DefaultOptions balances accuracy and runtime for cut selection.
@@ -214,49 +206,9 @@ func freezeAndSimp(s *sat.Solver, proj []sat.Lit, opt Options) {
 	simp.Apply(s, opt.Simp, opt.Trace)
 }
 
-// errUndecided marks a budget-exhausted estimate so memo.Do skips storing it.
-var errUndecided = fmt.Errorf("count: undecided result is not cacheable")
-
-// descriptor renders the options that influence an estimate.
-func (opt Options) descriptor() string {
-	s := opt.Simp
-	return fmt.Sprintf("pivot=%d|trials=%d|conf=%d|seed=%d|simp=%t.%t.%t.%t.%d",
-		opt.Pivot, opt.Trials, opt.Budget.Conflicts, opt.Seed,
-		s.Disable, s.NoVarElim, s.NoSubsume, s.NoVivify, s.InprocessEvery)
-}
-
-// cachedApprox wraps approx with the content-addressed cache: decided
-// estimates are stored, everything else falls through to a plain compute.
-func cachedApprox(ctx context.Context, keyFn func() string, p problem, opt Options) Result {
-	if !opt.Cache.Enabled() || opt.Budget.Timeout != 0 {
-		return approx(ctx, p, opt)
-	}
-	var computed *Result
-	v, err := memo.Do(opt.Cache, keyFn(), func() (Result, error) {
-		r := approx(ctx, p, opt)
-		computed = &r
-		if !r.Decided {
-			return Result{}, errUndecided
-		}
-		return r, nil
-	})
-	if computed != nil {
-		return *computed
-	}
-	if err != nil {
-		return approx(ctx, p, opt)
-	}
-	opt.Trace.Counter("count.cache_hit").Inc()
-	return v
-}
-
 // Models approximately counts satisfying input assignments of cond in g.
 func Models(ctx context.Context, g *aig.AIG, cond aig.Lit, opt Options) Result {
-	key := func() string {
-		return fmt.Sprintf("count.models|%s|nin=%d|%s",
-			g.FingerprintCone(cond), g.NumInputs(), opt.descriptor())
-	}
-	return cachedApprox(ctx, key, problem{build: func() (*sat.Solver, []sat.Lit) {
+	return approx(ctx, problem{build: func() (*sat.Solver, []sat.Lit) {
 		s := sat.New()
 		e := cnf.NewEncoder(g, s)
 		ins := make([]sat.Lit, g.NumInputs())
@@ -273,12 +225,7 @@ func Models(ctx context.Context, g *aig.AIG, cond aig.Lit, opt Options) Result {
 // combinations the given cut literals can take over all inputs — the
 // projected count used by ObfusLock's sub-circuit selection.
 func ReachablePatterns(ctx context.Context, g *aig.AIG, cut []aig.Lit, opt Options) Result {
-	key := func() string {
-		// The cone fingerprint folds the cut roots in order, so the XOR
-		// draws (which follow the projection order) match across hits.
-		return fmt.Sprintf("count.reach|%s|%s", g.FingerprintCone(cut...), opt.descriptor())
-	}
-	return cachedApprox(ctx, key, problem{build: func() (*sat.Solver, []sat.Lit) {
+	return approx(ctx, problem{build: func() (*sat.Solver, []sat.Lit) {
 		s := sat.New()
 		e := cnf.NewEncoder(g, s)
 		lits := e.Encode(cut...)

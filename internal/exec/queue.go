@@ -83,11 +83,14 @@ func (q *Queue) Submit(task func()) error {
 	if q.draining {
 		return ErrDraining
 	}
+	// Count the task before a worker can receive it: a worker that ran it
+	// before the Add would drive the counter negative.
+	q.inflight.Add(1)
 	select {
 	case q.tasks <- wrapped:
-		q.inflight.Add(1)
 		return nil
 	default:
+		q.inflight.Done()
 		return ErrSaturated
 	}
 }

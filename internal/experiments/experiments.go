@@ -26,7 +26,6 @@ import (
 	"obfuslock/internal/core"
 	"obfuslock/internal/exec"
 	"obfuslock/internal/locking"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sat"
@@ -63,11 +62,6 @@ type Budget struct {
 	// Trace, when non-nil, receives lock and attack spans for every
 	// sweep cell plus table1.cell wrapper spans.
 	Trace *obs.Tracer
-	// Cache memoizes SAT-backed sub-queries (CEC verdicts, skewness
-	// estimates, counts, PPA reports) across sweep cells and across runs
-	// via the on-disk spill. Nil disables. Output stays byte-identical
-	// with the cache on, off, cold or warm.
-	Cache *memo.Cache
 }
 
 // TableIRow is one row of Table I.
@@ -135,13 +129,11 @@ func singleOutput(l *locking.Locked, orig *aig.AIG, po int) (*locking.Locked, *a
 // timeout without a correct key, "wrong" when a key came back incorrect.
 // In deterministic mode a correct key renders as "ok/<iterations>" —
 // wall-clock time is the one quantity that cannot be byte-stable.
-func attackCell(ctx context.Context, run func() attacks.IOResult, l *locking.Locked, orig *aig.AIG, deterministic bool, cache *memo.Cache) string {
+func attackCell(ctx context.Context, run func() attacks.IOResult, l *locking.Locked, orig *aig.AIG, deterministic bool) string {
 	r := run()
 	correct := false
 	if r.Key != nil {
-		vopt := cec.DefaultOptions()
-		vopt.Cache = cache
-		correct, _ = l.VerifyKeyWith(ctx, orig, r.Key, vopt)
+		correct, _ = l.VerifyKeyWith(ctx, orig, r.Key, cec.DefaultOptions())
 	}
 	switch {
 	case correct:
@@ -176,7 +168,6 @@ func TableIEntry(ctx context.Context, b netlistgen.Benchmark, skewBits float64, 
 	opt.AllowDirect = false
 	opt.Trace = budget.Trace
 	opt.Simp = budget.Simp
-	opt.Cache = budget.Cache
 	res, err := core.Lock(ctx, c, opt)
 	if err != nil {
 		return TableIRow{}, fmt.Errorf("%s @ %g bits: %w", b.Name, skewBits, err)
@@ -197,7 +188,6 @@ func TableIEntry(ctx context.Context, b netlistgen.Benchmark, skewBits float64, 
 	aopt.Trace = budget.Trace
 	aopt.Simp = budget.Simp
 	aopt.DIPBatch = budget.DIPBatch
-	aopt.Cache = budget.Cache
 	if budget.Deterministic {
 		// Deterministic cells are bounded by iteration count only; a
 		// wall-clock cutoff would decide cells differently between runs.
@@ -211,7 +201,7 @@ func TableIEntry(ctx context.Context, b netlistgen.Benchmark, skewBits float64, 
 			r := run()
 			row.SolverStats = row.SolverStats.Add(r.SolverStats)
 			return r
-		}, cl, orig, budget.Deterministic, budget.Cache)
+		}, cl, orig, budget.Deterministic)
 		csp.End(obs.Str("result", out))
 		return out
 	}
@@ -359,8 +349,8 @@ func criticalVisible(ctx context.Context, l *locking.Locked, specG *aig.AIG, spe
 // Fig4 locks the circuit twice — without and with structural
 // transformation — and returns the node-statistics panels (a,b) and (c,d).
 // The two locks are independent and run on the worker pool (each on its
-// own copy of c), so workers >= 2 overlaps them. cache may be nil.
-func Fig4(ctx context.Context, c *aig.AIG, skewBits float64, seed int64, workers int, cache *memo.Cache) (before, after Fig4Stats, err error) {
+// own copy of c), so workers >= 2 overlaps them.
+func Fig4(ctx context.Context, c *aig.AIG, skewBits float64, seed int64, workers int) (before, after Fig4Stats, err error) {
 	type out struct {
 		st  Fig4Stats
 		err error
@@ -373,12 +363,11 @@ func Fig4(ctx context.Context, c *aig.AIG, skewBits float64, seed int64, workers
 		opt.Seed = seed
 		opt.AllowDirect = false
 		opt.DisableObfuscation = i == 0
-		opt.Cache = cache
 		res, err := core.Lock(ctx, g, opt)
 		if err != nil {
 			return out{err: err}
 		}
-		return out{st: fig4Stats(ctx, res, g, cache)}
+		return out{st: fig4Stats(ctx, res, g)}
 	}, func(i int, r out) { outs[i] = r })
 	if err := ctx.Err(); err != nil {
 		return before, after, err
@@ -391,13 +380,11 @@ func Fig4(ctx context.Context, c *aig.AIG, skewBits float64, seed int64, workers
 	return outs[0].st, outs[1].st, nil
 }
 
-func fig4Stats(ctx context.Context, res *core.Result, c *aig.AIG, cache *memo.Cache) Fig4Stats {
+func fig4Stats(ctx context.Context, res *core.Result, c *aig.AIG) Fig4Stats {
 	l := res.Locked
 	st := fig4Hist(l)
 	// The red outlier: does a node computing a critical function survive?
-	fopt := cec.DefaultFindOptions()
-	fopt.Cache = cache
-	st.CriticalVisible = criticalVisible(ctx, l, c, c.Output(res.Report.ProtectedOutput), res.LockingFunction, fopt)
+	st.CriticalVisible = criticalVisible(ctx, l, c, c.Output(res.Report.ProtectedOutput), res.LockingFunction, cec.DefaultFindOptions())
 	return st
 }
 
@@ -511,8 +498,8 @@ type Fig5Row struct {
 // area/power/delay overheads on the mapped netlists. Benchmarks run on
 // the worker pool, one task per benchmark with a splitmix-derived seed,
 // and each task renders its rows into a private buffer so the emitted
-// report is byte-identical at any worker count. cache may be nil.
-func Fig5(ctx context.Context, suite []netlistgen.Benchmark, skews []float64, seed int64, workers int, cache *memo.Cache, w io.Writer) ([]Fig5Row, error) {
+// report is byte-identical at any worker count.
+func Fig5(ctx context.Context, suite []netlistgen.Benchmark, skews []float64, seed int64, workers int, w io.Writer) ([]Fig5Row, error) {
 	if w != nil {
 		fmt.Fprintln(w, "bench       skew   area%   power%   delay%")
 	}
@@ -529,19 +516,18 @@ func Fig5(ctx context.Context, suite []netlistgen.Benchmark, skews []float64, se
 		var buf bytes.Buffer
 		var o out
 		c := b.Build()
-		orig := techmap.AnalyzeWith(c, 8, bseed, cache)
+		orig := techmap.Analyze(c, 8, bseed)
 		for _, s := range skews {
 			opt := core.DefaultOptions()
 			opt.TargetSkewBits = s
 			opt.Seed = bseed
 			opt.AllowDirect = false
-			opt.Cache = cache
 			res, err := core.Lock(ctx, c, opt)
 			if err != nil {
 				fmt.Fprintf(&buf, "%-10s %g bits: %v\n", b.Name, s, err)
 				continue
 			}
-			locked := techmap.AnalyzeWith(res.Locked.Enc, 8, bseed, cache)
+			locked := techmap.Analyze(res.Locked.Enc, 8, bseed)
 			ov := techmap.Compare(orig, locked)
 			o.rows = append(o.rows, Fig5Row{b.Name, s, ov})
 			fmt.Fprintf(&buf, "%-10s %5.0f  %6.1f  %7.1f  %7.1f\n",
@@ -602,8 +588,7 @@ func resisted(found bool, undecided int) Verdict {
 // Structural locks each benchmark and runs the structural attack battery.
 // Benchmarks run on the worker pool with splitmix-derived per-benchmark
 // seeds; output is emitted in suite order regardless of worker count.
-// cache may be nil.
-func Structural(ctx context.Context, suite []netlistgen.Benchmark, skewBits float64, seed int64, workers int, cache *memo.Cache, w io.Writer) ([]StructuralRow, error) {
+func Structural(ctx context.Context, suite []netlistgen.Benchmark, skewBits float64, seed int64, workers int, w io.Writer) ([]StructuralRow, error) {
 	if w != nil {
 		fmt.Fprintln(w, "bench       critical-eliminated  valkyrie-resisted  spi-wrong  removal-resisted")
 	}
@@ -622,7 +607,6 @@ func Structural(ctx context.Context, suite []netlistgen.Benchmark, skewBits floa
 		opt.TargetSkewBits = skewBits
 		opt.Seed = bseed
 		opt.AllowDirect = false
-		opt.Cache = cache
 		res, err := core.Lock(ctx, c, opt)
 		if err != nil {
 			fmt.Fprintf(&buf, "%-10s: %v\n", b.Name, err)
@@ -632,11 +616,9 @@ func Structural(ctx context.Context, suite []netlistgen.Benchmark, skewBits floa
 		row := StructuralRow{Bench: b.Name}
 		fopt := cec.DefaultFindOptions()
 		fopt.Seed = bseed
-		fopt.Cache = cache
 		row.CriticalEliminated = criticalEliminated(ctx, l, c, c.Output(res.Report.ProtectedOutput), fopt)
 		copt := cec.SweepOptions()
 		copt.Budget = exec.WithConflicts(50000)
-		copt.Cache = cache
 		vr := attacks.Valkyrie(ctx, l, c, 6, 64, bseed, copt)
 		row.ValkyrieResisted = resisted(vr.FoundPair, vr.Undecided)
 		spi := attacks.SPI(l, 6)

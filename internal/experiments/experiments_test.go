@@ -67,7 +67,7 @@ func TestTableISweepSmall(t *testing.T) {
 
 func TestFig4BeforeAfter(t *testing.T) {
 	c := netlistgen.SmallSuite()[1].Build()
-	before, after, err := Fig4(context.Background(), c, 8, 1, 0, nil)
+	before, after, err := Fig4(context.Background(), c, 8, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFig4BeforeAfter(t *testing.T) {
 
 func TestFig5Overheads(t *testing.T) {
 	var out bytes.Buffer
-	rows, err := Fig5(context.Background(), netlistgen.SmallSuite()[1:3], []float64{8}, 1, 0, nil, &out)
+	rows, err := Fig5(context.Background(), netlistgen.SmallSuite()[1:3], []float64{8}, 1, 0, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFig5Overheads(t *testing.T) {
 }
 
 func TestStructuralBattery(t *testing.T) {
-	rows, err := Structural(context.Background(), netlistgen.SmallSuite()[1:2], 8, 1, 0, nil, nil)
+	rows, err := Structural(context.Background(), netlistgen.SmallSuite()[1:2], 8, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -309,11 +309,6 @@ func (o *Oracle) QueryBatch(xs [][]bool) [][]bool {
 	return ys
 }
 
-// Circuit returns the wrapped original circuit. Attack portfolios use it
-// to give every racing variant its own oracle (query counters are not
-// shared across goroutines) and to verify the winning key.
-func (o *Oracle) Circuit() *aig.AIG { return o.g }
-
 // NumInputs returns the oracle interface width.
 func (o *Oracle) NumInputs() int { return o.g.NumInputs() }
 

@@ -38,9 +38,6 @@ type Ledger struct {
 	// PeakRSSBytes is the process's high-water resident set size (VmHWM
 	// on Linux; 0 where the platform offers no cheap source).
 	PeakRSSBytes int64 `json:"peak_rss_bytes"`
-	// Extra holds tool-specific scalars (cache hit ratio, key bits
-	// recovered, ...) keyed by name.
-	Extra map[string]float64 `json:"extra,omitempty"`
 	// Metrics is the final registry snapshot, sorted by name.
 	Metrics []LedgerMetric `json:"metrics,omitempty"`
 }
@@ -72,14 +69,6 @@ func NewLedger(tool string) *Ledger {
 		BuildRevision: buildRevision(),
 		Start:         time.Now(),
 	}
-}
-
-// AddExtra records one tool-specific scalar.
-func (l *Ledger) AddExtra(name string, v float64) {
-	if l.Extra == nil {
-		l.Extra = make(map[string]float64)
-	}
-	l.Extra[name] = v
 }
 
 // Finish stamps the end time, wall duration, peak RSS, and the final

@@ -16,13 +16,11 @@ package sample
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"obfuslock/internal/aig"
 	"obfuslock/internal/cnf"
 	"obfuslock/internal/exec"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sat"
 	"obfuslock/internal/simp"
@@ -261,41 +259,6 @@ func (xs *XorSampler) Sample(n int) [][]bool {
 		if len(out) < n {
 			cell = xs.enumerateCell(nXor, 2*xs.CellTarget+1)
 		}
-	}
-	return out
-}
-
-// PoolSampler memoizes whole witness pools in a content-addressed cache.
-// Samplers are stateful streams (their RNG advances with every solver
-// answer), which makes a partially-replayed stream impossible to cache
-// soundly; PoolSampler sidesteps this by building a FRESH single-use
-// sampler per pool draw, so a pool is a pure function of (Key, n) and can
-// be stored and replayed byte-identically. Repeated Sample calls with the
-// same n therefore return the same pool — use one PoolSampler per draw,
-// the way the splitting estimator uses its per-stage samplers.
-type PoolSampler struct {
-	// Cache stores the pools (nil: every draw computes).
-	Cache *memo.Cache
-	// Key must fully describe the underlying sampler construction: the
-	// exact netlist hash (witnesses depend on concrete CNF variable
-	// order), condition literal, sampler kind, seed and options.
-	Key string
-	// New builds the single-use underlying sampler.
-	New func() Sampler
-}
-
-// Sample implements Sampler. The returned pool is a fresh copy; callers
-// may reorder or mutate it.
-func (ps *PoolSampler) Sample(n int) [][]bool {
-	v, err := memo.Do(ps.Cache, fmt.Sprintf("%s|n=%d", ps.Key, n), func() ([][]bool, error) {
-		return ps.New().Sample(n), nil
-	})
-	if err != nil {
-		return ps.New().Sample(n)
-	}
-	out := make([][]bool, len(v))
-	for i, w := range v {
-		out[i] = append([]bool(nil), w...)
 	}
 	return out
 }

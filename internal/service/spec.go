@@ -75,14 +75,13 @@ type SchemeOptions struct {
 
 // AttackOptions is the serializable subset of the oracle-guided attack
 // knobs: everything that shapes the attack transcript and nothing that
-// holds a runtime handle (tracers and caches are per-process and never
-// ride the wire). Wall clock, conflict caps and SAT parallelism live in
+// holds a runtime handle (tracers are per-process and never ride the
+// wire). Wall clock, conflict caps and SAT parallelism live in
 // the job's Budget.
 type AttackOptions struct {
 	// MaxIterations caps DIP iterations (0: unlimited).
 	MaxIterations int `json:"max_iterations,omitempty"`
-	// Seed drives randomized reinforcement (AppSAT) and portfolio
-	// reseeding.
+	// Seed drives randomized reinforcement (AppSAT).
 	Seed int64 `json:"seed,omitempty"`
 	// DIPBatch is the bit-parallel DIP batching width (0: default;
 	// 1: classic serial loop).
@@ -133,8 +132,8 @@ type JobSpec struct {
 
 // JobResult is the versioned outcome of a finished job. It carries no
 // wall-clock fields on purpose: two runs of the same spec — serial or
-// under heavy concurrency, cache cold or warm — must produce
-// byte-identical encodings, which is what the loadgen soak asserts.
+// under heavy concurrency — must produce byte-identical encodings,
+// which is what the loadgen soak asserts.
 // Timing lives in the job envelope, not the result.
 type JobResult struct {
 	// Schema equals ResultSchema.

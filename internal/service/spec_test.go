@@ -32,7 +32,7 @@ func goldenSpecs() map[string]JobSpec {
 			Budget: &Budget{TimeoutMS: 60_000, MaxConflicts: 1_000_000},
 		}
 	}
-	for _, attack := range []string{"sat", "appsat", "portfolio"} {
+	for _, attack := range []string{"sat", "appsat"} {
 		specs["attack_"+attack] = JobSpec{
 			Schema:  SchemaVersion,
 			Kind:    KindAttack,

@@ -18,12 +18,10 @@
 package skew
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"obfuslock/internal/aig"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/sample"
 	"obfuslock/internal/sim"
 	"obfuslock/internal/simp"
@@ -103,12 +101,6 @@ type SplittingOptions struct {
 	// Simp controls CNF preprocessing inside the witness samplers (zero
 	// value: enabled).
 	Simp simp.Options
-	// Cache memoizes splitting estimates (nil: disabled). The estimate is
-	// built from sampled SAT witnesses, which depend on concrete CNF
-	// variable order, so the key uses the exact netlist hash
-	// (aig.StructuralHash) rather than the canonical fingerprint: only a
-	// bit-identical graph replays to the identical estimate.
-	Cache *memo.Cache
 }
 
 // DefaultSplittingOptions returns sane defaults.
@@ -191,34 +183,6 @@ func Stages(g *aig.AIG, root aig.Lit, maxGap float64) []aig.Lit {
 // the given stages (pass nil to derive stages automatically). It returns
 // the probability estimate; combine with Bits for bit-skewness.
 func Splitting(g *aig.AIG, root aig.Lit, stages []aig.Lit, opt SplittingOptions) float64 {
-	if !opt.Cache.Enabled() {
-		return splitting(g, root, stages, opt, "")
-	}
-	sig := opt.descriptor(g)
-	key := fmt.Sprintf("skew.split|%s|root=%d|stages=%v", sig, root, stages)
-	v, err := memo.Do(opt.Cache, key, func() (float64, error) {
-		return splitting(g, root, stages, opt, sig), nil
-	})
-	if err != nil {
-		return splitting(g, root, stages, opt, sig)
-	}
-	return v
-}
-
-// descriptor renders the exact netlist hash plus every option that
-// influences an estimate; it prefixes both the splitting key and the
-// per-stage witness-pool keys.
-func (opt SplittingOptions) descriptor(g *aig.AIG) string {
-	s := opt.Simp
-	return fmt.Sprintf("%016x|n=%d|mc=%d|gap=%g|seed=%d|xor=%t|simp=%t.%t.%t.%t.%d",
-		g.StructuralHash(), opt.SamplesPerStage, opt.MCWords,
-		opt.MaxStageGap, opt.Seed, opt.UseXorSampler,
-		s.Disable, s.NoVarElim, s.NoSubsume, s.NoVivify, s.InprocessEvery)
-}
-
-// splitting is the estimator body. sig is the precomputed descriptor for
-// witness-pool cache keys ("" when the cache is off).
-func splitting(g *aig.AIG, root aig.Lit, stages []aig.Lit, opt SplittingOptions, sig string) float64 {
 	if len(stages) == 0 {
 		stages = Stages(g, root, opt.MaxStageGap)
 	}
@@ -231,26 +195,14 @@ func splitting(g *aig.AIG, root aig.Lit, stages []aig.Lit, opt SplittingOptions,
 		return sk
 	}
 	newSampler := func(cond aig.Lit, seed int64) sample.Sampler {
-		mk := func() sample.Sampler {
-			if opt.UseXorSampler {
-				xs := sample.NewXorSampler(g, cond, seed)
-				xs.Simp = opt.Simp
-				return xs
-			}
-			cs := sample.NewCubeSampler(g, cond, seed)
-			cs.Simp = opt.Simp
-			return cs
+		if opt.UseXorSampler {
+			xs := sample.NewXorSampler(g, cond, seed)
+			xs.Simp = opt.Simp
+			return xs
 		}
-		if !opt.Cache.Enabled() {
-			return mk()
-		}
-		// Each stage sampler draws exactly one pool, so the stateless
-		// pool cache replays it byte-identically.
-		return &sample.PoolSampler{
-			Cache: opt.Cache,
-			Key:   fmt.Sprintf("sample.pool|%s|cond=%d|sseed=%d", sig, cond, seed),
-			New:   mk,
-		}
+		cs := sample.NewCubeSampler(g, cond, seed)
+		cs.Simp = opt.Simp
+		return cs
 	}
 	for i := 1; i < len(stages); i++ {
 		prev, cur := stages[i-1], stages[i]

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"obfuslock/internal/aig"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/sim"
 )
 
@@ -168,28 +167,6 @@ func (r Report) String() string {
 // Analyze maps the netlist and estimates PPA. Switching activity comes
 // from words*64 random simulation patterns.
 func Analyze(g *aig.AIG, words int, seed int64) Report {
-	return AnalyzeWith(g, words, seed, nil)
-}
-
-// AnalyzeWith is Analyze with an optional content-addressed cache for the
-// report (nil: compute). The report depends on concrete net ordering
-// (float accumulation follows variable order), so the key uses the exact
-// netlist hash, not the canonical fingerprint.
-func AnalyzeWith(g *aig.AIG, words int, seed int64, cache *memo.Cache) Report {
-	if !cache.Enabled() {
-		return analyze(g, words, seed)
-	}
-	key := fmt.Sprintf("techmap.analyze|%016x|words=%d|seed=%d", g.StructuralHash(), words, seed)
-	rep, err := memo.Do(cache, key, func() (Report, error) {
-		return analyze(g, words, seed), nil
-	})
-	if err != nil {
-		return analyze(g, words, seed)
-	}
-	return rep
-}
-
-func analyze(g *aig.AIG, words int, seed int64) Report {
 	m := Map(g)
 	rep := Report{NumCells: m.NumCells}
 

@@ -59,26 +59,21 @@ func JobKinds() []string { return service.Kinds() }
 func JobSchemes() []string { return append([]string{"obfuslock"}, Schemes()...) }
 
 // JobRuntime carries the per-process handles a job execution may use but
-// that never ride the wire: a tracer for progress spans, a shared result
-// cache, and the CNF preprocessing configuration. The zero value is
-// valid (no tracing, no cache, default preprocessing).
+// that never ride the wire: a tracer for progress spans and the CNF
+// preprocessing configuration. The zero value is valid (no tracing,
+// default preprocessing).
 type JobRuntime struct {
 	// Trace receives the job's span/event/metric stream (nil: none).
 	// Under NewJobRunner the service supplies a per-job tracer instead
 	// and this field is ignored.
 	Trace *Tracer
-	// Cache memoizes SAT-backed results across jobs (nil: disabled).
-	// Sharing one cache across concurrent jobs is sound: results are
-	// byte-identical with the cache on, off, cold or warm.
-	Cache *Cache
 	// Simp configures CNF preprocessing (zero value: enabled).
 	Simp SimpOptions
 }
 
 // NewJobRunner adapts RunJob to the service.Runner interface. The
-// runtime's cache and preprocessing configuration are shared across all
-// jobs; the tracer is per-job, supplied by the service (rt.Trace is
-// ignored).
+// runtime's preprocessing configuration is shared across all jobs; the
+// tracer is per-job, supplied by the service (rt.Trace is ignored).
 func NewJobRunner(rt JobRuntime) JobRunner {
 	return service.RunnerFunc(func(ctx context.Context, spec JobSpec, tr *obs.Tracer) (JobResult, *JobError) {
 		rt := rt
@@ -147,7 +142,6 @@ func runLockJob(ctx context.Context, spec JobSpec, rt JobRuntime, res JobResult)
 		opt.Seed = so.Seed
 		opt.Trace = rt.Trace
 		opt.Simp = rt.Simp
-		opt.Cache = rt.Cache
 		r, err := LockContext(ctx, c, opt)
 		if err != nil {
 			return res, lockErr(ctx, err)
@@ -211,7 +205,6 @@ func runAttackJob(ctx context.Context, spec JobSpec, rt JobRuntime, budget JobBu
 	opt.Timeout = time.Duration(budget.TimeoutMS) * time.Millisecond
 	opt.Trace = rt.Trace
 	opt.Simp = rt.Simp
-	opt.Cache = rt.Cache
 	r := a.Run(ctx, locked, NewOracle(orig), opt)
 	res.Attack = spec.Attack
 	res.Key = keyString(r.Key)
@@ -242,7 +235,6 @@ func runCECJob(ctx context.Context, spec JobSpec, rt JobRuntime, budget JobBudge
 	opt.Budget = budget.Exec()
 	opt.Trace = rt.Trace
 	opt.Simp = rt.Simp
-	opt.Cache = rt.Cache
 	r, err := CheckEquivalent(ctx, a, b, opt)
 	if err != nil {
 		return res, service.Errorf(service.CodeBadRequest, "%v", err)
@@ -273,7 +265,6 @@ func runCountJob(ctx context.Context, spec JobSpec, rt JobRuntime, budget JobBud
 	}
 	opt.Trace = rt.Trace
 	opt.Simp = rt.Simp
-	opt.Cache = rt.Cache
 	r := count.Models(ctx, c, c.Output(spec.Output), opt)
 	decided := r.Decided
 	res.Decided = &decided
@@ -305,7 +296,6 @@ func runSampleJob(ctx context.Context, spec JobSpec, rt JobRuntime, res JobResul
 		opt.Seed = spec.Seed
 	}
 	opt.Simp = rt.Simp
-	opt.Cache = rt.Cache
 	bits := skew.SplittingBits(c, c.Output(spec.Output), opt)
 	res.SkewBits = &bits
 	return res, nil

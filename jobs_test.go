@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"obfuslock/internal/service"
 )
 
 // jobBench returns the .bench text of a small benchmark by index.
@@ -186,6 +188,32 @@ func TestRunJobErrorPaths(t *testing.T) {
 	}
 }
 
+// TestRunJobPortfolioAttackRejected: "portfolio" is not a registered
+// attack, so a well-formed attack job on a real locked netlist naming it
+// is a bad request, not a run.
+func TestRunJobPortfolioAttackRejected(t *testing.T) {
+	bench := jobBench(t, 3)
+	locked, err := RunJob(context.Background(), JobSpec{
+		Schema: JobSchemaVersion, Kind: "lock", Circuit: bench,
+		Scheme: "sarlock", SchemeOptions: &SchemeOptions{ProtWidth: 8, Seed: 9},
+	}, JobRuntime{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunJob(context.Background(), JobSpec{
+		Schema: JobSchemaVersion, Kind: "attack",
+		Circuit: locked.Locked, Oracle: bench, Attack: "portfolio",
+		AttackOptions: &JobAttackOptions{MaxIterations: 4, Seed: 1},
+	}, JobRuntime{})
+	var jerr *JobError
+	if !errors.As(err, &jerr) || jerr.Code != service.CodeBadRequest {
+		t.Fatalf("portfolio attack job = %v, want %s", err, service.CodeBadRequest)
+	}
+	if !strings.Contains(jerr.Message, "portfolio") {
+		t.Errorf("error message %q does not name the attack", jerr.Message)
+	}
+}
+
 // TestRunJobCancellation proves context cancellation surfaces as a
 // cancelled job error, both pre-cancelled and mid-attack.
 func TestRunJobCancellation(t *testing.T) {
@@ -233,9 +261,9 @@ func TestRunJobCancellation(t *testing.T) {
 }
 
 // TestRunJobConcurrentByteIdentity is the in-process soak: the same
-// mixed specs run serially and then highly concurrently (sharing one
-// cache, like daemon workers do), and every result must be
-// byte-identical to its serial reference.
+// mixed specs run serially and then highly concurrently (like daemon
+// workers do), and every result must be byte-identical to its serial
+// reference.
 func TestRunJobConcurrentByteIdentity(t *testing.T) {
 	ctx := context.Background()
 	var specs []JobSpec
@@ -289,12 +317,7 @@ func TestRunJobConcurrentByteIdentity(t *testing.T) {
 		serial[i] = enc
 	}
 
-	cache, err := NewCache(CacheOptions{MaxBytes: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cache.Close()
-	rt := JobRuntime{Cache: cache}
+	rt := JobRuntime{}
 	var wg sync.WaitGroup
 	errs := make(chan error, 3*len(specs))
 	for round := 0; round < 3; round++ {

@@ -36,7 +36,6 @@ import (
 	"obfuslock/internal/core"
 	"obfuslock/internal/exec"
 	"obfuslock/internal/locking"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/simp"
@@ -158,35 +157,6 @@ func WithConflicts(n int64) Budget { return exec.WithConflicts(n) }
 // seed and an index (splitmix64); the experiment sweeps use it to give
 // every cell its own stream regardless of worker count.
 func DeriveSeed(master int64, index int) int64 { return exec.DeriveSeed(master, index) }
-
-// Cache is a deterministic content-addressed result cache with
-// singleflight deduplication. Every SAT-backed layer accepts one
-// (Options.Cache, CECOptions.Cache, and the counting/skewness options);
-// results are byte-identical with the cache on, off, cold or warm. See
-// internal/memo and DESIGN.md "Memoization & canonical fingerprints".
-type Cache = memo.Cache
-
-// CacheOptions configures a Cache: in-memory byte budget, optional
-// on-disk JSONL spill directory, optional tracer for hit/miss counters.
-type CacheOptions = memo.Options
-
-// NewCache opens a result cache. With CacheOptions.Dir set, an existing
-// spill file is loaded (warm start) and new results are appended to it;
-// an unwritable directory is an error. Close flushes the spill handle.
-// A nil *Cache is valid everywhere and disables caching.
-func NewCache(opt CacheOptions) (*Cache, error) { return memo.New(opt) }
-
-// PortfolioVariant is one racer of a portfolio attack.
-type PortfolioVariant = attacks.PortfolioVariant
-
-// PortfolioResult reports a portfolio race.
-type PortfolioResult = attacks.PortfolioResult
-
-// RunPortfolio races several attack variants concurrently and cancels the
-// losers once one recovers a verified-correct key.
-func RunPortfolio(ctx context.Context, variants []PortfolioVariant) PortfolioResult {
-	return attacks.Portfolio(ctx, variants, nil)
-}
 
 // PPAReport estimates area, power and delay of a mapped netlist.
 type PPAReport = techmap.Report
@@ -354,7 +324,3 @@ func NewSpanDurationsSink(reg *MetricRegistry) TraceSink {
 	}
 	return nil
 }
-
-// CacheStats is a point-in-time snapshot of a Cache's effectiveness,
-// available from Cache.Stats even when no tracer is attached.
-type CacheStats = memo.Stats

@@ -10,9 +10,7 @@ import (
 	"sort"
 
 	"obfuslock/internal/attacks"
-	"obfuslock/internal/exec"
 	"obfuslock/internal/lockbase"
-	"obfuslock/internal/locking"
 	"obfuslock/internal/service"
 )
 
@@ -87,7 +85,7 @@ func LockWith(ctx context.Context, name string, c *Circuit, opt SchemeOptions) (
 // Attack is one oracle-guided key-recovery attack. Implementations are
 // stateless; Run may be called concurrently with distinct oracles.
 type Attack interface {
-	// Name is the registry identifier ("sat", "appsat", "portfolio").
+	// Name is the registry identifier ("sat", "appsat").
 	Name() string
 	// Description is a one-line summary for CLI help text.
 	Description() string
@@ -121,21 +119,6 @@ var attackRegistry = []attackEntry{
 		desc: "approximate SAT attack (Shamsi et al.): capped DIP loop with random-query settling",
 		run: func(ctx context.Context, l *Locked, o *Oracle, opt AttackOptions) AttackResult {
 			return attacks.AppSAT(ctx, l, o, opt)
-		},
-	},
-	{
-		name: "portfolio",
-		desc: "race SAT and AppSAT (plus a reseeded AppSAT); first verified key wins",
-		run: func(ctx context.Context, l *Locked, o *Oracle, opt AttackOptions) AttackResult {
-			orig := o.Circuit()
-			appopt := opt
-			appopt.Seed = exec.DeriveSeed(opt.Seed, 1)
-			r := attacks.Portfolio(ctx, []attacks.PortfolioVariant{
-				{Name: "sat", Attack: "sat", Locked: l, Oracle: locking.NewOracle(orig), Orig: orig, Opt: opt},
-				{Name: "appsat", Attack: "appsat", Locked: l, Oracle: locking.NewOracle(orig), Orig: orig, Opt: opt},
-				{Name: "appsat-r2", Attack: "appsat", Locked: l, Oracle: locking.NewOracle(orig), Orig: orig, Opt: appopt},
-			}, opt.Trace)
-			return AttackResult{Key: r.Key, Exact: r.Key != nil, Runtime: r.Runtime}
 		},
 	},
 }
