@@ -94,7 +94,6 @@ func TestServiceWireTypesSelfContained(t *testing.T) {
 	wire := map[string]bool{
 		"JobSpec": true, "JobResult": true, "Error": true,
 		"Budget": true, "SchemeOptions": true, "AttackOptions": true,
-		"Status": true,
 	}
 	files, err := filepath.Glob("internal/service/*.go")
 	if err != nil {

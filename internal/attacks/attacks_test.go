@@ -81,6 +81,42 @@ func TestSATAttackFinishesSmallSARLock(t *testing.T) {
 	}
 }
 
+// Batching DIPs must not change the oracle work on a SARLock whose
+// protected width equals the input count: no two patterns share a wrong
+// key, so the serial loop (DIPBatch=1) and the batched default both need
+// exactly one query per wrong key and must report equal Queries.
+func TestSATAttackBatchedEqualQueriesOnSARLock(t *testing.T) {
+	orig := smallCircuit() // Multiplier(4): 8 inputs
+	l, err := lockbase.SARLock(orig, orig.NumInputs(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string]int{}
+	for _, mode := range []struct {
+		name  string
+		batch int
+	}{{"serial", 1}, {"batched", 0}} {
+		opt := DefaultIOOptions()
+		opt.MaxIterations = 1000 // > 2^8
+		opt.DIPBatch = mode.batch
+		res := SATAttack(context.Background(), l, locking.NewOracle(orig), opt)
+		if !res.Exact {
+			t.Fatalf("%s: attack did not terminate exactly: %+v", mode.name, res)
+		}
+		ok, err := l.VerifyKey(orig, res.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			t.Fatalf("%s: recovered key is not CEC-equal to the original", mode.name)
+		}
+		queries[mode.name] = res.Queries
+	}
+	if queries["serial"] != queries["batched"] {
+		t.Errorf("serial made %d oracle queries, batched %d; want equal", queries["serial"], queries["batched"])
+	}
+}
+
 // AppSAT returns an approximately-correct key for SARLock-like compound
 // locks: it should at least terminate and produce a key consistent with
 // all recorded queries.

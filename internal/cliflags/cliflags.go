@@ -1,7 +1,7 @@
-// Package cliflags factors the flag plumbing shared by the obfuslock
-// CLIs (obfuslock, attack, obfuslockd) into two reusable groups —
-// solver tuning and telemetry — so a flag means the same thing, with the
-// same name and the same validation, in every tool.
+// Package cliflags factors the flag plumbing shared by the obfuslock and
+// attack CLIs into two reusable groups — solver tuning and telemetry — so
+// a flag means the same thing, with the same name and the same
+// validation, in every tool.
 //
 // Each group is a struct with a Register method binding its flags onto a
 // flag.FlagSet. Telemetry additionally owns the whole lifecycle of the
@@ -93,9 +93,6 @@ type Session struct {
 	Tracer *obs.Tracer
 	// Registry is the tracer's metric namespace, always non-nil.
 	Registry *obs.Registry
-	// Sink is the combined span/event sink (nil when no stream flag is
-	// on); daemons fan per-job streams into it as an extra sink.
-	Sink obs.Sink
 	// Flight is the recent-span ring, armed by any telemetry flag.
 	Flight *obs.Flight
 	// Ledger is the run record (nil without -ledger).
@@ -142,8 +139,7 @@ func (t *Telemetry) Start(tool string) (*Session, error) {
 		// so /metrics and the ledger carry per-phase latency distributions.
 		sinks = append(sinks, obs.NewSpanDurations(s.Registry))
 	}
-	s.Sink = obs.Multi(sinks...)
-	sink := s.Sink
+	sink := obs.Multi(sinks...)
 	if sink == nil && t.PprofPrefix != "" {
 		// pprof labels need an enabled tracer even with no stream.
 		sink = obs.Discard

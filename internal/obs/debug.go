@@ -9,17 +9,16 @@ import (
 	"strconv"
 )
 
-// NewDebugMux builds the live introspection mux served by -debug-addr
-// (and, later, mounted per job by the obfuslockd daemon):
+// newDebugMux builds the live introspection mux served by -debug-addr:
 //
 //	/metrics        ordered text snapshot of the registry (?format=json for JSON)
 //	/flight         flight-recorder dump as JSONL
 //	/debug/pprof/*  the standard runtime profiling endpoints
 //
-// It registers on a private mux, not http.DefaultServeMux, so embedding
-// programs keep control of their global handler space. tr and fl may be
-// nil; the endpoints then serve empty documents.
-func NewDebugMux(tr *Tracer, fl *Flight) *http.ServeMux {
+// It registers on a private mux, not http.DefaultServeMux, so the
+// process's global handler space stays untouched. tr and fl may be nil;
+// the endpoints then serve empty documents.
+func newDebugMux(tr *Tracer, fl *Flight) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		snaps := tr.Metrics()
@@ -72,7 +71,7 @@ func ListenDebug(addr string, tr *Tracer, fl *Flight) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: NewDebugMux(tr, fl)}
+	srv := &http.Server{Handler: newDebugMux(tr, fl)}
 	go srv.Serve(ln)
 	return ln.Addr().String(), nil
 }

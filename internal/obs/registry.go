@@ -6,12 +6,11 @@ import (
 )
 
 // Registry is a global-free namespace of counters, gauges and
-// histograms. Every Tracer owns one, but a Registry is also usable on
-// its own (the planned obfuslockd daemon keeps one per job, with no
-// span stream attached). Lookup takes a mutex; the returned metric
-// handles are lock-free, so callers cache them outside hot loops. A nil
-// *Registry is valid and inert: every lookup returns a nil handle whose
-// methods are no-ops.
+// histograms. Every Tracer owns one; NewWithRegistry lets the caller
+// build it first and hand it to span sinks. Lookup takes a mutex; the
+// returned metric handles are lock-free, so callers cache them outside
+// hot loops. A nil *Registry is valid and inert: every lookup returns a
+// nil handle whose methods are no-ops.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

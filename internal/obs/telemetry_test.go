@@ -321,7 +321,7 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	fl := NewFlight(16)
 	fl.Event(1, "dip", time.Now(), []Field{Int("iter", 3)})
 
-	srv := httptest.NewServer(NewDebugMux(tr, fl))
+	srv := httptest.NewServer(newDebugMux(tr, fl))
 	defer srv.Close()
 
 	get := func(path string) (string, string) {

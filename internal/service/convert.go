@@ -15,12 +15,3 @@ func (b Budget) Exec() exec.Budget {
 		Conflicts: b.MaxConflicts,
 	}
 }
-
-// BudgetFrom converts an in-process exec.Budget to the wire form,
-// truncating the timeout to whole milliseconds.
-func BudgetFrom(b exec.Budget) Budget {
-	return Budget{
-		TimeoutMS:    int64(b.Timeout / time.Millisecond),
-		MaxConflicts: b.Conflicts,
-	}
-}
