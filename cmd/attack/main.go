@@ -23,17 +23,11 @@
 // Observability (see DESIGN.md "Observability"):
 //
 //	-trace out.jsonl   full span/event stream as JSON Lines
-//	-progress          live one-line status on stderr
 //	-pprof prefix      write <prefix>.cpu.pprof, <prefix>.heap.pprof and
 //	                   <prefix>.allocs.pprof; spans label the profiles
-//	-debug-addr addr   serve /metrics, /flight and /debug/pprof live
 //	-ledger path       write a ledger.json run record at exit
 //	-v                 print cumulative SAT-solver statistics
 //	-metrics path      metrics.json written by -table1 (default metrics.json)
-//
-// Any telemetry flag arms a flight recorder — a ring of the most recent
-// spans/events — dumped to stderr on SIGQUIT, panic, or when a single
-// attack exhausts its budget without a key.
 //
 // The equivalence checks inside the removal and Valkyrie attacks share one
 // base miter of the oracle and the locked netlist, SAT-swept once per
@@ -110,8 +104,6 @@ func main() {
 		fatal(err)
 	}
 	defer sess.Finish()
-	sess.ArmFlightDump()
-	defer sess.PanicDump()
 	tracer := sess.Tracer
 
 	// writeLedger runs both on normal returns (deferred) and explicitly on
@@ -230,11 +222,6 @@ func main() {
 			r.Iterations, r.Queries, r.Exact, r.TimedOut, r.Runtime))
 		printSolverStats(*verbose, r.SolverStats)
 		if !gotKey {
-			if r.TimedOut {
-				// The wedged-DIP-loop post-mortem: what the attack was
-				// doing when the budget ran out.
-				sess.DumpFlight("attack budget exhausted")
-			}
 			writeLedger()
 			sess.Finish()
 			os.Exit(1)
@@ -244,8 +231,8 @@ func main() {
 	switch *attackName {
 	case "sensitization":
 		r := attacks.Sensitization(ctx, l, oracle, exec.WithConflicts(500000), sopt)
-		fmt.Printf("sensitization: %d/%d key bits isolatable (runtime %v)\n",
-			r.NumIsolatable, l.KeyBits, r.Runtime)
+		fmt.Printf("sensitization: %d/%d key bits isolatable (timed-out=%v runtime=%v)\n",
+			r.NumIsolatable, l.KeyBits, r.TimedOut, r.Runtime)
 	case "sps":
 		r := attacks.SPS(l, 256, *seed, 10)
 		fmt.Println("sps: top skewed nodes (candidate critical nodes):")
@@ -255,7 +242,7 @@ func main() {
 	case "removal":
 		sps := attacks.SPS(l, 256, *seed, 10)
 		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(*sweepCEC, *sweepWords, *seed, tracer, sopt))
-		fmt.Printf("removal: success=%v tried=%d runtime=%v\n", r.Success, r.Tried, r.Runtime)
+		fmt.Printf("removal: success=%v tried=%d undecided=%d runtime=%v\n", r.Success, r.Tried, r.Undecided, r.Runtime)
 	case "bypass":
 		wrong := make([]bool, l.KeyBits)
 		r := attacks.Bypass(ctx, l, orig, wrong, 1024, exec.WithConflicts(1000000), sopt)
@@ -263,8 +250,8 @@ func main() {
 			r.Success, r.Patterns, r.Exhausted, r.Runtime)
 	case "valkyrie":
 		r := attacks.Valkyrie(ctx, l, orig, 8, 128, *seed, cecOptions(*sweepCEC, *sweepWords, *seed, tracer, sopt))
-		fmt.Printf("valkyrie: found-pair=%v restore-only=%v pairs-tried=%d runtime=%v\n",
-			r.FoundPair, r.RestoreOnly, r.PairsTried, r.Runtime)
+		fmt.Printf("valkyrie: found-pair=%v restore-only=%v pairs-tried=%d undecided=%d runtime=%v\n",
+			r.FoundPair, r.RestoreOnly, r.PairsTried, r.Undecided, r.Runtime)
 	case "spi":
 		r := attacks.SPI(l, 6)
 		gotKey = report(r.Key, fmt.Sprintf(" (xor-rule=%d point-rule=%d runtime=%v)",

@@ -18,14 +18,11 @@
 // sets the attack's DIP batching width).
 //
 // Observability (see DESIGN.md "Observability"): -trace out.jsonl records
-// every lock phase as a JSON-Lines span/event stream, -progress paints a
-// live status line on stderr, -pprof prefix writes <prefix>.cpu.pprof
-// during the run plus <prefix>.heap.pprof and <prefix>.allocs.pprof at
-// exit, -debug-addr serves /metrics, /flight and /debug/pprof live (spans
-// label the profiles), -ledger writes a ledger.json run record, and -v
-// prints the critical-node verdict and the blend attempts. Any
-// telemetry flag arms a flight recorder whose recent-span
-// ring is dumped to stderr on SIGQUIT or panic.
+// every lock phase as a JSON-Lines span/event stream, -pprof prefix
+// writes <prefix>.cpu.pprof during the run plus <prefix>.heap.pprof and
+// <prefix>.allocs.pprof at exit (spans label the profiles), -ledger
+// writes a ledger.json run record, and -v prints the critical-node
+// verdict and the blend attempts.
 package main
 
 import (
@@ -34,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"obfuslock"
@@ -63,20 +59,13 @@ func main() {
 	tele.Register(flag.CommandLine)
 
 	verbose := flag.Bool("v", false, "print the critical-node verdict and blend attempts")
-	workers := flag.Int("workers", 0, "GOMAXPROCS override for the construction (0: leave as is)")
 	flag.Parse()
-
-	if *workers > 0 {
-		runtime.GOMAXPROCS(*workers)
-	}
 
 	sess, err := tele.Start("obfuslock")
 	if err != nil {
 		fatal(err)
 	}
 	defer sess.Finish()
-	sess.ArmFlightDump()
-	defer sess.PanicDump()
 	tracer := sess.Tracer
 
 	// Ctrl-C / SIGTERM cancels the lock construction down to its SAT

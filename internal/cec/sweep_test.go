@@ -116,7 +116,7 @@ func TestSweptCheckCrossCheck(t *testing.T) {
 }
 
 // TestCheckTraced pins the tracing satellite: Check emits a cec.check span
-// so CEC time shows up in -trace/-progress like every other phase.
+// so CEC time shows up in -trace like every other phase.
 func TestCheckTraced(t *testing.T) {
 	col := obs.NewCollector()
 	tr := obs.New(col)

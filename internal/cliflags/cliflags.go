@@ -5,8 +5,8 @@
 //
 // Each group is a struct with a Register method binding its flags onto a
 // flag.FlagSet. Telemetry additionally owns the whole lifecycle of the
-// observability stack: Start builds the tracer/flight-recorder/profile
-// pipeline exactly once, and the returned Session carries the handles
+// observability stack: Start builds the tracer/ledger/profile pipeline
+// exactly once, and the returned Session carries the handles
 // plus an idempotent Finish.
 package cliflags
 
@@ -14,8 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"obfuslock/internal/obs"
 	"obfuslock/internal/simp"
@@ -46,17 +44,12 @@ func (s *Solver) SimpOptions() simp.Options {
 	return simp.Default()
 }
 
-// Telemetry groups the observability flags: -trace, -progress, -pprof,
-// -debug-addr and -ledger.
+// Telemetry groups the observability flags: -trace, -pprof and -ledger.
 type Telemetry struct {
 	// TracePath is the -trace JSONL output file.
 	TracePath string
-	// Progress is the -progress live status line.
-	Progress bool
 	// PprofPrefix is the -pprof profile prefix.
 	PprofPrefix string
-	// DebugAddr is the -debug-addr live introspection address.
-	DebugAddr string
 	// LedgerPath is the -ledger run-record output file.
 	LedgerPath string
 }
@@ -65,40 +58,20 @@ type Telemetry struct {
 func (t *Telemetry) Register(fs *flag.FlagSet) {
 	fs.StringVar(&t.TracePath, "trace", "",
 		"write the span/event stream as JSON Lines to this file")
-	fs.BoolVar(&t.Progress, "progress", false,
-		"live one-line progress on stderr")
 	fs.StringVar(&t.PprofPrefix, "pprof", "",
 		"write <prefix>.cpu.pprof, <prefix>.heap.pprof and <prefix>.allocs.pprof profiles")
-	fs.StringVar(&t.DebugAddr, "debug-addr", "",
-		"serve /metrics, /flight and /debug/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&t.LedgerPath, "ledger", "",
 		"write a ledger.json run record (flags, build, metrics, peak RSS) to this file")
 }
 
-// Enabled reports whether any telemetry flag is on (which arms the
-// flight recorder).
-func (t *Telemetry) Enabled() bool {
-	return t.TracePath != "" || t.Progress || t.PprofPrefix != "" ||
-		t.DebugAddr != "" || t.LedgerPath != ""
-}
-
 // Session is one tool invocation's observability stack, built by
-// Telemetry.Start: the tracer and its registry, the flight recorder, the
-// run ledger, and the cleanup chain.
+// Telemetry.Start: the tracer, the run ledger, and the cleanup chain.
 type Session struct {
-	// Tool is the name used in diagnostics and the ledger.
-	Tool string
 	// Tracer is the configured tracer (nil when all flags are off: the
 	// zero-cost path; a nil *obs.Tracer is valid everywhere).
 	Tracer *obs.Tracer
-	// Registry is the tracer's metric namespace, always non-nil.
-	Registry *obs.Registry
-	// Flight is the recent-span ring, armed by any telemetry flag.
-	Flight *obs.Flight
 	// Ledger is the run record (nil without -ledger).
 	Ledger *obs.Ledger
-	// DebugAddr is the bound -debug-addr listener address ("" when off).
-	DebugAddr string
 
 	ledgerPath string
 	closers    []func()
@@ -107,11 +80,10 @@ type Session struct {
 }
 
 // Start builds the observability stack from the flags: trace file,
-// progress line, flight recorder, span-duration histograms, pprof
-// profiles, debug endpoint, ledger. It returns an error instead of
-// exiting so the caller owns the usage message.
+// span-duration histograms, pprof profiles, ledger. It returns an error
+// instead of exiting so the caller owns the usage message.
 func (t *Telemetry) Start(tool string) (*Session, error) {
-	s := &Session{Tool: tool, Registry: obs.NewRegistry(), ledgerPath: t.LedgerPath}
+	s := &Session{ledgerPath: t.LedgerPath}
 	if t.LedgerPath != "" {
 		s.Ledger = obs.NewLedger(tool)
 	}
@@ -125,26 +97,14 @@ func (t *Telemetry) Start(tool string) (*Session, error) {
 		sinks = append(sinks, obs.NewJSONL(f))
 		s.closers = append(s.closers, func() { f.Close() })
 	}
-	if t.Progress {
-		p := obs.NewProgress(os.Stderr)
-		sinks = append(sinks, p)
-		s.closers = append(s.closers, p.Done)
-	}
-	if t.Enabled() {
-		s.Flight = obs.NewFlight(obs.DefaultFlightDepth)
-		sinks = append(sinks, s.Flight)
-	}
-	if len(sinks) > 0 {
+	reg := obs.NewRegistry()
+	if t.TracePath != "" || t.PprofPrefix != "" || t.LedgerPath != "" {
 		// Every completed span also lands in a span.<name>_us histogram,
-		// so /metrics and the ledger carry per-phase latency distributions.
-		sinks = append(sinks, obs.NewSpanDurations(s.Registry))
+		// so the ledger carries per-phase latency distributions; the
+		// enabled tracer also labels the pprof profiles.
+		sinks = append(sinks, obs.NewSpanDurations(reg))
 	}
-	sink := obs.Multi(sinks...)
-	if sink == nil && t.PprofPrefix != "" {
-		// pprof labels need an enabled tracer even with no stream.
-		sink = obs.Discard
-	}
-	s.Tracer = obs.NewWithRegistry(sink, s.Registry)
+	s.Tracer = obs.NewWithRegistry(obs.Multi(sinks...), reg)
 	s.Tracer.EnablePprofLabels()
 	if t.PprofPrefix != "" {
 		stop, err := obs.StartProfiles(t.PprofPrefix)
@@ -157,15 +117,6 @@ func (t *Telemetry) Start(tool string) (*Session, error) {
 				fmt.Fprintf(os.Stderr, "%s: pprof: %v\n", tool, err)
 			}
 		})
-	}
-	if t.DebugAddr != "" {
-		addr, err := obs.ListenDebug(t.DebugAddr, s.Tracer, s.Flight)
-		if err != nil {
-			s.close()
-			return nil, err
-		}
-		s.DebugAddr = addr
-		fmt.Fprintf(os.Stderr, "%s: debug endpoint on http://%s (/metrics, /flight, /debug/pprof)\n", tool, addr)
 	}
 	return s, nil
 }
@@ -198,38 +149,4 @@ func (s *Session) WriteLedger() error {
 	s.ledgerDone = true
 	s.Ledger.Finish(s.Tracer)
 	return s.Ledger.WriteFile(s.ledgerPath)
-}
-
-// DumpFlight writes the flight recorder's recent-span ring to stderr
-// (no-op when the recorder is off or empty).
-func (s *Session) DumpFlight(reason string) {
-	if s.Flight == nil || s.Flight.Len() == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "%s: %s — flight recorder dump:\n", s.Tool, reason)
-	s.Flight.WriteTo(os.Stderr)
-}
-
-// ArmFlightDump dumps the flight recorder on SIGQUIT (the run keeps
-// going, like a thread dump).
-func (s *Session) ArmFlightDump() {
-	if s.Flight == nil {
-		return
-	}
-	qc := make(chan os.Signal, 1)
-	signal.Notify(qc, syscall.SIGQUIT)
-	go func() {
-		for range qc {
-			s.DumpFlight("SIGQUIT")
-		}
-	}()
-}
-
-// PanicDump preserves the flight recorder's evidence when the run dies:
-// deferred in main, it dumps the ring and re-panics.
-func (s *Session) PanicDump() {
-	if r := recover(); r != nil {
-		s.DumpFlight("panic")
-		panic(r)
-	}
 }

@@ -86,12 +86,10 @@ func Workers(n int) int {
 }
 
 // PoolMetrics is the optional telemetry surface of the worker pool: a
-// gauge tracking how many tasks are currently executing and a histogram
-// of per-task latency. The zero value (all nil handles) is fully inert,
-// so Collect pays nothing when telemetry is off.
+// histogram of per-task latency and a completed-task counter. The zero
+// value (all nil handles) is fully inert, so Collect pays nothing when
+// telemetry is off.
 type PoolMetrics struct {
-	// QueueDepth tracks tasks currently in flight across the pool.
-	QueueDepth *obs.Gauge
 	// TaskLatency receives each task's run duration in microseconds.
 	TaskLatency *obs.Histogram
 	// Tasks counts completed tasks.
@@ -100,7 +98,6 @@ type PoolMetrics struct {
 
 // Pool metric names used by PoolMetricsFrom.
 const (
-	MetricQueueDepth  = "exec.queue_depth"
 	MetricTaskLatency = "exec.task_us"
 	MetricTasks       = "exec.tasks"
 )
@@ -113,7 +110,6 @@ func PoolMetricsFrom(tr *obs.Tracer) PoolMetrics {
 		return PoolMetrics{}
 	}
 	return PoolMetrics{
-		QueueDepth:  reg.Gauge(MetricQueueDepth),
 		TaskLatency: reg.Histogram(MetricTaskLatency),
 		Tasks:       reg.Counter(MetricTasks),
 	}
@@ -121,7 +117,7 @@ func PoolMetricsFrom(tr *obs.Tracer) PoolMetrics {
 
 // enabled reports whether any metric handle is live.
 func (pm PoolMetrics) enabled() bool {
-	return pm.QueueDepth != nil || pm.TaskLatency != nil || pm.Tasks != nil
+	return pm.TaskLatency != nil || pm.Tasks != nil
 }
 
 // Collect runs n independent tasks on a pool of workers and hands every
@@ -138,11 +134,11 @@ func Collect[T any](ctx context.Context, workers, n int, run func(ctx context.Co
 	CollectMetered(ctx, workers, n, PoolMetrics{}, run, emit)
 }
 
-// CollectMetered is Collect with pool telemetry: every task's execution
-// updates the queue-depth gauge while running and records its latency
-// and completion on finish. The zero PoolMetrics adds no overhead and
-// never reads the clock; ordering semantics are identical to Collect at
-// any worker count (instrumentation is per-task and scheduling-free).
+// CollectMetered is Collect with pool telemetry: every task records its
+// latency and completion on finish. The zero PoolMetrics adds no
+// overhead and never reads the clock; ordering semantics are identical
+// to Collect at any worker count (instrumentation is per-task and
+// scheduling-free).
 func CollectMetered[T any](ctx context.Context, workers, n int, pm PoolMetrics, run func(ctx context.Context, i int) T, emit func(i int, r T)) {
 	if n <= 0 {
 		return
@@ -153,7 +149,6 @@ func CollectMetered[T any](ctx context.Context, workers, n int, pm PoolMetrics, 
 	if pm.enabled() {
 		inner := run
 		run = func(ctx context.Context, i int) T {
-			pm.QueueDepth.Add(1)
 			var t0 time.Time
 			if pm.TaskLatency != nil {
 				t0 = time.Now()
@@ -163,7 +158,6 @@ func CollectMetered[T any](ctx context.Context, workers, n int, pm PoolMetrics, 
 				pm.TaskLatency.RecordDuration(time.Since(t0))
 			}
 			pm.Tasks.Inc()
-			pm.QueueDepth.Add(-1)
 			return r
 		}
 	}

@@ -47,7 +47,7 @@ type MetricsFile struct {
 }
 
 // NewMetricsFile converts sweep rows (and, when tr is non-nil, its
-// registered counters/gauges/histograms) into the metrics.json document.
+// registered counters and histograms) into the metrics.json document.
 func NewMetricsFile(rows []TableIRow, tr *obs.Tracer) MetricsFile {
 	mf := MetricsFile{Schema: MetricsSchema, Rows: make([]MetricsRow, 0, len(rows))}
 	for _, r := range rows {

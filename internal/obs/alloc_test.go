@@ -3,12 +3,11 @@ package obs
 import "testing"
 
 // hotLoop mimics the solver/attack hot-loop instrumentation pattern: a
-// span per unit of work, a guarded event with fields, counters,
-// histogram records and gauge updates.
+// span per unit of work, a guarded event with fields, counters and
+// histogram records.
 func hotLoop(tr *Tracer, n int) {
 	c := tr.Counter("conflicts")
 	h := tr.Histogram("depth")
-	g := tr.Gauge("queue")
 	for i := 0; i < n; i++ {
 		sp := tr.Span("solve")
 		if sp.Enabled() {
@@ -16,15 +15,13 @@ func hotLoop(tr *Tracer, n int) {
 		}
 		c.Add(1)
 		h.Record(int64(i))
-		g.Set(float64(i))
-		g.Add(1)
 		sp.End()
 	}
 }
 
 // TestDisabledPathZeroAllocs pins the contract relied on by the solver
 // and attack loops: with tracing disabled, span/event/counter/
-// histogram/gauge calls allocate nothing.
+// histogram calls allocate nothing.
 func TestDisabledPathZeroAllocs(t *testing.T) {
 	var tr *Tracer
 	if allocs := testing.AllocsPerRun(1000, func() { hotLoop(tr, 1) }); allocs != 0 {
@@ -33,21 +30,18 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 }
 
 // TestEnabledRecordPathZeroAllocs pins the complementary contract: once
-// the metric handles exist, Record/Add/Set themselves stay 0 allocs/op
+// the metric handles exist, Record/Add themselves stay 0 allocs/op
 // even with telemetry ON — the lock-free histogram never allocates per
 // observation.
 func TestEnabledRecordPathZeroAllocs(t *testing.T) {
 	tr := New(Discard)
 	c := tr.Counter("conflicts")
 	h := tr.Histogram("depth")
-	g := tr.Gauge("queue")
 	var i int64
 	allocs := testing.AllocsPerRun(1000, func() {
 		i++
 		c.Add(1)
 		h.Record(i)
-		g.Set(float64(i))
-		g.Add(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled metric record path allocates %v per op, want 0", allocs)

@@ -10,9 +10,9 @@ import (
 // MetricSnapshot is the sink-facing view of one metric.
 type MetricSnapshot struct {
 	Name string
-	// Kind is "counter", "gauge" or "histogram".
+	// Kind is "counter" or "histogram".
 	Kind string
-	// Value is the counter total or last gauge value.
+	// Value is the counter total.
 	Value float64
 	// Count/Sum/Min/Max summarize histogram observations.
 	Count int64
@@ -20,7 +20,7 @@ type MetricSnapshot struct {
 	Min   float64
 	Max   float64
 	// P50/P90/P99 are quantile estimates interpolated from the
-	// histogram's log-2 buckets (zero for counters and gauges).
+	// histogram's log-2 buckets (zero for counters).
 	P50 float64
 	P90 float64
 	P99 float64
@@ -58,50 +58,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a last-value metric. A nil *Gauge is valid and inert.
-type Gauge struct {
-	name string
-	bits atomic.Uint64
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (t *Tracer) Gauge(name string) *Gauge {
-	if !t.Enabled() {
-		return nil
-	}
-	return t.reg.Gauge(name)
-}
-
-// Set records the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add shifts the gauge by delta (lock-free CAS loop); useful for
-// level-style gauges such as a worker pool's queue depth.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the last recorded value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // histBuckets is the fixed bucket count of a Histogram: bucket 0 holds

@@ -1,5 +1,5 @@
 // Package obs is the repository's observability layer: hierarchical
-// wall-clock spans, structured events, and named counters/gauges/
+// wall-clock spans, structured events, and named counters and
 // histograms, all delivered to a pluggable Sink. It is stdlib-only and
 // built around one invariant: a disabled tracer (a nil *Tracer, or one
 // the caller never created) costs nothing on the hot paths — every
@@ -14,7 +14,7 @@
 // progress callback (internal/sat), the attack suite (internal/attacks)
 // and the counting/sampling engines (internal/count, internal/sample)
 // all emit through this package; cmd/attack and cmd/obfuslock expose it
-// via -trace, -progress and -pprof.
+// via -trace, -ledger and -pprof.
 package obs
 
 import (

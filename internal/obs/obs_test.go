@@ -25,7 +25,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	sp.End()
 	tr.Event("orphan")
 	tr.Counter("c").Add(5)
-	tr.Gauge("g").Set(1)
 	tr.Histogram("h").Observe(2)
 	if got := tr.Metrics(); got != nil {
 		t.Fatalf("nil tracer metrics = %v", got)
@@ -76,24 +75,20 @@ func TestMetricsRegistry(t *testing.T) {
 	if c.Value() != 11 {
 		t.Fatalf("counter = %d, want 11", c.Value())
 	}
-	tr.Gauge("skew.bits").Set(20.5)
 	h := tr.Histogram("dip.us")
 	h.Observe(3)
 	h.Observe(1)
 	h.Observe(2)
 	ms := tr.Metrics()
-	if len(ms) != 3 {
-		t.Fatalf("got %d metrics, want 3", len(ms))
+	if len(ms) != 2 {
+		t.Fatalf("got %d metrics, want 2", len(ms))
 	}
-	// Sorted by name: dip.us, sat.conflicts, skew.bits.
+	// Sorted by name: dip.us, sat.conflicts.
 	if ms[0].Name != "dip.us" || ms[0].Count != 3 || ms[0].Min != 1 || ms[0].Max != 3 || ms[0].Sum != 6 {
 		t.Fatalf("histogram snapshot = %+v", ms[0])
 	}
 	if ms[1].Name != "sat.conflicts" || ms[1].Value != 11 {
 		t.Fatalf("counter snapshot = %+v", ms[1])
-	}
-	if ms[2].Name != "skew.bits" || ms[2].Value != 20.5 {
-		t.Fatalf("gauge snapshot = %+v", ms[2])
 	}
 }
 
@@ -138,7 +133,6 @@ func TestJSONLNonFiniteFloats(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(NewJSONL(&buf))
 	tr.Span("x", Float("inf", math.Inf(1)), Float("nan", math.NaN())).End()
-	tr.Gauge("g").Set(math.Inf(-1))
 	tr.Close()
 	for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var m map[string]any
@@ -163,33 +157,12 @@ func TestMultiSink(t *testing.T) {
 	}
 }
 
-func TestProgressSinkPaints(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewProgress(&buf)
-	tr := New(p)
-	sp := tr.Span("lock")
-	inner := sp.Span("lock.blend")
-	inner.End()
-	sp.End()
-	p.Done()
-	out := buf.String()
-	if !strings.Contains(out, "lock>lock.blend") {
-		t.Fatalf("progress output missing span path: %q", out)
-	}
-	if !strings.Contains(out, "done in") {
-		t.Fatalf("progress output missing completion note: %q", out)
-	}
-}
-
 // TestConcurrentSpansFanIn drives one tracer from many goroutines, the
-// shape a parallel sweep produces, and checks the sinks survive the
-// interleaving: the Progress sink must drop exactly the ended span even
-// when several same-named spans are open (removal is by span ID), and the
-// collector must see every span and event.
+// shape a parallel sweep produces, and checks the collector sees every
+// span and event through the interleaving.
 func TestConcurrentSpansFanIn(t *testing.T) {
 	col := NewCollector()
-	prog := NewProgress(&bytes.Buffer{})
-	tr := New(Multi(col, prog))
+	tr := New(col)
 	const workers = 8
 	const spansPer = 50
 	var wg sync.WaitGroup
@@ -217,11 +190,5 @@ func TestConcurrentSpansFanIn(t *testing.T) {
 	}
 	if got := len(col.EventsNamed("tick")); got != workers*spansPer {
 		t.Fatalf("collector saw %d tick events, want %d", got, workers*spansPer)
-	}
-	prog.mu.Lock()
-	open := len(prog.open)
-	prog.mu.Unlock()
-	if open != 0 {
-		t.Fatalf("progress sink still tracks %d open spans after all ended", open)
 	}
 }

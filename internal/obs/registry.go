@@ -5,16 +5,14 @@ import (
 	"sync"
 )
 
-// Registry is a global-free namespace of counters, gauges and
-// histograms. Every Tracer owns one; NewWithRegistry lets the caller
-// build it first and hand it to span sinks. Lookup takes a mutex; the
-// returned metric handles are lock-free, so callers cache them outside
-// hot loops. A nil *Registry is valid and inert: every lookup returns a
+// Registry is a global-free namespace of counters and histograms.
+// Every Tracer owns one; NewWithRegistry lets the caller build it first
+// and hand it to span sinks. Lookup takes a mutex; the returned metric
+// handles are lock-free, so callers cache them outside hot loops. A nil *Registry is valid and inert: every lookup returns a
 // nil handle whose methods are no-ops.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -39,24 +37,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]*Gauge)
-	}
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
@@ -77,18 +57,15 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Snapshot returns every registered metric, sorted by name, so two
 // snapshots of the same registry state are identical — the property the
-// deterministic metrics.json and /metrics endpoints rely on.
+// metrics.json and the ledger rely on.
 func (r *Registry) Snapshot() []MetricSnapshot {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]MetricSnapshot, 0, len(r.counters)+len(r.gauges)+len(r.hists))
+	out := make([]MetricSnapshot, 0, len(r.counters)+len(r.hists))
 	for name, c := range r.counters {
 		out = append(out, MetricSnapshot{Name: name, Kind: "counter", Value: float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, MetricSnapshot{Name: name, Kind: "gauge", Value: g.Value()})
 	}
 	hists := make([]*Histogram, 0, len(r.hists))
 	for _, h := range r.hists {

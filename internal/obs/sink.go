@@ -316,143 +316,3 @@ func (c *Collector) MetricsSnapshot() []MetricSnapshot {
 	defer c.mu.Unlock()
 	return append([]MetricSnapshot(nil), c.metrics...)
 }
-
-// Progress renders the stream as a live single-line status on w
-// (intended for a terminal's stderr): the path of open spans plus the
-// latest event, throttled to one repaint per interval. It is what
-// cmd/attack -progress and cmd/obfuslock -progress show.
-type Progress struct {
-	mu       sync.Mutex
-	w        io.Writer
-	interval time.Duration
-	last     time.Time
-	open     []openSpan     // open spans in start order; ended ones tombstoned in place
-	idx      map[uint64]int // span ID -> index in open
-	dead     int            // tombstones currently in open
-	lastLen  int
-}
-
-// openSpan tracks one live span by ID: with parallel sweeps several spans
-// of the same name are open at once, so removal must match the ID, not
-// the name. An ID of 0 marks a tombstone (real span IDs start at 1).
-type openSpan struct {
-	id   uint64
-	name string
-}
-
-// NewProgress returns a live progress sink repainting at most every
-// 100 ms.
-func NewProgress(w io.Writer) *Progress {
-	return &Progress{w: w, interval: 100 * time.Millisecond, idx: make(map[uint64]int)}
-}
-
-func (p *Progress) paint(tail string, force bool) {
-	now := time.Now()
-	if !force && now.Sub(p.last) < p.interval {
-		return
-	}
-	p.last = now
-	line := ""
-	for _, o := range p.open {
-		if o.id == 0 {
-			continue
-		}
-		if line != "" {
-			line += ">"
-		}
-		line += o.name
-	}
-	if tail != "" {
-		if line != "" {
-			line += " "
-		}
-		line += tail
-	}
-	pad := ""
-	for len(line)+len(pad) < p.lastLen {
-		pad += " "
-	}
-	p.lastLen = len(line)
-	fmt.Fprintf(p.w, "\r%s%s", line, pad)
-}
-
-// SpanStart implements Sink.
-func (p *Progress) SpanStart(sd SpanData) {
-	p.mu.Lock()
-	if p.idx == nil {
-		p.idx = make(map[uint64]int)
-	}
-	p.idx[sd.ID] = len(p.open)
-	p.open = append(p.open, openSpan{id: sd.ID, name: sd.Name})
-	p.paint("", true)
-	p.mu.Unlock()
-}
-
-// SpanEnd implements Sink. Removal is O(1) amortized: the ended span is
-// found through the ID index and tombstoned in place (a linear delete
-// per completion made high-fan-out sweeps quadratic); trailing
-// tombstones are trimmed eagerly and interior ones compacted once they
-// outnumber live entries.
-func (p *Progress) SpanEnd(sd SpanData) {
-	p.mu.Lock()
-	if i, ok := p.idx[sd.ID]; ok {
-		delete(p.idx, sd.ID)
-		p.open[i] = openSpan{}
-		p.dead++
-		for n := len(p.open); n > 0 && p.open[n-1].id == 0; n = len(p.open) {
-			p.open = p.open[:n-1]
-			p.dead--
-		}
-		if p.dead > len(p.open)-p.dead {
-			p.compact()
-		}
-	}
-	p.paint(fmt.Sprintf("(%s done in %v)", sd.Name, sd.Duration.Round(time.Millisecond)), true)
-	p.mu.Unlock()
-}
-
-// compact rewrites open without tombstones and rebuilds the ID index.
-// Called with p.mu held.
-func (p *Progress) compact() {
-	live := p.open[:0]
-	for _, o := range p.open {
-		if o.id != 0 {
-			p.idx[o.id] = len(live)
-			live = append(live, o)
-		}
-	}
-	p.open = live
-	p.dead = 0
-}
-
-// Event implements Sink.
-func (p *Progress) Event(id uint64, name string, at time.Time, fields []Field) {
-	p.mu.Lock()
-	tail := name
-	for _, f := range fields {
-		switch f.kind {
-		case kindInt:
-			tail += fmt.Sprintf(" %s=%d", f.Key, f.num)
-		case kindFloat:
-			tail += fmt.Sprintf(" %s=%.2f", f.Key, f.fl)
-		case kindStr:
-			tail += fmt.Sprintf(" %s=%s", f.Key, f.str)
-		case kindBool:
-			tail += fmt.Sprintf(" %s=%v", f.Key, f.num != 0)
-		case kindDur:
-			tail += fmt.Sprintf(" %s=%v", f.Key, time.Duration(f.num).Round(time.Millisecond))
-		}
-	}
-	p.paint(tail, false)
-	p.mu.Unlock()
-}
-
-// Metric implements Sink.
-func (p *Progress) Metric(MetricSnapshot) {}
-
-// Done finishes the live line with a newline.
-func (p *Progress) Done() {
-	p.mu.Lock()
-	fmt.Fprintln(p.w)
-	p.mu.Unlock()
-}

@@ -1,14 +1,9 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,7 +87,7 @@ func TestHistogramRecordDuration(t *testing.T) {
 
 func TestRegistryStandalone(t *testing.T) {
 	var nilR *Registry
-	if nilR.Counter("c") != nil || nilR.Gauge("g") != nil || nilR.Histogram("h") != nil {
+	if nilR.Counter("c") != nil || nilR.Histogram("h") != nil {
 		t.Fatal("nil registry returned live handles")
 	}
 	if nilR.Snapshot() != nil {
@@ -101,7 +96,7 @@ func TestRegistryStandalone(t *testing.T) {
 
 	r := NewRegistry()
 	r.Counter("z.count").Add(3)
-	r.Gauge("a.depth").Set(2)
+	r.Histogram("a.depth").Record(2)
 	r.Histogram("m.lat").Record(10)
 	if r.Counter("z.count") != r.Counter("z.count") {
 		t.Fatal("counter identity not stable by name")
@@ -138,18 +133,7 @@ func TestTracerRegistryAccessor(t *testing.T) {
 	}
 }
 
-func TestGaugeAdd(t *testing.T) {
-	g := &Gauge{name: "depth"}
-	g.Add(3)
-	g.Add(-1)
-	if g.Value() != 2 {
-		t.Fatalf("gauge = %v, want 2", g.Value())
-	}
-	var nilG *Gauge
-	nilG.Add(1) // must not panic
-}
-
-// TestConcurrentMetricRecording hammers one histogram, gauge and
+// TestConcurrentMetricRecording hammers one histogram and one
 // counter from many goroutines; run under -race this is the
 // concurrency proof for the lock-free record paths, and the final
 // totals prove no update was lost.
@@ -163,12 +147,9 @@ func TestConcurrentMetricRecording(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			h := r.Histogram("conc.lat")
-			g := r.Gauge("conc.depth")
 			c := r.Counter("conc.total")
 			for i := 0; i < perWorker; i++ {
 				h.Record(int64(i%1000 + 1))
-				g.Add(1)
-				g.Add(-1)
 				c.Inc()
 				if i%512 == 0 {
 					r.Snapshot() // concurrent snapshots must be safe too
@@ -194,73 +175,6 @@ func TestConcurrentMetricRecording(t *testing.T) {
 	}
 	if got := r.Counter("conc.total").Value(); got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
-	}
-	if got := r.Gauge("conc.depth").Value(); got != 0 {
-		t.Fatalf("gauge = %v, want 0", got)
-	}
-}
-
-func TestFlightRecorderRingAndDump(t *testing.T) {
-	fl := NewFlight(8)
-	tr := New(fl)
-	for i := 0; i < 10; i++ {
-		sp := tr.Span("work", Int("i", int64(i)))
-		sp.Event("tick")
-		sp.End()
-	}
-	// 30 records through an 8-deep ring: only the last 8 survive.
-	if fl.Len() != 8 {
-		t.Fatalf("flight holds %d records, want 8", fl.Len())
-	}
-	var buf bytes.Buffer
-	n, err := fl.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 8 {
-		t.Fatalf("dump has %d lines, want 8", len(lines))
-	}
-	var prevSeq float64
-	for _, ln := range lines {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(ln), &m); err != nil {
-			t.Fatalf("invalid flight JSONL %q: %v", ln, err)
-		}
-		seq := m["seq"].(float64)
-		if seq <= prevSeq {
-			t.Fatalf("dump not oldest-first: seq %v after %v", seq, prevSeq)
-		}
-		prevSeq = seq
-	}
-	// The newest record is the final span_end (seq 30).
-	var last map[string]any
-	json.Unmarshal([]byte(lines[len(lines)-1]), &last)
-	if last["type"] != "span_end" || last["seq"].(float64) != 30 {
-		t.Fatalf("newest record = %v", last)
-	}
-
-	var nilF *Flight
-	if nilF.Len() != 0 {
-		t.Fatal("nil flight not inert")
-	}
-	if n, err := nilF.WriteTo(io.Discard); n != 0 || err != nil {
-		t.Fatal("nil flight WriteTo not inert")
-	}
-}
-
-func TestFlightCopiesFields(t *testing.T) {
-	fl := NewFlight(4)
-	fields := []Field{Int("i", 1)}
-	fl.Event(1, "e", time.Now(), fields)
-	fields[0] = Int("i", 99)
-	var buf bytes.Buffer
-	fl.WriteTo(&buf)
-	if !strings.Contains(buf.String(), `"i":1`) {
-		t.Fatalf("flight aliased caller fields: %s", buf.String())
 	}
 }
 
@@ -310,88 +224,6 @@ func TestLedgerNilTracer(t *testing.T) {
 	l.Finish(nil)
 	if len(l.Metrics) != 0 {
 		t.Fatalf("nil tracer produced metrics: %+v", l.Metrics)
-	}
-}
-
-func TestDebugMuxEndpoints(t *testing.T) {
-	tr := New(Discard)
-	tr.Counter("sat.conflicts").Add(11)
-	tr.Gauge("pool.depth").Set(2)
-	tr.Histogram("dip.us").Record(100)
-	fl := NewFlight(16)
-	fl.Event(1, "dip", time.Now(), []Field{Int("iter", 3)})
-
-	srv := httptest.NewServer(newDebugMux(tr, fl))
-	defer srv.Close()
-
-	get := func(path string) (string, string) {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		return string(body), resp.Header.Get("Content-Type")
-	}
-
-	text, ct := get("/metrics")
-	if !strings.Contains(ct, "text/plain") {
-		t.Fatalf("/metrics content type = %q", ct)
-	}
-	for _, want := range []string{
-		"dip.us{kind=histogram} count=1", "p50=100",
-		"pool.depth{kind=gauge} 2", "sat.conflicts{kind=counter} 11",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, text)
-		}
-	}
-	// Ordered: dip.us before pool.depth before sat.conflicts.
-	if d, p := strings.Index(text, "dip.us"), strings.Index(text, "pool.depth"); d > p {
-		t.Fatalf("/metrics not name-ordered:\n%s", text)
-	}
-
-	jsonBody, ct := get("/metrics?format=json")
-	if !strings.Contains(ct, "application/json") {
-		t.Fatalf("/metrics?format=json content type = %q", ct)
-	}
-	var ms []LedgerMetric
-	if err := json.Unmarshal([]byte(jsonBody), &ms); err != nil {
-		t.Fatalf("metrics JSON invalid: %v\n%s", err, jsonBody)
-	}
-	if len(ms) != 3 || ms[0].Name != "dip.us" || ms[0].P99 != 100 {
-		t.Fatalf("metrics JSON = %+v", ms)
-	}
-
-	flight, _ := get("/flight")
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(strings.TrimSpace(flight)), &rec); err != nil {
-		t.Fatalf("/flight invalid JSONL: %v\n%s", err, flight)
-	}
-	if rec["name"] != "dip" {
-		t.Fatalf("/flight record = %v", rec)
-	}
-
-	if body, _ := get("/debug/pprof/cmdline"); body == "" {
-		t.Fatal("/debug/pprof/cmdline empty")
-	}
-}
-
-func TestListenDebugPicksPort(t *testing.T) {
-	addr, err := ListenDebug("127.0.0.1:0", New(Discard), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
 	}
 }
 

@@ -219,15 +219,8 @@ func NewTracerWithRegistry(sink TraceSink, reg *MetricRegistry) *Tracer {
 // NewJSONLSink returns a sink writing the stream as JSON Lines to w.
 func NewJSONLSink(w io.Writer) TraceSink { return obs.NewJSONL(w) }
 
-// ProgressSink paints a live one-line status; it implements TraceSink.
-type ProgressSink = obs.Progress
-
 // TraceCollector records the stream in memory; it implements TraceSink.
 type TraceCollector = obs.Collector
-
-// NewProgressSink returns a sink painting a live one-line status on w.
-// Call Done on it after the tracer is finished to end the line.
-func NewProgressSink(w io.Writer) *ProgressSink { return obs.NewProgress(w) }
 
 // NewTraceCollector returns an in-memory sink for tests and inspection.
 func NewTraceCollector() *TraceCollector { return obs.NewCollector() }
@@ -257,36 +250,21 @@ func TraceBool(key string, v bool) TraceField { return obs.Bool(key, v) }
 func TraceDur(key string, d time.Duration) TraceField { return obs.Dur(key, d) }
 
 // Deep telemetry. Beyond the span stream, a tracer owns a metric
-// registry of counters, gauges and log-2 histograms (p50/p90/p99
-// snapshots); a flight recorder keeps the most recent spans/events for
-// post-mortems; a run ledger captures a whole invocation; and
-// ListenDebug serves /metrics, /flight and net/http/pprof live. See
-// DESIGN.md "Observability" for the full model.
+// registry of counters and log-2 histograms (p50/p90/p99 snapshots), and
+// a run ledger captures a whole invocation. See DESIGN.md
+// "Observability" for the full model.
 
-// MetricRegistry names counters, gauges and histograms and takes
+// MetricRegistry names counters and histograms and takes
 // deterministic (name-ordered) snapshots. Every enabled Tracer owns one,
 // reachable via its Registry method; standalone registries work too.
 type MetricRegistry = obs.Registry
 
-// Metric is one entry of an ordered metric snapshot: a counter or gauge
-// value, or a histogram's count/sum/min/max plus p50/p90/p99 estimates.
+// Metric is one entry of an ordered metric snapshot: a counter value,
+// or a histogram's count/sum/min/max plus p50/p90/p99 estimates.
 type Metric = obs.MetricSnapshot
 
 // NewMetricRegistry returns an empty standalone metric registry.
 func NewMetricRegistry() *MetricRegistry { return obs.NewRegistry() }
-
-// FlightRecorder is a bounded ring buffer over the most recent spans and
-// events; it implements TraceSink. Dump it with WriteTo after a panic,
-// on SIGQUIT, or when an attack exhausts its budget, to see what the run
-// was doing at the end. A nil *FlightRecorder is valid and inert.
-type FlightRecorder = obs.Flight
-
-// DefaultFlightDepth is the flight-recorder ring depth used by the CLIs.
-const DefaultFlightDepth = obs.DefaultFlightDepth
-
-// NewFlightRecorder returns a flight recorder keeping the last depth
-// records (depth <= 0 selects DefaultFlightDepth).
-func NewFlightRecorder(depth int) *FlightRecorder { return obs.NewFlight(depth) }
 
 // RunLedger accumulates one CLI invocation's provenance — args, go
 // version, build revision, wall time, peak RSS and the final metric
@@ -299,14 +277,6 @@ const LedgerSchema = obs.LedgerSchema
 // NewRunLedger starts a ledger for the named tool, stamping the start
 // time, command-line arguments and build info.
 func NewRunLedger(tool string) *RunLedger { return obs.NewLedger(tool) }
-
-// ListenDebug serves the live introspection endpoint on addr: /metrics
-// (ordered text, ?format=json), /flight (recorder dump as JSONL) and the
-// standard /debug/pprof mux. It returns the bound address (useful with
-// ":0") and never blocks; the listener lives until process exit.
-func ListenDebug(addr string, tr *Tracer, fl *FlightRecorder) (string, error) {
-	return obs.ListenDebug(addr, tr, fl)
-}
 
 // StartProfiles begins a CPU profile at <prefix>.cpu.pprof; the returned
 // stop function finishes it and writes <prefix>.heap.pprof and
