@@ -381,13 +381,12 @@ func StructuralClassifier(l *locking.Locked, topK int) ClassifierResult {
 	return res
 }
 
-// CriticalNodeSurvives checks whether any node of enc (keys bound to an
-// arbitrary wrong key) is functionally equivalent to the given function of
-// the original inputs — the paper's combinational-equivalence check that
-// all critical nodes were eliminated. It is the "found" view of
-// cec.FindNode: false covers both a refuted and an undecided search.
+// CriticalNodeSurvives checks whether any node of enc (keys bound to a
+// wrong key, locking.Locked.WrongKeyBound) is functionally equivalent to
+// the given function of the original inputs — the paper's
+// combinational-equivalence check that all critical nodes were eliminated.
+// It is the "found" view of cec.FindNode: false covers both a refuted and
+// an undecided search.
 func CriticalNodeSurvives(ctx context.Context, l *locking.Locked, specG *aig.AIG, spec aig.Lit, opt cec.FindOptions) (aig.Lit, bool) {
-	anyKey := make([]bool, l.KeyBits)
-	bound := l.ApplyKey(anyKey)
-	return cec.FindEquivalentNode(ctx, bound, specG, spec, opt)
+	return cec.FindEquivalentNode(ctx, l.WrongKeyBound(), specG, spec, opt)
 }

@@ -338,9 +338,9 @@ func FindEquivalentNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec ai
 	return lit, v == Found
 }
 
-// coneGraph returns a graph over all of src's inputs with the function of
+// ConeGraph returns a graph over all of src's inputs with the function of
 // root as its single output.
-func coneGraph(src *aig.AIG, root aig.Lit) *aig.AIG {
+func ConeGraph(src *aig.AIG, root aig.Lit) *aig.AIG {
 	g := aig.New()
 	pis := make([]aig.Lit, src.NumInputs())
 	for i := range pis {
@@ -473,10 +473,10 @@ func FindNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec aig.Lit, opt
 		// The quick query was inconclusive: prove the candidate's cone
 		// against the spec's with the swept engine.
 		if specCone == nil {
-			specCone = coneGraph(specG, spec)
+			specCone = ConeGraph(specG, spec)
 		}
 		proofs++
-		r, err := Check(ctx, coneGraph(g, cand), specCone, popt)
+		r, err := Check(ctx, ConeGraph(g, cand), specCone, popt)
 		switch {
 		case err != nil || !r.Decided:
 			undecided = true

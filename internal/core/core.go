@@ -40,32 +40,63 @@ const (
 	CriticalUndecided = "undecided"
 )
 
-// wrongKeyBound binds l's key inputs to a wrong key: all zeros, or, when
-// that is the correct key, all zeros but the first bit.
-func wrongKeyBound(l *locking.Locked) *aig.AIG {
-	wrong := make([]bool, l.KeyBits)
-	same := true
-	for i, b := range l.Key {
-		if b != wrong[i] {
-			same = false
-			break
-		}
-	}
-	if same && l.KeyBits > 0 {
-		wrong[0] = !wrong[0]
-	}
-	return l.ApplyKey(wrong)
+// witnesses are single-output graphs over the original inputs that are
+// proven to compute one function the critical-node scans of a lock look
+// for: the spec's own cone, then the cones earlier scans of the same lock
+// found, cut from their wrong-key-bound netlists.
+type witnesses []*aig.AIG
+
+func newWitnesses(specG *aig.AIG, spec aig.Lit) *witnesses {
+	return &witnesses{cec.ConeGraph(specG, spec)}
 }
 
 // criticalVerdict searches the wrong-key-bound netlist for a node computing
-// the given spec function of the original inputs.
-func criticalVerdict(ctx context.Context, l *locking.Locked, specG *aig.AIG, spec aig.Lit, tr *obs.Tracer, so simp.Options) cec.FindVerdict {
-	bound := wrongKeyBound(l)
+// the witnesses' function. A witness that strash-imports onto an existing
+// node of the netlist (the test FindNode runs first for its spec) decides
+// Found without a scan; byWitness reports that. Otherwise the scan takes
+// the latest witness as its spec: it shares the balanced structure of the
+// candidates it was cut from, so the swept proof merges it cheaply. A node
+// the scan finds becomes a new witness. A decided verdict depends only on
+// the functions in the netlist, so it is the same whichever witness the
+// scan is given.
+func criticalVerdict(ctx context.Context, l *locking.Locked, w *witnesses, tr *obs.Tracer, so simp.Options) (v cec.FindVerdict, byWitness bool) {
+	bound := l.WrongKeyBound()
+	comb := bound.Copy()
+	for _, g := range *w {
+		if x := comb.ImportCone(g, comb.Inputs(), []aig.Lit{g.Output(0)})[0].Var(); x >= 1 && x <= bound.MaxVar() {
+			return cec.Found, true
+		}
+	}
 	fopt := cec.DefaultFindOptions()
 	fopt.Trace = tr
 	fopt.Simp = so
-	_, v := cec.FindNode(ctx, bound, specG, spec, fopt)
-	return v
+	spec := (*w)[len(*w)-1]
+	lit, v := cec.FindNode(ctx, bound, spec, spec.Output(0), fopt)
+	if v == cec.Found {
+		*w = append(*w, cec.ConeGraph(bound, lit))
+	}
+	return v, false
+}
+
+// criticalCheck is the paper's CEC check on a locked netlist, recorded as a
+// lock.cec span. It searches for f first and for lf only once f is
+// refuted; the netlist is clean only when both searches are refuted.
+func criticalCheck(ctx context.Context, l *locking.Locked, f, lf *witnesses, opt Options, sp *obs.Span) string {
+	csp := sp.Span("lock.cec")
+	v, byWitness := criticalVerdict(ctx, l, f, opt.Trace, opt.Simp)
+	if v == cec.Refuted {
+		v, byWitness = criticalVerdict(ctx, l, lf, opt.Trace, opt.Simp)
+	}
+	verdict := CriticalUndecided
+	switch v {
+	case cec.Refuted:
+		verdict = CriticalEliminated
+	case cec.Found:
+		verdict = CriticalSurvives
+	}
+	csp.End(obs.Bool("clean", verdict == CriticalEliminated), obs.Str("verdict", verdict),
+		obs.Bool("witness", byWitness))
+	return verdict
 }
 
 // Options configures ObfusLock.
@@ -420,8 +451,8 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 
 	// Critical-function specs over the full input space, used to confirm
 	// elimination after every netlist transformation (the paper's CEC
-	// check that no critical node survives).
-	specF := c.Output(po)
+	// check that no critical node survives). Their witnesses carry over
+	// between the candidates of every blend attempt.
 	specLG := aig.New()
 	specPIs := make([]aig.Lit, m)
 	for i := 0; i < m; i++ {
@@ -433,6 +464,8 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 	}
 	specL := specLG.ImportCone(lcone, lMap, []aig.Lit{lcone.Output(0)})[0]
 	specLG.AddOutput(specL, "L")
+	witF := newWitnesses(c, c.Output(po))
+	witL := newWitnesses(specLG, specL)
 
 	mk := func(g *aig.AIG) *locking.Locked {
 		return &locking.Locked{
@@ -440,25 +473,8 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 			NumInputs: m, KeyBits: keyBits, Key: bubbles,
 		}
 	}
-	// check is the paper's CEC check on a candidate netlist. It searches
-	// for F first and for L only once F is refuted; the netlist is clean
-	// only when both searches are refuted.
 	check := func(g *aig.AIG) string {
-		csp := sp.Span("lock.cec")
-		lk := mk(g)
-		v := criticalVerdict(ctx, lk, c, specF, opt.Trace, opt.Simp)
-		if v == cec.Refuted {
-			v = criticalVerdict(ctx, lk, specLG, specL, opt.Trace, opt.Simp)
-		}
-		verdict := CriticalUndecided
-		switch v {
-		case cec.Refuted:
-			verdict = CriticalEliminated
-		case cec.Found:
-			verdict = CriticalSurvives
-		}
-		csp.End(obs.Bool("clean", verdict == CriticalEliminated), obs.Str("verdict", verdict))
-		return verdict
+		return criticalCheck(ctx, mk(g), witF, witL, opt, sp)
 	}
 
 	// Blend, assemble and verify elimination. L is built from nodes of C,

@@ -216,6 +216,13 @@ func lockSubCircuit(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 	rep.CutLog2Reach = reach
 	rep.OrigNodes = c.NumNodes()
 	rep.EncNodes = encC.NumNodes()
+	if rep.CriticalNode != "" {
+		// The sub lock's verdict is about the extracted sub-netlist; the
+		// stitched and rewritten netlist is what ships, so scan that.
+		rep.CriticalNode = criticalCheck(ctx, l,
+			newWitnesses(c, c.Output(po)),
+			newWitnesses(lockFn, lockFn.Output(0)), opt, sp)
+	}
 
 	return &Result{Locked: l, Report: rep, LockingFunction: lockFn}, nil
 }

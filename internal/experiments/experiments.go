@@ -313,12 +313,11 @@ func (v Verdict) String() string {
 	return "undecided"
 }
 
-// criticalEliminated scans the locked netlist, keys bound to an
-// arbitrary (all-zero) value, for a node computing spec: Yes when the
+// criticalEliminated scans the locked netlist, keys bound to a wrong key
+// (locking.Locked.WrongKeyBound), for a node computing spec: Yes when the
 // scan refuted every node, No when it found one.
 func criticalEliminated(ctx context.Context, l *locking.Locked, specG *aig.AIG, spec aig.Lit, fopt cec.FindOptions) Verdict {
-	bound := l.ApplyKey(make([]bool, l.KeyBits))
-	switch _, v := cec.FindNode(ctx, bound, specG, spec, fopt); v {
+	switch _, v := cec.FindNode(ctx, l.WrongKeyBound(), specG, spec, fopt); v {
 	case cec.Refuted:
 		return Yes
 	case cec.Found:
@@ -331,7 +330,7 @@ func criticalEliminated(ctx context.Context, l *locking.Locked, specG *aig.AIG, 
 // netlist (keys bound as in criticalEliminated) compute the protected
 // output spec or, when lf is non-nil, the locking circuit lf's output?
 func criticalVisible(ctx context.Context, l *locking.Locked, specG *aig.AIG, spec aig.Lit, lf *aig.AIG, fopt cec.FindOptions) Verdict {
-	bound := l.ApplyKey(make([]bool, l.KeyBits))
+	bound := l.WrongKeyBound()
 	_, vc := cec.FindNode(ctx, bound, specG, spec, fopt)
 	vl := cec.Refuted
 	if lf != nil {

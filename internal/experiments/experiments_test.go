@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"obfuslock/internal/aig"
 	"obfuslock/internal/attacks"
 	"obfuslock/internal/cec"
 	"obfuslock/internal/exec"
@@ -151,6 +152,32 @@ func TestCriticalScanUndecidedIsNotAPass(t *testing.T) {
 	}
 	if v := criticalVisible(ctx, l, c, spec, nil, fopt); v.String() != "true" {
 		t.Errorf("decided Fig. 4 panel prints %q, want true", v)
+	}
+}
+
+// A lock whose correct key is all zeros: the critical-node checks must
+// bind a wrong key, or the unlocked output reads as a surviving critical
+// node. Here o = (x0 ⊕ k0) ∧ x1 with k0* = 0 and the spec is x0 ∧ x1.
+func TestCriticalChecksBindAWrongKey(t *testing.T) {
+	enc := aig.New()
+	x0, x1, k0 := enc.AddInput("x0"), enc.AddInput("x1"), enc.AddInput(locking.KeyName(0))
+	enc.AddOutput(enc.And(enc.Xor(x0, k0), x1), "o")
+	l := &locking.Locked{Scheme: "xor", Enc: enc, NumInputs: 2, KeyBits: 1, Key: []bool{false}}
+	c := aig.New()
+	a, b := c.AddInput("x0"), c.AddInput("x1")
+	c.AddOutput(c.And(a, b), "o")
+	if err := l.Verify(c); err != nil {
+		t.Fatal(err)
+	}
+	ctx, spec, fopt := context.Background(), c.Output(0), cec.DefaultFindOptions()
+	if lit, ok := attacks.CriticalNodeSurvives(ctx, l, c, spec, fopt); ok {
+		t.Errorf("CriticalNodeSurvives found the spec as %v under the correct key", lit)
+	}
+	if v := criticalEliminated(ctx, l, c, spec, fopt); v != Yes {
+		t.Errorf("structural row: critical-eliminated = %v, want true", v)
+	}
+	if v := criticalVisible(ctx, l, c, spec, nil, fopt); v != No {
+		t.Errorf("Fig. 4: critical-visible = %v, want false", v)
 	}
 }
 

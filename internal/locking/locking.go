@@ -3,6 +3,7 @@ package locking
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"obfuslock/internal/aig"
 	"obfuslock/internal/cec"
@@ -63,6 +64,18 @@ func (l *Locked) ApplyKey(key []bool) *aig.AIG {
 
 // Unlocked applies the correct key.
 func (l *Locked) Unlocked() *aig.AIG { return l.ApplyKey(l.Key) }
+
+// WrongKeyBound binds the key inputs to a fixed wrong key: all zeros, or,
+// when all zeros is the correct key, all zeros but the first bit. The
+// critical-node scans search this netlist; binding the correct key would
+// report the unlocked output itself as a surviving critical node.
+func (l *Locked) WrongKeyBound() *aig.AIG {
+	wrong := make([]bool, l.KeyBits)
+	if l.KeyBits > 0 && slices.Equal(l.Key, wrong) {
+		wrong[0] = true
+	}
+	return l.ApplyKey(wrong)
+}
 
 // BindInputs binds the first m primary inputs of enc to the constants x,
 // keeping the remaining inputs (the key inputs, by convention) free. The
