@@ -56,7 +56,7 @@ func internalRefs(root ast.Node, internal map[string]bool) []string {
 
 // TestDeprecatedWrappersRemoved pins the API redesign: the pre-registry
 // convenience wrappers are gone for good. LockWith/SchemeOptions and
-// AttackNamed are the only paths, matching what the job API serializes.
+// AttackNamed are the only paths to a baseline lock or an attack.
 func TestDeprecatedWrappersRemoved(t *testing.T) {
 	removed := map[string]bool{
 		"LockRLL": true, "LockSARLock": true, "LockAntiSAT": true,

@@ -36,7 +36,9 @@
 // cone. -sweep=false runs no sweep: the base is only strashed.
 //
 // Exit status is non-zero when a key-recovery attack returns no key, so
-// scripted resilience sweeps can branch on the result.
+// scripted resilience sweeps can branch on the result. A flag that the
+// chosen mode or attack does not read (say -trace with -structural) is
+// rejected with status 2 instead of being silently ignored.
 package main
 
 import (
@@ -65,41 +67,66 @@ import (
 	"obfuslock/internal/simp"
 )
 
+// config is the parsed command line.
+type config struct {
+	encPath, oraclePath, attackName string
+	timeout                         time.Duration
+	maxIter                         int
+	seed                            int64
+
+	table1, fig4, fig5, structural bool
+	small                          bool
+	skews                          string
+	workers                        int
+	det                            bool
+	sweepCEC                       bool
+	sweepWords                     int
+
+	solver      cliflags.Solver
+	tele        cliflags.Telemetry
+	verbose     bool
+	metricsPath string
+}
+
+// register binds every flag of the tool onto fs.
+func (c *config) register(fs *flag.FlagSet) {
+	fs.StringVar(&c.encPath, "enc", "", "encrypted .bench netlist")
+	fs.StringVar(&c.oraclePath, "oracle", "", "original .bench netlist (the working chip)")
+	fs.StringVar(&c.attackName, "attack", "sat", "attack: sat, appsat, sensitization, sps, removal, bypass, valkyrie, spi")
+	fs.DurationVar(&c.timeout, "timeout", time.Minute, "attack timeout")
+	fs.IntVar(&c.maxIter, "maxiter", 2048, "DIP iteration cap")
+	fs.Int64Var(&c.seed, "seed", 1, "attack randomness seed")
+
+	fs.BoolVar(&c.table1, "table1", false, "regenerate Table I on the full suite")
+	fs.BoolVar(&c.fig4, "fig4", false, "regenerate Fig. 4 statistics (s9234)")
+	fs.BoolVar(&c.fig5, "fig5", false, "regenerate Fig. 5 overheads")
+	fs.BoolVar(&c.structural, "structural", false, "regenerate the structural-attack evaluation")
+	fs.BoolVar(&c.small, "small", false, "use the reduced-size suite for experiment modes")
+	fs.StringVar(&c.skews, "skews", "10,20,30", "comma-separated skewness levels for experiment modes")
+	fs.IntVar(&c.workers, "workers", 0, "experiment parallelism (0: GOMAXPROCS)")
+	fs.BoolVar(&c.det, "det", false, "deterministic sweep: no wall-clock cells or timeouts; output is byte-reproducible")
+	fs.BoolVar(&c.sweepCEC, "sweep", true, "SAT-sweep (fraig) the base miter of removal/valkyrie once per attack")
+	fs.IntVar(&c.sweepWords, "sweep-words", 8, "64-pattern signature words seeding the sweep's equivalence classes")
+
+	c.solver.Register(fs)
+	c.tele.Register(fs)
+
+	fs.BoolVar(&c.verbose, "v", false, "print cumulative SAT-solver statistics after the attack")
+	fs.StringVar(&c.metricsPath, "metrics", "metrics.json", "machine-readable output of -table1")
+}
+
 func main() {
-	encPath := flag.String("enc", "", "encrypted .bench netlist")
-	oraclePath := flag.String("oracle", "", "original .bench netlist (the working chip)")
-	attackName := flag.String("attack", "sat", "attack: sat, appsat, sensitization, sps, removal, bypass, valkyrie, spi")
-	timeout := flag.Duration("timeout", time.Minute, "attack timeout")
-	maxIter := flag.Int("maxiter", 2048, "DIP iteration cap")
-	seed := flag.Int64("seed", 1, "attack randomness seed")
-
-	table1 := flag.Bool("table1", false, "regenerate Table I on the full suite")
-	fig4 := flag.Bool("fig4", false, "regenerate Fig. 4 statistics (s9234)")
-	fig5 := flag.Bool("fig5", false, "regenerate Fig. 5 overheads")
-	structural := flag.Bool("structural", false, "regenerate the structural-attack evaluation")
-	small := flag.Bool("small", false, "use the reduced-size suite for experiment modes")
-	skews := flag.String("skews", "10,20,30", "comma-separated skewness levels for experiment modes")
-	workers := flag.Int("workers", 0, "experiment parallelism (0: GOMAXPROCS)")
-	det := flag.Bool("det", false, "deterministic sweep: no wall-clock cells or timeouts; output is byte-reproducible")
-	sweepCEC := flag.Bool("sweep", true, "SAT-sweep (fraig) the base miter of removal/valkyrie once per attack")
-	sweepWords := flag.Int("sweep-words", 8, "64-pattern signature words seeding the sweep's equivalence classes")
-
-	var solver cliflags.Solver
-	var tele cliflags.Telemetry
-	solver.Register(flag.CommandLine)
-	tele.Register(flag.CommandLine)
-
-	verbose := flag.Bool("v", false, "print cumulative SAT-solver statistics after the attack")
-	metricsPath := flag.String("metrics", "metrics.json", "machine-readable output of -table1")
+	var cfg config
+	cfg.register(flag.CommandLine)
 	flag.Parse()
 
-	if err := validateFlags(*encPath, *oraclePath, *attackName, *table1, *fig4, *fig5, *structural); err != nil {
+	if err := validateFlags(flag.CommandLine, &cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "attack:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	sess, err := tele.Start("attack")
+	sess, err := cfg.tele.Start("attack")
 	if err != nil {
 		fatal(err)
 	}
@@ -121,42 +148,42 @@ func main() {
 	defer stop()
 
 	suite := netlistgen.Catalog()
-	if *small {
+	if cfg.small {
 		suite = netlistgen.SmallSuite()
 	}
-	levels := parseSkews(*skews)
-	sopt := solver.SimpOptions()
+	levels := parseSkews(cfg.skews)
+	sopt := cfg.solver.SimpOptions()
 	budget := experiments.Budget{
-		Timeout:       *timeout,
-		MaxIterations: *maxIter,
-		Workers:       *workers,
-		Deterministic: *det,
+		Timeout:       cfg.timeout,
+		MaxIterations: cfg.maxIter,
+		Workers:       cfg.workers,
+		Deterministic: cfg.det,
 		Simp:          sopt,
-		DIPBatch:      solver.DIPBatch,
+		DIPBatch:      cfg.solver.DIPBatch,
 		Trace:         tracer,
 	}
 
 	switch {
-	case *table1:
-		rows, err := experiments.TableI(ctx, suite, levels, *seed, budget, os.Stdout)
+	case cfg.table1:
+		rows, err := experiments.TableI(ctx, suite, levels, cfg.seed, budget, os.Stdout)
 		if err != nil {
 			fatal(err)
 		}
 		// In deterministic mode the tracer metrics (wall-clock histograms)
 		// are excluded so metrics.json is byte-reproducible too.
 		mtr := tracer
-		if *det {
+		if cfg.det {
 			mtr = nil
 		}
-		if err := writeMetrics(*metricsPath, rows, mtr); err != nil {
+		if err := writeMetrics(cfg.metricsPath, rows, mtr); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s (%d rows)\n", *metricsPath, len(rows))
+		fmt.Printf("wrote %s (%d rows)\n", cfg.metricsPath, len(rows))
 		return
-	case *fig4:
+	case cfg.fig4:
 		b := suite[0]
 		c := b.Build()
-		before, after, err := experiments.Fig4(ctx, c, levels[0], *seed, *workers)
+		before, after, err := experiments.Fig4(ctx, c, levels[0], cfg.seed, cfg.workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -166,20 +193,20 @@ func main() {
 		fmt.Printf("after:  skew-hist=%v key-hist=%v max-skew=%.1f critical-visible=%v\n",
 			after.SkewHist, after.KeyHist, after.MaxSkewBits, after.CriticalVisible)
 		return
-	case *fig5:
-		if _, err := experiments.Fig5(ctx, suite, levels, *seed, *workers, os.Stdout); err != nil {
+	case cfg.fig5:
+		if _, err := experiments.Fig5(ctx, suite, levels, cfg.seed, cfg.workers, os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
-	case *structural:
-		if _, err := experiments.Structural(ctx, suite, levels[0], *seed, *workers, os.Stdout); err != nil {
+	case cfg.structural:
+		if _, err := experiments.Structural(ctx, suite, levels[0], cfg.seed, cfg.workers, os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	enc := readBench(*encPath)
-	orig := readBench(*oraclePath)
+	enc := readBench(cfg.encPath)
+	orig := readBench(cfg.oraclePath)
 	l, err := locking.FromNetlist(enc, "unknown")
 	if err != nil {
 		fatal(err)
@@ -190,12 +217,12 @@ func main() {
 	}
 	oracle := locking.NewOracle(orig)
 	aopt := attacks.DefaultIOOptions()
-	aopt.Timeout = *timeout
-	aopt.MaxIterations = *maxIter
-	aopt.Seed = *seed
+	aopt.Timeout = cfg.timeout
+	aopt.MaxIterations = cfg.maxIter
+	aopt.Seed = cfg.seed
 	aopt.Trace = tracer
 	aopt.Simp = sopt
-	aopt.DIPBatch = solver.DIPBatch
+	aopt.DIPBatch = cfg.solver.DIPBatch
 
 	// report prints the outcome and returns false when no key came back —
 	// the caller exits non-zero so sweep scripts can branch on it.
@@ -208,7 +235,7 @@ func main() {
 				status = "incorrect key " + keyString(key)
 			}
 		}
-		fmt.Printf("%s: %s%s\n", *attackName, status, extra)
+		fmt.Printf("%s: %s%s\n", cfg.attackName, status, extra)
 		return key != nil
 	}
 
@@ -216,11 +243,11 @@ func main() {
 	// The oracle-guided attacks (sat, appsat) dispatch through
 	// the facade's attack registry — one code path instead of a switch arm
 	// per attack; the analysis attacks below have bespoke outputs.
-	if a, ok := obfuslock.AttackNamed(*attackName); ok {
+	if a, ok := obfuslock.AttackNamed(cfg.attackName); ok {
 		r := a.Run(ctx, l, oracle, aopt)
 		gotKey = report(r.Key, fmt.Sprintf(" (iters=%d queries=%d exact=%v timeout=%v runtime=%v)",
 			r.Iterations, r.Queries, r.Exact, r.TimedOut, r.Runtime))
-		printSolverStats(*verbose, r.SolverStats)
+		printSolverStats(cfg.verbose, r.SolverStats)
 		if !gotKey {
 			writeLedger()
 			sess.Finish()
@@ -228,20 +255,20 @@ func main() {
 		}
 		return
 	}
-	switch *attackName {
+	switch cfg.attackName {
 	case "sensitization":
 		r := attacks.Sensitization(ctx, l, oracle, exec.WithConflicts(500000), sopt)
 		fmt.Printf("sensitization: %d/%d key bits isolatable (timed-out=%v runtime=%v)\n",
 			r.NumIsolatable, l.KeyBits, r.TimedOut, r.Runtime)
 	case "sps":
-		r := attacks.SPS(l, 256, *seed, 10)
+		r := attacks.SPS(l, 256, cfg.seed, 10)
 		fmt.Println("sps: top skewed nodes (candidate critical nodes):")
 		for i, v := range r.Candidates {
 			fmt.Printf("  n%d  %.1f bits\n", v, r.SkewBits[i])
 		}
 	case "removal":
-		sps := attacks.SPS(l, 256, *seed, 10)
-		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(*sweepCEC, *sweepWords, *seed, tracer, sopt))
+		sps := attacks.SPS(l, 256, cfg.seed, 10)
+		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(cfg.sweepCEC, cfg.sweepWords, cfg.seed, tracer, sopt))
 		fmt.Printf("removal: success=%v tried=%d undecided=%d runtime=%v\n", r.Success, r.Tried, r.Undecided, r.Runtime)
 	case "bypass":
 		wrong := make([]bool, l.KeyBits)
@@ -249,7 +276,7 @@ func main() {
 		fmt.Printf("bypass: success=%v patterns=%d exhausted=%v runtime=%v\n",
 			r.Success, r.Patterns, r.Exhausted, r.Runtime)
 	case "valkyrie":
-		r := attacks.Valkyrie(ctx, l, orig, 8, 128, *seed, cecOptions(*sweepCEC, *sweepWords, *seed, tracer, sopt))
+		r := attacks.Valkyrie(ctx, l, orig, 8, 128, cfg.seed, cecOptions(cfg.sweepCEC, cfg.sweepWords, cfg.seed, tracer, sopt))
 		fmt.Printf("valkyrie: found-pair=%v restore-only=%v pairs-tried=%d undecided=%d runtime=%v\n",
 			r.FoundPair, r.RestoreOnly, r.PairsTried, r.Undecided, r.Runtime)
 	case "spi":
@@ -278,34 +305,77 @@ func cecOptions(sweep bool, sweepWords int, seed int64, tracer *obs.Tracer, sopt
 	return opt
 }
 
-// validateFlags rejects inconsistent mode combinations before any work
+// experimentFlags lists, per experiment mode, the flags its code path
+// reads; attackFlags does the same for single-attack mode, keyed by the
+// -attack name. Every mode also reads -seed, -pprof, -ledger and the mode
+// switches, and single-attack mode reads -enc, -oracle and -attack. A
+// flag set on the command line that its mode does not read is rejected
+// instead of silently ignored.
+var (
+	experimentFlags = map[string][]string{
+		"table1":     {"small", "skews", "workers", "det", "timeout", "maxiter", "simp", "dip-batch", "trace", "metrics"},
+		"fig4":       {"small", "skews", "workers"},
+		"fig5":       {"small", "skews", "workers"},
+		"structural": {"small", "skews", "workers"},
+	}
+	attackFlags = map[string][]string{
+		"sat":           {"timeout", "maxiter", "simp", "dip-batch", "trace", "v"},
+		"appsat":        {"timeout", "maxiter", "simp", "dip-batch", "trace", "v"},
+		"sensitization": {"simp"},
+		"sps":           nil,
+		"removal":       {"simp", "sweep", "sweep-words", "trace"},
+		"bypass":        {"simp"},
+		"valkyrie":      {"simp", "sweep", "sweep-words", "trace"},
+		"spi":           nil,
+	}
+)
+
+// validateFlags rejects inconsistent command lines before any work
 // starts: exactly one experiment mode, or single-attack mode with both
-// -enc and -oracle.
-func validateFlags(encPath, oraclePath, attackName string, table1, fig4, fig5, structural bool) error {
-	modes := 0
-	for _, m := range []bool{table1, fig4, fig5, structural} {
-		if m {
-			modes++
+// -enc and -oracle and a known attack; and no explicitly set flag that
+// the chosen mode does not read.
+func validateFlags(fs *flag.FlagSet, c *config) error {
+	var modes []string
+	for _, m := range []struct {
+		name string
+		on   bool
+	}{{"table1", c.table1}, {"fig4", c.fig4}, {"fig5", c.fig5}, {"structural", c.structural}} {
+		if m.on {
+			modes = append(modes, m.name)
 		}
 	}
-	if modes > 1 {
+	if len(modes) > 1 {
 		return fmt.Errorf("pick one experiment mode (-table1, -fig4, -fig5 or -structural)")
 	}
-	if modes == 1 {
-		if encPath != "" || oraclePath != "" {
-			return fmt.Errorf("-enc/-oracle do not apply in experiment modes")
+	allowed := map[string]bool{
+		"seed": true, "pprof": true, "ledger": true,
+		"table1": true, "fig4": true, "fig5": true, "structural": true,
+	}
+	mode, reads := "", []string(nil)
+	if len(modes) == 1 {
+		mode, reads = "-"+modes[0], experimentFlags[modes[0]]
+	} else {
+		var known bool
+		if reads, known = attackFlags[c.attackName]; !known {
+			return fmt.Errorf("unknown attack %q", c.attackName)
 		}
-		return nil
+		mode = "-attack " + c.attackName
+		allowed["enc"], allowed["oracle"], allowed["attack"] = true, true, true
 	}
-	if encPath == "" || oraclePath == "" {
+	for _, name := range reads {
+		allowed[name] = true
+	}
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if !allowed[f.Name] {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return fmt.Errorf("%s not read by %s", strings.Join(unread, ", "), mode)
+	}
+	if len(modes) == 0 && (c.encPath == "" || c.oraclePath == "") {
 		return fmt.Errorf("-enc and -oracle are required (or use an experiment mode)")
-	}
-	known := map[string]bool{
-		"sat": true, "appsat": true, "sensitization": true,
-		"sps": true, "removal": true, "bypass": true, "valkyrie": true, "spi": true,
-	}
-	if !known[attackName] {
-		return fmt.Errorf("unknown attack %q", attackName)
 	}
 	return nil
 }

@@ -1,5 +1,7 @@
-// Package service holds the wire types of the job API that the facade's
-// obfuslock.RunJob executes in-process.
+// Package service holds the wire types of the JSON job document. Nothing
+// in the module imports it or executes a job any more: the facade's job
+// runner is gone, and this package follows it, together with its tests
+// and golden files.
 //
 // JobSpec ("obfuslock-job/v1") names one pipeline — lock, attack, cec,
 // count or sample — with its circuits as .bench text, its SchemeOptions
@@ -12,8 +14,7 @@
 // document strictly and validates it, and Budget.Exec converts the wire
 // budget to exec.Budget.
 //
-// Execution lives in the facade, where the scheme and attack registries
-// are in scope. That keeps the wire types self-contained — nothing in a
-// JobSpec or JobResult references another package — which the facade's
-// API-surface test enforces.
+// The wire types are self-contained — nothing in a JobSpec or JobResult
+// references another package — which the facade's API-surface test
+// enforces.
 package service

@@ -13,9 +13,9 @@ import (
 // an API change: the golden round-trip tests fail until the goldens and
 // docs are regenerated to match.
 const (
-	// SchemaVersion is the versioned job-spec schema RunJob accepts.
+	// SchemaVersion is the versioned job-spec schema.
 	SchemaVersion = "obfuslock-job/v1"
-	// ResultSchema is the versioned result layout RunJob returns.
+	// ResultSchema is the versioned result layout.
 	ResultSchema = "obfuslock-result/v1"
 )
 
@@ -52,11 +52,9 @@ type Budget struct {
 	MaxConflicts int64 `json:"max_conflicts,omitempty"`
 }
 
-// SchemeOptions parameterizes the locking schemes. It is the single
-// options vocabulary for both paths — the facade's LockWith takes it
-// directly and JobSpec carries it in a lock job — so a job spec and a
-// direct call are the same object. Each scheme reads the fields it needs
-// and ignores the rest; zero values fall back to per-scheme defaults.
+// SchemeOptions is the wire form of a lock job's scheme parameters. Each
+// scheme reads the fields it needs and ignores the rest; zero values fall
+// back to per-scheme defaults.
 type SchemeOptions struct {
 	// KeyBits is the number of inserted key gates (RLL).
 	KeyBits int `json:"key_bits,omitempty"`
@@ -90,9 +88,8 @@ type AttackOptions struct {
 	RandomQueries int `json:"random_queries,omitempty"`
 }
 
-// JobSpec is one versioned job submission: the argument of the facade's
-// RunJob. Circuits travel as .bench text so the JSON form needs no binary
-// framing and stays diffable.
+// JobSpec is one versioned job submission. Circuits travel as .bench text
+// so the JSON form needs no binary framing and stays diffable.
 type JobSpec struct {
 	// Schema must equal SchemaVersion.
 	Schema string `json:"schema"`
@@ -206,7 +203,7 @@ func Errorf(code, format string, args ...any) *Error {
 // Validate checks the schema version, the kind, the per-kind required
 // fields, and that every budget field is one the kind applies. It does
 // not parse the embedded netlists or check scheme/attack names against a
-// registry — RunJob layers that on.
+// registry.
 func (s *JobSpec) Validate() *Error {
 	if s.Schema != SchemaVersion {
 		return Errorf(CodeBadSchema, "unsupported schema %q (want %s)", s.Schema, SchemaVersion)

@@ -193,7 +193,7 @@ func SkewnessBits(c *Circuit, output int, seed int64) float64 {
 // Baseline locking schemes for comparison (the trilemma corners) live in
 // the scheme registry: Schemes() lists them, LockWith applies one by name
 // with a SchemeOptions. ObfusLock itself is Lock/LockContext with its own
-// Options; the job API (RunJob, kind "lock") routes to either by name.
+// Options.
 
 // Observability. Options.Trace and AttackOptions.Trace accept a *Tracer;
 // a nil tracer is fully disabled and costs nothing. See internal/obs and

@@ -5,6 +5,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFacadeRoundTrip(t *testing.T) {
@@ -36,6 +37,17 @@ func TestFacadeRoundTrip(t *testing.T) {
 	if !eq {
 		t.Fatal("bench round trip changed the locked netlist")
 	}
+
+	// The same lock under a 1 ms deadline stops promptly with an error.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := LockContext(ctx, c, opt); err == nil || ctx.Err() == nil {
+		t.Fatalf("lock under a 1 ms deadline: err=%v ctx.Err()=%v, want both non-nil", err, ctx.Err())
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("the deadline took %v to stop the lock", took)
+	}
 }
 
 func TestFacadeAttackAndPPA(t *testing.T) {
@@ -53,6 +65,9 @@ func TestFacadeAttackAndPPA(t *testing.T) {
 	satAttack, ok := AttackNamed("sat")
 	if !ok {
 		t.Fatal("sat attack missing from registry")
+	}
+	if _, ok := AttackNamed("portfolio"); ok {
+		t.Fatal("portfolio is not a registered attack")
 	}
 	r := satAttack.Run(context.Background(), res.Locked, NewOracle(c), aopt)
 	if r.Exact {
@@ -79,6 +94,21 @@ func TestFacadeBaselines(t *testing.T) {
 		}
 		if err := l.Verify(c); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if name != "rll" && name != "sfll-hd" {
+			continue // the point-function schemes are built to outlast the DIP cap
+		}
+		// The low-resilience baselines fall to the SAT attack within the cap.
+		aopt := DefaultAttackOptions()
+		aopt.MaxIterations = 200
+		sat, _ := AttackNamed("sat")
+		r := sat.Run(context.Background(), l, NewOracle(c), aopt)
+		if !r.Exact || len(r.Key) != l.KeyBits {
+			t.Fatalf("%s: SAT attack exact=%v key=%d bits after %d iterations, want an exact %d-bit key",
+				name, r.Exact, len(r.Key), r.Iterations, l.KeyBits)
+		}
+		if ok, err := l.VerifyKey(c, r.Key); err != nil || !ok {
+			t.Fatalf("%s: recovered key does not unlock the circuit (err=%v)", name, err)
 		}
 	}
 }

@@ -11,17 +11,22 @@ import (
 
 	"obfuslock/internal/attacks"
 	"obfuslock/internal/lockbase"
-	"obfuslock/internal/service"
 )
 
-// SchemeOptions parameterizes the locking schemes. It is the package's
-// single scheme-options vocabulary: LockWith takes it directly and the
-// job API (JobSpec.SchemeOptions) carries the very same type over the
-// wire, so an in-process call and an HTTP submission describe a lock
-// identically. Each scheme reads the fields it needs and ignores the
-// rest; zero values fall back to per-scheme defaults. SkewBits applies
-// only to the "obfuslock" scheme accepted by RunJob.
-type SchemeOptions = service.SchemeOptions
+// SchemeOptions parameterizes the baseline locking schemes that LockWith
+// applies. Each scheme reads the fields it needs and ignores the rest;
+// zero values fall back to per-scheme defaults.
+type SchemeOptions struct {
+	// KeyBits is the number of inserted key gates (RLL).
+	KeyBits int
+	// ProtWidth is the protected input width (SARLock, Anti-SAT, TTLock,
+	// SFLL-HD): the flip logic watches this many inputs.
+	ProtWidth int
+	// HammingDistance is SFLL-HD's protected distance h.
+	HammingDistance int
+	// Seed drives each scheme's randomized choices.
+	Seed int64
+}
 
 // schemeFunc adapts one baseline to the common registry signature.
 type schemeFunc func(c *Circuit, opt SchemeOptions) (*Locked, error)
