@@ -385,7 +385,7 @@ func BenchmarkFraigCEC(b *testing.B) {
 // The protected width equals the input count, so no two patterns share
 // a wrong key and both modes need exactly the same DIP set: TestMain
 // asserts the speedup was measured at equal oracle work before writing
-// BENCH_attack.json; CI gates on speedup >= 2 with equal_queries true.
+// BENCH_attack.json; CI gates on speedup >= 1.7 with equal_queries true.
 func BenchmarkSATAttackBatched(b *testing.B) {
 	orig := netlistgen.Multiplier(6)
 	l, err := lockbase.SARLock(orig, 12, 1)
@@ -429,7 +429,7 @@ func BenchmarkSATAttackBatched(b *testing.B) {
 
 // BenchmarkSATAttackSimp measures the preprocessing tentpole where it
 // matters most: the incremental DIP loop of the SAT attack, whose miter
-// grows by two oracle copies per iteration. A 6-bit SARLock forces ~2^6
+// grows by two key cones per iteration. A 6-bit SARLock forces ~2^6
 // iterations, so one op is dominated by solver search rather than
 // construction; the on/off pair quantifies the win, and BENCH_sat.json
 // keeps the per-op solver counters for regression tracking.

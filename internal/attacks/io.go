@@ -10,6 +10,7 @@ import (
 	"obfuslock/internal/locking"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sat"
+	"obfuslock/internal/sim"
 	"obfuslock/internal/simp"
 )
 
@@ -118,10 +119,17 @@ type attackState struct {
 	// bit-parallel pass over the locked circuit per batch instead of a
 	// full-graph constant fold per DIP.
 	cone *locking.KeyCone
-	// Per-DIP scratch, pooled so addIOConstraint's and blockDIP's
-	// allocations do not scale with the circuit size on every iteration.
-	spec     *aig.AIG
-	specEnc  *cnf.Encoder
+	// round holds every I/O constraint of the current DIP round folded
+	// into one strashed graph over the key inputs keys, so the round's
+	// cones share their common sub-functions of the key. encs encode it
+	// once per key copy (tied to k1Lits and k2Lits); beginRound resets
+	// all three, which keeps allocations flat across rounds.
+	round *aig.AIG
+	keys  []aig.Lit
+	encs  [2]*cnf.Encoder
+	// keyNodes counts the round-graph nodes the I/O constraints folded
+	// (each encoded once per key copy), for the span's key_nodes field.
+	keyNodes int64
 	blockBuf []sat.Lit
 	// Pipeline histograms; all nil with telemetry off, and the loops
 	// then never read the clock for them.
@@ -156,11 +164,15 @@ func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Orac
 		xLits: xLits, k1Lits: k1, k2Lits: k2, actDiff: act,
 		stopped: func() bool { return ctx.Err() != nil },
 		cone:    locking.NewKeyCone(l.Enc, l.NumInputs),
-		spec:    aig.New(),
+		round:   aig.New(),
+		keys:    make([]aig.Lit, l.KeyBits),
 		hDIP:    tr.Histogram(MetricDIPLatency),
 		hBatch:  tr.Histogram(MetricBatchSize),
 		hOracle: tr.Histogram(MetricOracleLatency),
 		hDPS:    tr.Histogram(MetricDIPsPerSolve),
+	}
+	for c := range st.encs {
+		st.encs[c] = cnf.NewEncoder(st.round, s)
 	}
 	s.SetContext(ctx)
 	s.SetTelemetry(tr.Registry())
@@ -185,61 +197,62 @@ func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Orac
 	return st
 }
 
-// addIOConstraint asserts enc(x, k) == y for both key copies by
-// constant-folding the inputs into a key-only cone. The cone graph and
-// its encoder are pooled on the state: each call rebuilds them in place
-// instead of allocating circuit-sized tables per DIP. These clauses only
-// mention frozen key literals and fresh solver variables, so they remain
-// sound after any earlier variable elimination.
-func (st *attackState) addIOConstraint(x, y []bool) {
-	st.encodeSpec(locking.BindInputsInto(st.spec, st.l.Enc, st.l.NumInputs, x), y)
+// beginRound empties the round graph and both encoders at the start of
+// a DIP round. Solver variables of earlier rounds are never read again:
+// inprocessing (which may eliminate them) runs only between rounds, and
+// the round's constraints reach the key solely through the frozen key
+// literals, so they stay sound after any earlier variable elimination.
+func (st *attackState) beginRound() {
+	g := st.round
+	g.Reset()
+	for i := range st.keys {
+		st.keys[i] = g.AddInput(st.l.Enc.InputName(st.l.NumInputs + i))
+	}
+	for c, kLits := range [][]sat.Lit{st.k1Lits, st.k2Lits} {
+		e := st.encs[c]
+		e.Reset(g, st.s)
+		for i, kl := range kLits {
+			e.TieInput(i, kl)
+		}
+	}
 }
 
-// addIOConstraints asserts enc(x, k) == y for a whole answered batch.
-// One bit-parallel simulation pass over the locked circuit replaces the
-// per-pattern full-graph constant fold of addIOConstraint; the bound
-// cones (and therefore the emitted clauses) are identical.
+// addIOConstraints asserts enc(x, k) == y for both key copies, for each
+// pattern of an answered batch. Each pattern's key-only cone is folded
+// into the round graph, and each encoder encodes only the part of the
+// cone this round has not encoded yet. A multi-pattern batch folds from
+// one bit-parallel simulation pass over the locked circuit (KeyCone)
+// instead of one full-graph constant fold per pattern; the folded cones
+// are identical either way.
 func (st *attackState) addIOConstraints(xs, ys [][]bool, perDIP func(j int)) {
-	if len(xs) == 1 {
+	before := st.round.NumNodes()
+	var v *sim.Vectors
+	if len(xs) > 1 {
 		// A single pattern (the classic serial loop) folds directly; the
 		// simulation pass only pays off amortized across a batch.
-		st.addIOConstraint(xs[0], ys[0])
-		if perDIP != nil {
-			perDIP(0)
-		}
-		return
+		v = st.cone.Simulate(xs)
 	}
-	v := st.cone.Simulate(xs)
-	for j := range xs {
-		st.encodeSpec(st.cone.BindInto(st.spec, v, j), ys[j])
+	for j, x := range xs {
+		var outs []aig.Lit
+		if v == nil {
+			outs = locking.FoldInputs(st.round, st.l.Enc, st.l.NumInputs, x, st.keys)
+		} else {
+			outs = st.cone.Fold(st.round, st.keys, v, j)
+		}
+		for _, e := range st.encs {
+			for i, o := range e.Encode(outs...) {
+				if ys[j][i] {
+					st.s.AddClause(o)
+				} else {
+					st.s.AddClause(o.Not())
+				}
+			}
+		}
 		if perDIP != nil {
 			perDIP(j)
 		}
 	}
-}
-
-// encodeSpec asserts the key-only cone spec's outputs equal y for both
-// key copies of the miter.
-func (st *attackState) encodeSpec(spec *aig.AIG, y []bool) {
-	for _, kLits := range [][]sat.Lit{st.k1Lits, st.k2Lits} {
-		if st.specEnc == nil {
-			st.specEnc = cnf.NewEncoder(spec, st.s)
-		} else {
-			st.specEnc.Reset(spec, st.s)
-		}
-		e := st.specEnc
-		for i := 0; i < st.l.KeyBits; i++ {
-			e.TieInput(i, kLits[i])
-		}
-		outs := e.Encode()
-		for i, o := range outs {
-			if y[i] {
-				st.s.AddClause(o)
-			} else {
-				st.s.AddClause(o.Not())
-			}
-		}
-	}
+	st.keyNodes += int64(st.round.NumNodes() - before)
 }
 
 // inprocessDue reports whether the serial inprocessing cadence fires
@@ -291,6 +304,7 @@ func SATAttack(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, o
 		if st.hDIP != nil {
 			roundStart = time.Now()
 		}
+		st.beginRound()
 		prev := st.s.Stats()
 		status, dips := st.dipRound(width)
 		if status == sat.Unknown {
@@ -341,7 +355,9 @@ func SATAttack(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, o
 		obs.Bool("exact", res.Exact),
 		obs.Bool("timed_out", res.TimedOut),
 		obs.Bool("key_found", res.Key != nil),
-		obs.Int("conflicts", res.SolverStats.Conflicts))
+		obs.Int("conflicts", res.SolverStats.Conflicts),
+		obs.Int("key_nodes", st.keyNodes),
+		obs.Int("vars", int64(st.s.NumVars())))
 	return res
 }
 
@@ -384,6 +400,7 @@ func AppSAT(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 		if st.hDIP != nil {
 			roundStart = time.Now()
 		}
+		st.beginRound()
 		prev := st.s.Stats()
 		status, dips := st.dipRound(width)
 		if status == sat.Unknown {
@@ -454,7 +471,9 @@ func AppSAT(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 		obs.Bool("exact", res.Exact),
 		obs.Bool("timed_out", res.TimedOut),
 		obs.Bool("key_found", res.Key != nil),
-		obs.Int("conflicts", res.SolverStats.Conflicts))
+		obs.Int("conflicts", res.SolverStats.Conflicts),
+		obs.Int("key_nodes", st.keyNodes),
+		obs.Int("vars", int64(st.s.NumVars())))
 	return res
 }
 

@@ -15,7 +15,10 @@ import (
 // has to restore the original function exactly — with full elimination,
 // with inprocessing forced on every iteration, and with simp off. The
 // keys themselves may differ between configurations (several keys can be
-// correct), so the check is functional, not positional.
+// correct), so the check is functional, not positional. Both DIP widths
+// run: the serial loop folds one DIP per round, the default width folds
+// a whole batch into one round graph, and inproc1 eliminates variables
+// between every pair of rounds.
 func TestSATAttackSimpOnOffBothExact(t *testing.T) {
 	type instance struct {
 		name string
@@ -45,20 +48,24 @@ func TestSATAttackSimpOnOffBothExact(t *testing.T) {
 			}
 			orig := l.Unlocked()
 			for name, so := range configs {
-				opt := DefaultIOOptions()
-				opt.Seed = seed
-				opt.Simp = so
-				r := SATAttack(context.Background(), l, locking.NewOracle(orig), opt)
-				if !r.Exact {
-					t.Fatalf("%s seed %d simp=%s: attack did not terminate exact", ins.name, seed, name)
-				}
-				ok, err := l.VerifyKey(orig, r.Key)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					t.Errorf("%s seed %d simp=%s: exact claim with a wrong key (iters=%d)",
-						ins.name, seed, name, r.Iterations)
+				for _, batch := range []int{1, 0} {
+					opt := DefaultIOOptions()
+					opt.Seed = seed
+					opt.Simp = so
+					opt.DIPBatch = batch
+					r := SATAttack(context.Background(), l, locking.NewOracle(orig), opt)
+					if !r.Exact {
+						t.Fatalf("%s seed %d simp=%s batch=%d: attack did not terminate exact",
+							ins.name, seed, name, batch)
+					}
+					ok, err := l.VerifyKey(orig, r.Key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						t.Errorf("%s seed %d simp=%s batch=%d: exact claim with a wrong key (iters=%d)",
+							ins.name, seed, name, batch, r.Iterations)
+					}
 				}
 			}
 		}

@@ -1,0 +1,65 @@
+package attacks
+
+import (
+	"context"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"obfuslock/internal/lockbase"
+	"obfuslock/internal/locking"
+	"obfuslock/internal/netlistgen"
+	"obfuslock/internal/obs"
+)
+
+// spanEnds records the end fields of every span by name.
+type spanEnds struct {
+	mu   sync.Mutex
+	ends map[string]map[string]any
+}
+
+func (s *spanEnds) SpanStart(obs.SpanData) {}
+func (s *spanEnds) SpanEnd(sd obs.SpanData) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fields := map[string]any{}
+	for _, f := range sd.Fields {
+		fields[f.Key] = f.Value()
+	}
+	s.ends[sd.Name] = fields
+}
+func (s *spanEnds) Event(uint64, string, time.Time, []obs.Field) {}
+func (s *spanEnds) Metric(obs.MetricSnapshot)                    {}
+
+// The attack spans end with the formula's size — key_nodes folded by the
+// I/O constraints and the solver's variable count — and recording them
+// never changes the attack.
+func TestAttackSpanReportsFormulaSize(t *testing.T) {
+	orig := netlistgen.Multiplier(4)
+	l, err := lockbase.RLL(orig, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(context.Context, *locking.Locked, *locking.Oracle, IOOptions) IOResult{
+		"attack.sat":    SATAttack,
+		"attack.appsat": AppSAT,
+	} {
+		opt := DefaultIOOptions()
+		opt.MaxIterations = 40
+		plain := run(context.Background(), l, locking.NewOracle(orig), opt)
+		sink := &spanEnds{ends: map[string]map[string]any{}}
+		opt.Trace = obs.New(sink)
+		traced := run(context.Background(), l, locking.NewOracle(orig), opt)
+		plain.Runtime, traced.Runtime = 0, 0
+		if !reflect.DeepEqual(plain, traced) {
+			t.Fatalf("%s: tracing changed the attack:\n%+v\n%+v", name, plain, traced)
+		}
+		end := sink.ends[name]
+		for _, k := range []string{"key_nodes", "vars"} {
+			if v, ok := end[k].(int64); !ok || v <= 0 {
+				t.Errorf("%s: span end %s = %v, want a positive count", name, k, end[k])
+			}
+		}
+	}
+}

@@ -41,33 +41,23 @@ func NewEncoder(g *aig.AIG, s *sat.Solver) *Encoder {
 }
 
 // Reset rebinds the encoder to a graph and solver, reusing its internal
-// tables (the SAT-attack inner loop pools encoders to keep per-DIP
+// tables (the SAT-attack inner loop pools encoders to keep per-round
 // allocations flat). All input ties and encoded cones are forgotten.
 func (e *Encoder) Reset(g *aig.AIG, s *sat.Solver) {
 	e.G, e.S = g, s
-	n := int(g.MaxVar()) + 1
-	if cap(e.varOf) < n {
-		e.varOf = make([]sat.Lit, n)
-		e.mapped = make([]bool, n)
-		return
-	}
-	e.varOf = e.varOf[:n]
-	e.mapped = e.mapped[:n]
-	for i := range e.mapped {
-		e.mapped[i] = false
-	}
+	e.varOf, e.mapped = e.varOf[:0], e.mapped[:0]
+	e.grow()
 }
 
 // grow extends the per-variable tables to cover nodes added to the graph
-// after the encoder was created.
+// after the encoder was created or Reset. The appended entries are
+// zeroed in place while capacity lasts, so an encoder whose graph is
+// rebuilt from its inputs every round stops allocating once its tables
+// reach the largest round.
 func (e *Encoder) grow() {
-	if n := int(e.G.MaxVar()) + 1; n > len(e.varOf) {
-		varOf := make([]sat.Lit, n)
-		copy(varOf, e.varOf)
-		e.varOf = varOf
-		mapped := make([]bool, n)
-		copy(mapped, e.mapped)
-		e.mapped = mapped
+	if n, old := int(e.G.MaxVar())+1, len(e.varOf); n > old {
+		e.varOf = append(e.varOf, make([]sat.Lit, n-old)...)
+		e.mapped = append(e.mapped, make([]bool, n-old)...)
 	}
 }
 

@@ -82,18 +82,27 @@ func (l *Locked) WrongKeyBound() *aig.AIG {
 // result is the key-only cone used when recording I/O constraints in
 // oracle-guided attacks.
 func BindInputs(enc *aig.AIG, m int, x []bool) *aig.AIG {
-	return BindInputsInto(aig.New(), enc, m, x)
+	ng := aig.New()
+	keys := make([]aig.Lit, enc.NumInputs()-m)
+	for i := range keys {
+		keys[i] = ng.AddInput(enc.InputName(m + i))
+	}
+	for i, o := range FoldInputs(ng, enc, m, x, keys) {
+		ng.AddOutput(o, enc.OutputName(i))
+	}
+	return ng
 }
 
-// BindInputsInto is BindInputs building into dst, which is Reset first.
-// Reusing one dst across calls keeps the per-call allocations independent
-// of how often the cone is rebuilt (the attacks bind one pattern per DIP).
-func BindInputsInto(dst, enc *aig.AIG, m int, x []bool) *aig.AIG {
-	if len(x) != m || m > enc.NumInputs() {
-		panic("locking: BindInputs shape mismatch")
+// FoldInputs folds the key-only cone of pattern x into dst: the first m
+// inputs of enc are bound to the constants x and key input i to keys[i],
+// a literal of dst. It returns the cone's output literals in dst. dst is
+// strashed, so folding several patterns into one graph shares every
+// sub-function of the key they have in common (the attacks fold a whole
+// DIP round into one graph).
+func FoldInputs(dst, enc *aig.AIG, m int, x []bool, keys []aig.Lit) []aig.Lit {
+	if len(x) != m || m+len(keys) != enc.NumInputs() {
+		panic("locking: FoldInputs shape mismatch")
 	}
-	ng := dst
-	ng.Reset()
 	piMap := make([]aig.Lit, enc.NumInputs())
 	for i := 0; i < m; i++ {
 		if x[i] {
@@ -102,31 +111,26 @@ func BindInputsInto(dst, enc *aig.AIG, m int, x []bool) *aig.AIG {
 			piMap[i] = aig.ConstFalse
 		}
 	}
-	for i := m; i < enc.NumInputs(); i++ {
-		piMap[i] = ng.AddInput(enc.InputName(i))
-	}
-	outs := ng.Import(enc, piMap)
-	for i, o := range outs {
-		ng.AddOutput(o, enc.OutputName(i))
-	}
-	return ng
+	copy(piMap[m:], keys)
+	return dst.Import(enc, piMap)
 }
 
 // KeyCone is the precomputed key-dependent skeleton of a locked
-// circuit, the batched counterpart of BindInputs. Binding an input
+// circuit, the batched counterpart of FoldInputs. Binding an input
 // pattern folds every key-independent node to a constant, which costs a
 // full-graph walk per pattern; a KeyCone amortizes that across a DIP
 // batch: Simulate evaluates all key-independent nodes for up to 64
-// patterns in one bit-parallel pass, and BindInto then walks only the
-// (usually tiny) key-dependent cone per pattern. The bound cone is
-// byte-identical to BindInputsInto's for the same pattern. A KeyCone is
-// not safe for concurrent use: it reuses internal scratch across calls.
+// patterns in one bit-parallel pass, and Fold then walks only the
+// (usually tiny) key-dependent cone per pattern. Fold makes the same
+// strashed calls in the same order as FoldInputs for the same pattern,
+// so the folded cone is identical. A KeyCone is not safe for concurrent
+// use: it reuses internal scratch across calls.
 type KeyCone struct {
 	enc  *aig.AIG
 	m    int
 	vars []uint32  // key-dependent non-input vars in output TFI, topological
 	dep  []bool    // per var: depends on at least one key input
-	mp   []aig.Lit // scratch: enc var -> bound lit, rewritten per BindInto
+	mp   []aig.Lit // scratch: enc var -> folded lit, rewritten per Fold
 }
 
 // NewKeyCone precomputes the key-dependent cone of enc, whose first m
@@ -158,7 +162,7 @@ func NewKeyCone(enc *aig.AIG, m int) *KeyCone {
 
 // Simulate evaluates the locked circuit on a batch of original-input
 // patterns in one bit-parallel pass. Key inputs are driven with zero,
-// which is irrelevant for the key-independent nodes BindInto reads.
+// which is irrelevant for the key-independent nodes Fold reads.
 func (kc *KeyCone) Simulate(xs [][]bool) *sim.Vectors {
 	full := make([][]bool, len(xs))
 	for j, x := range xs {
@@ -172,19 +176,21 @@ func (kc *KeyCone) Simulate(xs [][]bool) *sim.Vectors {
 	return sim.Run(kc.enc, sim.Pack(full, kc.enc.NumInputs()))
 }
 
-// BindInto rebuilds dst (Reset first) as the key-only constraint cone of
-// pattern j of a Simulate batch — the same graph BindInputsInto builds
-// for that pattern, at cone-sized instead of circuit-sized cost.
-func (kc *KeyCone) BindInto(dst *aig.AIG, v *sim.Vectors, j int) *aig.AIG {
-	ng := dst
-	ng.Reset()
+// Fold folds the key-only cone of pattern j of a Simulate batch into
+// dst, mapping key input i to keys[i], and returns its output literals —
+// FoldInputs for that pattern at cone-sized instead of circuit-sized
+// cost.
+func (kc *KeyCone) Fold(dst *aig.AIG, keys []aig.Lit, v *sim.Vectors, j int) []aig.Lit {
 	enc := kc.enc
+	if kc.m+len(keys) != enc.NumInputs() {
+		panic("locking: KeyCone key width mismatch")
+	}
 	word, bit := j/64, uint(j)%64
 	m := kc.mp
-	for i := kc.m; i < enc.NumInputs(); i++ {
-		m[enc.InputVar(i)] = ng.AddInput(enc.InputName(i))
+	for i, k := range keys {
+		m[enc.InputVar(kc.m+i)] = k
 	}
-	// mf maps an enc literal: key-dependent vars were bound earlier in
+	// mf maps an enc literal: key-dependent vars were folded earlier in
 	// the topological walk; everything else is a simulated constant.
 	mf := func(l aig.Lit) aig.Lit {
 		if kc.dep[l.Var()] {
@@ -199,17 +205,18 @@ func (kc *KeyCone) BindInto(dst *aig.AIG, v *sim.Vectors, j int) *aig.AIG {
 		fan := enc.Fanins(nv)
 		switch enc.Op(nv) {
 		case aig.OpAnd:
-			m[nv] = ng.And(mf(fan[0]), mf(fan[1]))
+			m[nv] = dst.And(mf(fan[0]), mf(fan[1]))
 		case aig.OpXor:
-			m[nv] = ng.Xor(mf(fan[0]), mf(fan[1]))
+			m[nv] = dst.Xor(mf(fan[0]), mf(fan[1]))
 		case aig.OpMaj:
-			m[nv] = ng.Maj(mf(fan[0]), mf(fan[1]), mf(fan[2]))
+			m[nv] = dst.Maj(mf(fan[0]), mf(fan[1]), mf(fan[2]))
 		}
 	}
-	for i, o := range enc.Outputs() {
-		ng.AddOutput(mf(o), enc.OutputName(i))
+	outs := make([]aig.Lit, enc.NumOutputs())
+	for i := range outs {
+		outs[i] = mf(enc.Output(i))
 	}
-	return ng
+	return outs
 }
 
 // VerifyKey checks by SAT whether key restores orig exactly. The proof
