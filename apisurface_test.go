@@ -92,7 +92,7 @@ func TestDeprecatedWrappersRemoved(t *testing.T) {
 // JobSpec without importing anything of ours.
 func TestServiceWireTypesSelfContained(t *testing.T) {
 	wire := map[string]bool{
-		"JobSpec": true, "JobResult": true, "Error": true,
+		"JobSpec": true, "Error": true,
 		"Budget": true, "SchemeOptions": true, "AttackOptions": true,
 	}
 	files, err := filepath.Glob("internal/service/*.go")

@@ -229,9 +229,12 @@ func main() {
 	report := func(key []bool, extra string) bool {
 		status := "no key"
 		if key != nil {
-			if ok, _ := l.VerifyKey(orig, key); ok {
+			switch ok, err := l.VerifyKeyContext(ctx, orig, key); {
+			case err != nil:
+				status = "key undecided " + keyString(key)
+			case ok:
 				status = "CORRECT key " + keyString(key)
-			} else {
+			default:
 				status = "incorrect key " + keyString(key)
 			}
 		}

@@ -45,7 +45,16 @@ func waitForGoroutines(base int, deadline time.Duration) int {
 	return runtime.NumGoroutine()
 }
 
-// Cancelling the context mid-attack must stop the SAT attack promptly
+// ioAttacks are the two entry points of the shared DIP loop.
+var ioAttacks = []struct {
+	name string
+	run  func(context.Context, *locking.Locked, *locking.Oracle, IOOptions) IOResult
+}{
+	{"sat", SATAttack},
+	{"appsat", AppSAT},
+}
+
+// Cancelling the context mid-attack must stop either I/O attack promptly
 // with a timeout-style result and leak no goroutines. The context is
 // cancelled from the first DIP iteration's trace event, so the attack is
 // provably mid-run when cancellation lands.
@@ -55,46 +64,55 @@ func TestSATAttackPromptCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opt := DefaultIOOptions()
-	opt.Trace = obs.New(&cancelOnDIP{cancel: cancel})
-	start := time.Now()
-	res := SATAttack(ctx, l, locking.NewOracle(orig), opt)
-	elapsed := time.Since(start)
-	if !res.TimedOut {
-		t.Fatalf("cancelled attack did not report TimedOut: %+v", res)
-	}
-	if res.Exact {
-		t.Fatalf("cancelled attack claims an exact key: %+v", res)
-	}
-	// The solver polls cancellation every 64 conflict-loop ticks plus each
-	// DIP round boundary; well under a second on this instance.
-	if elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v, want prompt return", elapsed)
-	}
-	if n := waitForGoroutines(base, 2*time.Second); n > base+2 {
-		t.Fatalf("goroutines leaked: %d before, %d after", base, n)
+	for _, a := range ioAttacks {
+		t.Run(a.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opt := DefaultIOOptions()
+			opt.Trace = obs.New(&cancelOnDIP{cancel: cancel})
+			start := time.Now()
+			res := a.run(ctx, l, locking.NewOracle(orig), opt)
+			elapsed := time.Since(start)
+			if !res.TimedOut {
+				t.Fatalf("cancelled attack did not report TimedOut: %+v", res)
+			}
+			if res.Exact {
+				t.Fatalf("cancelled attack claims an exact key: %+v", res)
+			}
+			// The solver polls cancellation every 64 conflict-loop ticks
+			// plus each DIP round boundary; well under a second here.
+			if elapsed > 5*time.Second {
+				t.Fatalf("cancellation took %v, want prompt return", elapsed)
+			}
+			if n := waitForGoroutines(base, 2*time.Second); n > base+2 {
+				t.Fatalf("goroutines leaked: %d before, %d after", base, n)
+			}
+		})
 	}
 }
 
-// A context cancelled before the attack starts must return immediately.
+// A context cancelled before either I/O attack starts must return
+// immediately.
 func TestSATAttackPreCancelled(t *testing.T) {
 	orig := smallCircuit()
 	l, err := lockbase.SARLock(orig, 10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	res := SATAttack(ctx, l, locking.NewOracle(orig), DefaultIOOptions())
-	if !res.TimedOut || res.Exact {
-		t.Fatalf("pre-cancelled attack ran anyway: %+v", res)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatalf("pre-cancelled attack took %v", time.Since(start))
+	for _, a := range ioAttacks {
+		t.Run(a.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			start := time.Now()
+			res := a.run(ctx, l, locking.NewOracle(orig), DefaultIOOptions())
+			if !res.TimedOut || res.Exact {
+				t.Fatalf("pre-cancelled attack ran anyway: %+v", res)
+			}
+			if time.Since(start) > time.Second {
+				t.Fatalf("pre-cancelled attack took %v", time.Since(start))
+			}
+		})
 	}
 }
 

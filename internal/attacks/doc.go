@@ -7,9 +7,9 @@
 //
 // # The DIP loop
 //
-// The I/O attacks share one engine, the DIP loop (Subramanyan et al.):
-// a miter of two copies of the locked circuit with tied inputs and
-// independent keys is solved for a distinguishing input pattern (DIP) —
+// The I/O attacks share one engine, the DIP loop of runDIP (Subramanyan
+// et al.): a miter of two copies of the locked circuit with tied inputs
+// and independent keys is solved for a distinguishing input pattern (DIP) —
 // an input on which some pair of keys disagrees. The oracle answers the
 // DIP, the correct output is asserted for both key copies, and the loop
 // repeats. When no DIP remains, every key consistent with the recorded

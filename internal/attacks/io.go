@@ -20,15 +20,11 @@ type IOOptions struct {
 	// context via exec.Budget.Bind; an external cancellation of the
 	// caller's context has the same effect as an expired timeout.
 	Timeout time.Duration
-	// MaxIterations caps DIP iterations (0: unlimited).
+	// MaxIterations caps DIP iterations (0: unlimited for SATAttack,
+	// appSATMaxIterations for AppSAT).
 	MaxIterations int
 	// Seed drives randomized reinforcement (AppSAT).
 	Seed int64
-	// ReinforceEvery iterations AppSAT adds RandomQueries random-pattern
-	// constraints (AppSAT only).
-	ReinforceEvery int
-	// RandomQueries per reinforcement round (AppSAT only).
-	RandomQueries int
 	// DIPBatch caps how many candidate DIPs one solve round enumerates
 	// (via activation-guarded blocking clauses) and answers in a single
 	// bit-parallel oracle pass. 0 selects the default width
@@ -45,22 +41,33 @@ type IOOptions struct {
 	// Trace receives an attack.sat / attack.appsat span with one dip
 	// event per DIP (elapsed time, oracle queries, per-round solver
 	// conflict/learnt deltas), AppSAT reinforce events, and periodic
-	// solver.progress events every ProgressConflicts conflicts. A nil
+	// solver.progress events every progressConflicts conflicts. A nil
 	// tracer costs nothing and never changes attack behavior.
 	Trace *obs.Tracer
-	// ProgressConflicts is the solver progress-event interval (default
-	// 10000 conflicts; <0 disables).
-	ProgressConflicts int64
 }
 
-// DefaultIOOptions is an unbounded exact attack.
+// DefaultIOOptions is an unbounded exact attack: the zero IOOptions.
 func DefaultIOOptions() IOOptions {
-	return IOOptions{ReinforceEvery: 5, RandomQueries: 8}
+	return IOOptions{}
 }
 
-// inprocessDefault is the DIP-iteration cadence for inprocessing passes
-// when IOOptions.Simp.InprocessEvery is 0.
-const inprocessDefault = 16
+const (
+	// appSATMaxIterations caps AppSAT's DIPs when
+	// IOOptions.MaxIterations is 0.
+	appSATMaxIterations = 2048
+	// reinforceEvery is how many DIPs AppSAT processes between two
+	// random-query reinforcement rounds.
+	reinforceEvery = 5
+	// randomQueries is the number of random patterns per AppSAT
+	// reinforcement round.
+	randomQueries = 8
+	// progressConflicts is the interval, in solver conflicts, of the
+	// traced solver.progress events.
+	progressConflicts = 10000
+	// inprocessDefault is the DIP-iteration cadence for inprocessing
+	// passes when IOOptions.Simp.InprocessEvery is 0.
+	inprocessDefault = 16
+)
 
 // batchWidth normalizes the configured DIP batch width.
 func (o IOOptions) batchWidth() int {
@@ -156,9 +163,8 @@ const (
 	MetricDIPsPerSolve = "attack.dips_per_solve"
 )
 
-func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt IOOptions, sp *obs.Span) *attackState {
+func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, sp *obs.Span, tr *obs.Tracer) *attackState {
 	s, xLits, k1, k2, act := buildMiter(l)
-	tr := opt.Trace
 	st := &attackState{
 		l: l, oracle: oracle, s: s,
 		xLits: xLits, k1Lits: k1, k2Lits: k2, actDiff: act,
@@ -177,22 +183,16 @@ func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Orac
 	s.SetContext(ctx)
 	s.SetTelemetry(tr.Registry())
 	if sp.Enabled() {
-		progressEvery := opt.ProgressConflicts
-		if progressEvery == 0 {
-			progressEvery = 10000
-		}
-		if progressEvery > 0 {
-			s.SetProgress(progressEvery, func(p sat.Progress) {
-				sp.Event("solver.progress",
-					obs.Int("conflicts", p.Conflicts),
-					obs.Int("decisions", p.Decisions),
-					obs.Int("propagations", p.Propagations),
-					obs.Int("restarts", p.Restarts),
-					obs.Int("learnt", p.Learnt),
-					obs.Int("deleted", p.Deleted),
-					obs.Int("clauses", int64(p.Clauses)))
-			})
-		}
+		s.SetProgress(progressConflicts, func(p sat.Progress) {
+			sp.Event("solver.progress",
+				obs.Int("conflicts", p.Conflicts),
+				obs.Int("decisions", p.Decisions),
+				obs.Int("propagations", p.Propagations),
+				obs.Int("restarts", p.Restarts),
+				obs.Int("learnt", p.Learnt),
+				obs.Int("deleted", p.Deleted),
+				obs.Int("clauses", int64(p.Clauses)))
+		})
 	}
 	return st
 }
@@ -277,23 +277,54 @@ func inprocessDue(o simp.Options, lo, hi int) bool {
 // query accounting. Cancelling ctx stops the attack promptly with a
 // TimedOut result.
 func SATAttack(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt IOOptions) IOResult {
+	return runDIP(ctx, l, oracle, opt, false)
+}
+
+// AppSAT runs the approximate SAT attack (Shamsi et al.): the DIP loop is
+// augmented with random-query reinforcement and cut off after a fixed
+// iteration budget, returning a key not yet proved incorrect. The loop
+// runs in the same batched rounds as SATAttack; reinforcement rounds owed
+// by the iterations a batch covered run right after it, drawing the same
+// pattern stream as the serial loop. Cancelling ctx stops the attack
+// promptly with a TimedOut result.
+func AppSAT(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt IOOptions) IOResult {
+	return runDIP(ctx, l, oracle, opt, true)
+}
+
+// runDIP is the DIP round loop of both attacks. Each round ramps the
+// enumeration width, solves the miter for a batch of DIPs, answers it
+// with one oracle pass, folds the I/O constraints into the solver, runs
+// inprocessing on its cadence and checks for cancellation. AppSAT differs
+// from SATAttack only where a comment says so.
+func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt IOOptions, appsat bool) IOResult {
 	start := time.Now()
 	ctx, cancel := exec.WithTimeout(opt.Timeout).Bind(ctx)
 	defer cancel()
-	sp := opt.Trace.Span("attack.sat",
+	name, sizeField := "attack.sat", obs.Int("enc_nodes", int64(l.Enc.NumNodes()))
+	if appsat {
+		// AppSAT is always capped, and its span records the cap.
+		if opt.MaxIterations <= 0 {
+			opt.MaxIterations = appSATMaxIterations
+		}
+		name, sizeField = "attack.appsat", obs.Int("max_iterations", int64(opt.MaxIterations))
+	}
+	sp := opt.Trace.Span(name,
 		obs.Int("inputs", int64(l.NumInputs)),
 		obs.Int("key_bits", int64(l.KeyBits)),
-		obs.Int("enc_nodes", int64(l.Enc.NumNodes())),
+		sizeField,
 		obs.Int("dip_batch", int64(opt.batchWidth())))
-	st := newAttackState(ctx, l, oracle, opt, sp)
+	st := newAttackState(ctx, l, oracle, sp, opt.Trace)
 	// Preprocess the miter once up front. All interface literals (inputs,
 	// both key copies, the activation literal) are frozen, so full
 	// variable elimination is sound here and for every later constraint.
 	simp.Apply(st.s, opt.Simp, opt.Trace)
+	rng := newSplitMix(opt.Seed)
 	res := IOResult{}
+	reinforced := 0
 	for round := 0; ; round++ {
 		if opt.MaxIterations > 0 && res.Iterations >= opt.MaxIterations {
-			res.TimedOut = true
+			// The cap is SATAttack's budget but AppSAT's normal end.
+			res.TimedOut = !appsat
 			break
 		}
 		width := opt.rampWidth(round)
@@ -335,120 +366,26 @@ func SATAttack(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, o
 		if st.hDIP != nil {
 			st.hDIP.RecordDuration(time.Since(roundStart))
 		}
-		if inprocessDue(opt.Simp, res.Iterations-len(dips), res.Iterations) {
-			simp.Apply(st.s, opt.Simp, opt.Trace)
-		}
-		if st.stopped() {
-			res.TimedOut = true
-			break
-		}
-	}
-	if res.TimedOut && res.Key == nil {
-		res.Key = st.extractKey()
-	}
-	res.Queries = oracle.Queries
-	res.Runtime = time.Since(start)
-	res.SolverStats = st.s.Stats()
-	sp.End(
-		obs.Int("iterations", int64(res.Iterations)),
-		obs.Int("queries", int64(res.Queries)),
-		obs.Bool("exact", res.Exact),
-		obs.Bool("timed_out", res.TimedOut),
-		obs.Bool("key_found", res.Key != nil),
-		obs.Int("conflicts", res.SolverStats.Conflicts),
-		obs.Int("key_nodes", st.keyNodes),
-		obs.Int("vars", int64(st.s.NumVars())))
-	return res
-}
-
-// AppSAT runs the approximate SAT attack (Shamsi et al.): the DIP loop is
-// augmented with random-query reinforcement and cut off after a fixed
-// iteration budget, returning a key not yet proved incorrect. The loop
-// runs in the same batched rounds as SATAttack; reinforcement rounds owed
-// by the iterations a batch covered run right after it, drawing the same
-// pattern stream as the serial loop. Cancelling ctx stops the attack
-// promptly with a TimedOut result.
-func AppSAT(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt IOOptions) IOResult {
-	start := time.Now()
-	ctx, cancel := exec.WithTimeout(opt.Timeout).Bind(ctx)
-	defer cancel()
-	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 2048
-	}
-	if opt.ReinforceEvery <= 0 {
-		opt.ReinforceEvery = 5
-	}
-	if opt.RandomQueries <= 0 {
-		opt.RandomQueries = 8
-	}
-	sp := opt.Trace.Span("attack.appsat",
-		obs.Int("inputs", int64(l.NumInputs)),
-		obs.Int("key_bits", int64(l.KeyBits)),
-		obs.Int("max_iterations", int64(opt.MaxIterations)),
-		obs.Int("dip_batch", int64(opt.batchWidth())))
-	st := newAttackState(ctx, l, oracle, opt, sp)
-	simp.Apply(st.s, opt.Simp, opt.Trace)
-	rng := newSplitMix(opt.Seed)
-	res := IOResult{}
-	reinforced := 0
-	for round := 0; res.Iterations < opt.MaxIterations; round++ {
-		width := opt.rampWidth(round)
-		if res.Iterations+width > opt.MaxIterations {
-			width = opt.MaxIterations - res.Iterations
-		}
-		var roundStart time.Time
-		if st.hDIP != nil {
-			roundStart = time.Now()
-		}
-		st.beginRound()
-		prev := st.s.Stats()
-		status, dips := st.dipRound(width)
-		if status == sat.Unknown {
-			res.TimedOut = true
-			break
-		}
-		if status == sat.Unsat {
-			res.Key = st.extractKey()
-			res.Exact = res.Key != nil
-			break
-		}
-		ys := st.answerBatch(dips)
-		d := st.s.Stats().Sub(prev)
-		st.addIOConstraints(dips, ys, func(j int) {
-			res.Iterations++
-			if sp.Enabled() {
-				sp.Event("dip",
-					obs.Int("iter", int64(res.Iterations)),
-					obs.Dur("elapsed", time.Since(start)),
-					obs.Int("queries", int64(oracle.Queries)),
-					obs.Int("batch", int64(len(dips))),
-					obs.Int("conflicts_delta", d.Conflicts),
-					obs.Int("learnt_delta", d.Learnt),
-					obs.Int("decisions_delta", d.Decisions))
-			}
-		})
-		if st.hDIP != nil {
-			st.hDIP.RecordDuration(time.Since(roundStart))
-		}
-		// Run the reinforcement rounds the batch's iterations owe,
-		// drawing random patterns in the same order as the serial loop
-		// and answering each round with one bit-parallel oracle pass.
-		for owed := res.Iterations / opt.ReinforceEvery; reinforced < owed; reinforced++ {
-			xs := make([][]bool, opt.RandomQueries)
-			for q := range xs {
-				x := make([]bool, l.NumInputs)
-				for i := range x {
-					x[i] = rng.next()&1 == 1
+		// AppSAT runs the reinforcement rounds the batch's iterations
+		// owe, drawing random patterns in the same order as the serial
+		// loop and answering each round with one bit-parallel oracle pass.
+		if appsat {
+			for owed := res.Iterations / reinforceEvery; reinforced < owed; reinforced++ {
+				xs := make([][]bool, randomQueries)
+				for q := range xs {
+					x := make([]bool, l.NumInputs)
+					for i := range x {
+						x[i] = rng.next()&1 == 1
+					}
+					xs[q] = x
 				}
-				xs[q] = x
-			}
-			rys := oracle.QueryBatch(xs)
-			st.addIOConstraints(xs, rys, nil)
-			if sp.Enabled() {
-				sp.Event("reinforce",
-					obs.Int("round", int64(reinforced+1)),
-					obs.Int("random_queries", int64(opt.RandomQueries)),
-					obs.Int("queries", int64(oracle.Queries)))
+				st.addIOConstraints(xs, oracle.QueryBatch(xs), nil)
+				if sp.Enabled() {
+					sp.Event("reinforce",
+						obs.Int("round", int64(reinforced+1)),
+						obs.Int("random_queries", randomQueries),
+						obs.Int("queries", int64(oracle.Queries)))
+				}
 			}
 		}
 		if inprocessDue(opt.Simp, res.Iterations-len(dips), res.Iterations) {
@@ -459,7 +396,9 @@ func AppSAT(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 			break
 		}
 	}
-	if res.Key == nil {
+	// SATAttack extracts a best-effort key only when it ran out of
+	// budget; AppSAT returns a key however its loop ended.
+	if res.Key == nil && (appsat || res.TimedOut) {
 		res.Key = st.extractKey()
 	}
 	res.Queries = oracle.Queries

@@ -5,7 +5,6 @@ import (
 
 	"obfuslock/internal/aig"
 	"obfuslock/internal/locking"
-	"obfuslock/internal/rewrite"
 )
 
 // SPIResult reports the synthesis/prime-implicant attack.
@@ -185,16 +184,4 @@ func flattenAnd(g *aig.AIG, root aig.Lit, limit int) []aig.Lit {
 	}
 	walk(root)
 	return out
-}
-
-// ResynthesizeThenSPI first runs size-driven functional rewriting on the
-// locked netlist (the attacker's "run it through EDA tools" step) and then
-// applies SPI. Schemes whose locking structure survives synthesis leak.
-func ResynthesizeThenSPI(l *locking.Locked, minPointWidth int) SPIResult {
-	rw := rewrite.FunctionalRewrite(l.Enc, rewrite.DefaultOptions())
-	l2 := &locking.Locked{
-		Scheme: l.Scheme, Enc: rw,
-		NumInputs: l.NumInputs, KeyBits: l.KeyBits, Key: l.Key,
-	}
-	return SPI(l2, minPointWidth)
 }

@@ -75,7 +75,8 @@ type TableIRow struct {
 	// wall-clock cells render as stable markers instead of seconds.
 	Deterministic bool
 	// Attack cells: decrypt time (or "ok/<iterations>" in deterministic
-	// mode), or "TO" / "wrong" markers as in the paper.
+	// mode), or "TO" / "wrong" markers as in the paper; "undecided" when
+	// the returned key's verification did not finish.
 	SATSub, SATWhole, AppSATSub, AppSATWhole string
 	// SolverStats accumulates the four attack cells' SAT-solver work
 	// counters (not printed; surfaced by bench_test.go's BENCH_sat.json).
@@ -128,12 +129,14 @@ func singleOutput(l *locking.Locked, orig *aig.AIG, po int) (*locking.Locked, *a
 // decrypt seconds when the returned key is verified correct, "TO" on
 // timeout without a correct key, "wrong" when a key came back incorrect.
 // In deterministic mode a correct key renders as "ok/<iterations>" —
-// wall-clock time is the one quantity that cannot be byte-stable.
+// wall-clock time is the one quantity that cannot be byte-stable. A key
+// whose verification ctx cut short renders "undecided".
 func attackCell(ctx context.Context, run func() attacks.IOResult, l *locking.Locked, orig *aig.AIG, deterministic bool) string {
 	r := run()
 	correct := false
+	var verr error
 	if r.Key != nil {
-		correct, _ = l.VerifyKeyWith(ctx, orig, r.Key, cec.DefaultOptions())
+		correct, verr = l.VerifyKeyWith(ctx, orig, r.Key, cec.DefaultOptions())
 	}
 	switch {
 	case correct:
@@ -141,6 +144,8 @@ func attackCell(ctx context.Context, run func() attacks.IOResult, l *locking.Loc
 			return fmt.Sprintf("ok/%d", r.Iterations)
 		}
 		return fmt.Sprintf("%.1f", r.Runtime.Seconds())
+	case verr != nil:
+		return "undecided"
 	case r.Exact:
 		// Terminated claiming exactness but key invalid — should not
 		// happen; surface loudly.

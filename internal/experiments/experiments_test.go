@@ -216,6 +216,24 @@ func TestStructuralSearchUndecidedIsNotAPass(t *testing.T) {
 	}
 }
 
+// A correct key whose verification the context cuts short is neither
+// "ok" nor "wrong". The fixture's locked netlist is an AND-lowered
+// multiplier with no key bits: the empty key restores it, but only a SAT
+// proof can show that, and a cancelled context stops the proof.
+func TestAttackCellUndecidedVerification(t *testing.T) {
+	c := netlistgen.Multiplier(6)
+	l := &locking.Locked{Scheme: "none", Enc: c.LowerToAnd(), NumInputs: c.NumInputs()}
+	run := func() attacks.IOResult { return attacks.IOResult{Key: []bool{}, Iterations: 3} }
+	if got := attackCell(context.Background(), run, l, c, true); got != "ok/3" {
+		t.Fatalf("decided cell = %q, want ok/3", got)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got := attackCell(cancelled, run, l, c, true); got != "undecided" {
+		t.Errorf("cancelled verification renders %q, want undecided", got)
+	}
+}
+
 func TestCountKeysInTFI(t *testing.T) {
 	b := netlistgen.SmallSuite()[2]
 	c := b.Build()

@@ -209,13 +209,12 @@ type CollectedEvent struct {
 }
 
 // Collector is an in-memory Sink for tests: it records every span
-// (keyed by completion), event and metric.
+// (keyed by completion) and event; metrics are ignored.
 type Collector struct {
 	mu      sync.Mutex
 	started []SpanData
 	ended   []SpanData
 	events  []CollectedEvent
-	metrics []MetricSnapshot
 }
 
 // NewCollector returns an empty in-memory sink.
@@ -259,12 +258,8 @@ func (c *Collector) Event(id uint64, name string, at time.Time, fields []Field) 
 	c.mu.Unlock()
 }
 
-// Metric implements Sink.
-func (c *Collector) Metric(ms MetricSnapshot) {
-	c.mu.Lock()
-	c.metrics = append(c.metrics, ms)
-	c.mu.Unlock()
-}
+// Metric implements Sink; a Collector keeps no metrics.
+func (c *Collector) Metric(MetricSnapshot) {}
 
 // Spans returns the completed spans in end order.
 func (c *Collector) Spans() []SpanData {
@@ -308,11 +303,4 @@ func (c *Collector) SpanNamed(name string) (SpanData, bool) {
 		}
 	}
 	return SpanData{}, false
-}
-
-// MetricsSnapshot returns the captured metrics.
-func (c *Collector) MetricsSnapshot() []MetricSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]MetricSnapshot(nil), c.metrics...)
 }

@@ -7,17 +7,11 @@ import (
 	"strings"
 )
 
-// Wire schema identifiers. SchemaVersion names the job-submission layout
-// and ResultSchema the result layout; both are versioned independently
-// of the package so clients can pin what they parse. Bumping either is
-// an API change: the golden round-trip tests fail until the goldens and
-// docs are regenerated to match.
-const (
-	// SchemaVersion is the versioned job-spec schema.
-	SchemaVersion = "obfuslock-job/v1"
-	// ResultSchema is the versioned result layout.
-	ResultSchema = "obfuslock-result/v1"
-)
+// SchemaVersion is the versioned job-spec schema. It is versioned
+// independently of the package so clients can pin what they parse.
+// Bumping it is an API change: the golden round-trip tests fail until the
+// goldens and docs are regenerated to match.
+const SchemaVersion = "obfuslock-job/v1"
 
 // Job kinds accepted by JobSpec.Kind.
 const (
@@ -119,49 +113,6 @@ type JobSpec struct {
 	Sweep *bool `json:"sweep,omitempty"`
 	// Seed drives the randomized parts of cec/count/sample jobs.
 	Seed int64 `json:"seed,omitempty"`
-}
-
-// JobResult is the versioned outcome of a finished job. It carries no
-// wall-clock fields on purpose: two runs of the same spec — serial or
-// concurrent — must produce byte-identical encodings.
-type JobResult struct {
-	// Schema equals ResultSchema.
-	Schema string `json:"schema"`
-	// Kind echoes the spec's kind.
-	Kind string `json:"kind"`
-	// Scheme echoes the lock scheme (lock jobs).
-	Scheme string `json:"scheme,omitempty"`
-	// Attack echoes the attack name (attack jobs).
-	Attack string `json:"attack,omitempty"`
-	// Locked is the locked netlist as .bench text (lock jobs).
-	Locked string `json:"locked,omitempty"`
-	// Key is the secret key (lock jobs) or the recovered key (attack
-	// jobs) as a 0/1 string, k0 first; empty when no key was recovered.
-	Key string `json:"key,omitempty"`
-	// KeyBits is the key length (lock and attack jobs).
-	KeyBits int `json:"key_bits,omitempty"`
-	// Exact is true when an attack proved its key correct (termination).
-	Exact bool `json:"exact,omitempty"`
-	// TimedOut is true when an attack hit its budget before terminating.
-	TimedOut bool `json:"timed_out,omitempty"`
-	// Iterations counts DIPs processed (attack jobs).
-	Iterations int `json:"iterations,omitempty"`
-	// Queries counts oracle queries (attack jobs).
-	Queries int `json:"queries,omitempty"`
-	// Equivalent reports the CEC verdict (cec jobs, when decided).
-	Equivalent *bool `json:"equivalent,omitempty"`
-	// Decided is false when a budget expired before a cec/count verdict.
-	Decided *bool `json:"decided,omitempty"`
-	// Log2Count estimates log2 of the model count (count jobs; omitted
-	// when the count is zero — see CountZero).
-	Log2Count *float64 `json:"log2_count,omitempty"`
-	// CountZero is true when the model count is exactly zero (count
-	// jobs; JSON cannot carry the -Inf that log2 would be).
-	CountZero bool `json:"count_zero,omitempty"`
-	// ExactCount is true when the count was fully enumerated.
-	ExactCount bool `json:"exact_count,omitempty"`
-	// SkewBits is the estimated output skewness in bits (sample jobs).
-	SkewBits *float64 `json:"skew_bits,omitempty"`
 }
 
 // Error is the structured error of the job API. Code is machine-matchable

@@ -72,43 +72,6 @@ func goldenSpecs() map[string]JobSpec {
 	return specs
 }
 
-// goldenResults pins the result layout for every kind, exercising every
-// field at least once (including the pointer-typed tri-state ones).
-func goldenResults() map[string]JobResult {
-	yes, log2 := true, 1.585
-	undecided, skew := false, 12.25
-	return map[string]JobResult{
-		"lock": {
-			Schema: ResultSchema, Kind: KindLock, Scheme: "rll",
-			Locked: "INPUT(a)\nINPUT(k0)\nOUTPUT(y)\ny = XOR(a, k0)\n",
-			Key:    "10110011", KeyBits: 8,
-		},
-		"attack": {
-			Schema: ResultSchema, Kind: KindAttack, Attack: "sat",
-			Key: "10110011", KeyBits: 8, Exact: true, Iterations: 17, Queries: 23,
-		},
-		"attack_timeout": {
-			Schema: ResultSchema, Kind: KindAttack, Attack: "appsat",
-			TimedOut: true, Iterations: 5, Queries: 160,
-		},
-		"cec": {
-			Schema: ResultSchema, Kind: KindCEC, Equivalent: &yes, Decided: &yes,
-		},
-		"cec_undecided": {
-			Schema: ResultSchema, Kind: KindCEC, Decided: &undecided,
-		},
-		"count": {
-			Schema: ResultSchema, Kind: KindCount, Log2Count: &log2, Decided: &yes,
-		},
-		"count_zero": {
-			Schema: ResultSchema, Kind: KindCount, CountZero: true, ExactCount: true, Decided: &yes,
-		},
-		"sample": {
-			Schema: ResultSchema, Kind: KindSample, SkewBits: &skew,
-		},
-	}
-}
-
 // golden compares v's indented JSON against testdata/<name>.json,
 // rewriting the file under -update.
 func golden(t *testing.T, name string, v any) []byte {
@@ -170,26 +133,12 @@ func TestGoldenSpecs(t *testing.T) {
 	}
 }
 
-// TestGoldenResults pins the JobResult wire format, round-tripping each
-// golden through a strict decode.
-func TestGoldenResults(t *testing.T) {
-	for name, res := range goldenResults() {
-		t.Run(name, func(t *testing.T) {
-			var got JobResult
-			roundTrip(t, golden(t, "result_"+name, res), &got)
-		})
-	}
-}
-
 // TestSchemaVersionPinned is the tripwire for accidental version bumps:
-// the constants are part of the public contract and every change must be
+// the constant is part of the public contract and every change must be
 // deliberate (goldens and docs follow).
 func TestSchemaVersionPinned(t *testing.T) {
 	if SchemaVersion != "obfuslock-job/v1" {
 		t.Errorf("job schema version changed to %q — regenerate goldens and update the docs", SchemaVersion)
-	}
-	if ResultSchema != "obfuslock-result/v1" {
-		t.Errorf("result schema version changed to %q — regenerate goldens and update the docs", ResultSchema)
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // The zero value of Options means simplification is ON with the default
 // techniques — consumers gain preprocessing just by embedding the field.
-// The negative flags (Disable, NoVarElim, ...) exist so that the zero
+// The negative flags (Disable, NoVarElim) exist so that the zero
 // value stays the recommended configuration; Off() is the opt-out.
 package simp
 
@@ -26,11 +26,6 @@ type Options struct {
 	// caller later adds clauses over arbitrary internal variables it
 	// did not freeze — see Equivalence.
 	NoVarElim bool
-	// NoSubsume turns off backward subsumption and self-subsuming
-	// resolution.
-	NoSubsume bool
-	// NoVivify turns off clause vivification.
-	NoVivify bool
 	// InprocessEvery re-runs simplification between incremental solve
 	// rounds every N rounds. 0 means the consumer's default cadence;
 	// negative disables inprocessing (the initial Apply still runs).
@@ -52,7 +47,7 @@ func Equivalence() Options { return Options{NoVarElim: true} }
 
 // Enabled reports whether Apply would do anything.
 func (o Options) Enabled() bool {
-	return !o.Disable && !(o.NoVarElim && o.NoSubsume && o.NoVivify)
+	return !o.Disable
 }
 
 // InprocessDue reports whether an inprocessing pass is due after the
@@ -76,8 +71,6 @@ func (o Options) InprocessDue(round, def int) bool {
 func (o Options) solverOptions() sat.SimpOptions {
 	so := sat.DefaultSimpOptions()
 	so.VarElim = so.VarElim && !o.NoVarElim
-	so.Subsume = so.Subsume && !o.NoSubsume
-	so.Vivify = so.Vivify && !o.NoVivify
 	return so
 }
 
