@@ -84,61 +84,6 @@ func TestDeprecatedWrappersRemoved(t *testing.T) {
 	}
 }
 
-// TestServiceWireTypesSelfContained keeps the job wire schema free of
-// foreign types: every field of the serialized service types must be a
-// built-in or another wire type, never a reference into an internal
-// package (or even the stdlib — a time.Duration field would tie the JSON
-// to Go formatting). This is what lets clients in any language hold a
-// JobSpec without importing anything of ours.
-func TestServiceWireTypesSelfContained(t *testing.T) {
-	wire := map[string]bool{
-		"JobSpec": true, "Error": true,
-		"Budget": true, "SchemeOptions": true, "AttackOptions": true,
-	}
-	files, err := filepath.Glob("internal/service/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	seen := map[string]bool{}
-	for _, file := range files {
-		if strings.HasSuffix(file, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, file, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, decl := range f.Decls {
-			d, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range d.Specs {
-				s, ok := spec.(*ast.TypeSpec)
-				if !ok || !wire[s.Name.Name] {
-					continue
-				}
-				seen[s.Name.Name] = true
-				ast.Inspect(s.Type, func(n ast.Node) bool {
-					if sel, ok := n.(*ast.SelectorExpr); ok {
-						if id, ok := sel.X.(*ast.Ident); ok {
-							t.Errorf("service wire type %s references %s.%s; wire types must be self-contained",
-								s.Name.Name, id.Name, sel.Sel.Name)
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-	for name := range wire {
-		if !seen[name] {
-			t.Errorf("service wire type %s not found; update this test if the schema was renamed", name)
-		}
-	}
-}
-
 func TestAPISurfaceLeaksNoInternalTypes(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {

@@ -353,7 +353,7 @@ func BenchmarkTheoryLemma1(b *testing.B) {
 // speedup is the tentpole claim of the SAT-sweeping engine.
 func BenchmarkFraigCEC(b *testing.B) {
 	c := suiteByName("max-s")[0].Build()
-	rw := rewrite.Balance(rewrite.FunctionalRewrite(c, rewrite.ObfuscationOptions(5)))
+	rw := rewrite.Balance(rewrite.FunctionalRewrite(c, 5))
 	for _, mode := range []string{"monolithic", "swept"} {
 		b.Run(mode, func(b *testing.B) {
 			opt := cec.DefaultOptions()

@@ -31,9 +31,9 @@
 //
 // The equivalence checks inside the removal and Valkyrie attacks share one
 // base miter of the oracle and the locked netlist, SAT-swept once per
-// attack by default (-sweep, -sweep-words; see DESIGN.md "Pinned checks
-// against one swept base"); each candidate then rebuilds only its fanout
-// cone. -sweep=false runs no sweep: the base is only strashed.
+// attack by default (-sweep; see DESIGN.md "Pinned checks against one
+// swept base"); each candidate then rebuilds only its fanout cone.
+// -sweep=false runs no sweep: the base is only strashed.
 //
 // Exit status is non-zero when a key-recovery attack returns no key, so
 // scripted resilience sweeps can branch on the result. A flag that the
@@ -80,7 +80,6 @@ type config struct {
 	workers                        int
 	det                            bool
 	sweepCEC                       bool
-	sweepWords                     int
 
 	solver      cliflags.Solver
 	tele        cliflags.Telemetry
@@ -106,7 +105,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.workers, "workers", 0, "experiment parallelism (0: GOMAXPROCS)")
 	fs.BoolVar(&c.det, "det", false, "deterministic sweep: no wall-clock cells or timeouts; output is byte-reproducible")
 	fs.BoolVar(&c.sweepCEC, "sweep", true, "SAT-sweep (fraig) the base miter of removal/valkyrie once per attack")
-	fs.IntVar(&c.sweepWords, "sweep-words", 8, "64-pattern signature words seeding the sweep's equivalence classes")
 
 	c.solver.Register(fs)
 	c.tele.Register(fs)
@@ -271,7 +269,7 @@ func main() {
 		}
 	case "removal":
 		sps := attacks.SPS(l, 256, cfg.seed, 10)
-		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(cfg.sweepCEC, cfg.sweepWords, cfg.seed, tracer, sopt))
+		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(cfg.sweepCEC, cfg.seed, tracer, sopt))
 		fmt.Printf("removal: success=%v tried=%d undecided=%d runtime=%v\n", r.Success, r.Tried, r.Undecided, r.Runtime)
 	case "bypass":
 		wrong := make([]bool, l.KeyBits)
@@ -279,7 +277,7 @@ func main() {
 		fmt.Printf("bypass: success=%v patterns=%d exhausted=%v runtime=%v\n",
 			r.Success, r.Patterns, r.Exhausted, r.Runtime)
 	case "valkyrie":
-		r := attacks.Valkyrie(ctx, l, orig, 8, 128, cfg.seed, cecOptions(cfg.sweepCEC, cfg.sweepWords, cfg.seed, tracer, sopt))
+		r := attacks.Valkyrie(ctx, l, orig, 8, 128, cfg.seed, cecOptions(cfg.sweepCEC, cfg.seed, tracer, sopt))
 		fmt.Printf("valkyrie: found-pair=%v restore-only=%v pairs-tried=%d undecided=%d runtime=%v\n",
 			r.FoundPair, r.RestoreOnly, r.PairsTried, r.Undecided, r.Runtime)
 	case "spi":
@@ -296,11 +294,10 @@ func main() {
 
 // cecOptions builds the equivalence-check configuration for the attacks
 // that prove candidate modifications equivalent to the oracle.
-func cecOptions(sweep bool, sweepWords int, seed int64, tracer *obs.Tracer, sopt simp.Options) cec.Options {
+func cecOptions(sweep bool, seed int64, tracer *obs.Tracer, sopt simp.Options) cec.Options {
 	opt := cec.DefaultOptions()
 	if sweep {
 		opt = cec.SweepOptions()
-		opt.SweepWords = sweepWords
 	}
 	opt.Seed = seed
 	opt.Trace = tracer
@@ -326,9 +323,9 @@ var (
 		"appsat":        {"timeout", "maxiter", "simp", "dip-batch", "trace", "v"},
 		"sensitization": {"simp"},
 		"sps":           nil,
-		"removal":       {"simp", "sweep", "sweep-words", "trace"},
+		"removal":       {"simp", "sweep", "trace"},
 		"bypass":        {"simp"},
-		"valkyrie":      {"simp", "sweep", "sweep-words", "trace"},
+		"valkyrie":      {"simp", "sweep", "trace"},
 		"spi":           nil,
 	}
 )
@@ -409,9 +406,6 @@ func parseSkews(s string) []float64 {
 			fatal(fmt.Errorf("bad skew list %q: %v", s, err))
 		}
 		out = append(out, v)
-	}
-	if len(out) == 0 {
-		out = []float64{20}
 	}
 	return out
 }

@@ -29,14 +29,14 @@ func TestValidateFlags(t *testing.T) {
 		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-dip-batch", "1", "-pprof", "p"}, ""},
 		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "spi"}, ""},
 		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "removal", "-sweep=false", "-trace", "t.jsonl"}, ""},
-		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "valkyrie", "-sweep-words", "4", "-seed", "3"}, ""},
+		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "valkyrie", "-sweep=false", "-seed", "3"}, ""},
 
 		// Flags the experiment modes other than -table1 never read.
 		{[]string{"-structural", "-small", "-skews", "10", "-trace", "x.jsonl"}, "-trace not read by -structural"},
 		{[]string{"-fig4", "-small", "-simp=false"}, "-simp not read by -fig4"},
 		{[]string{"-fig5", "-dip-batch", "1"}, "-dip-batch not read by -fig5"},
 		{[]string{"-structural", "-sweep=false"}, "-sweep not read by -structural"},
-		{[]string{"-structural", "-sweep-words", "4"}, "-sweep-words not read by -structural"},
+		{[]string{"-structural", "-small", "-sweep"}, "-sweep not read by -structural"},
 		{[]string{"-fig4", "-timeout", "1s"}, "-timeout not read by -fig4"},
 		{[]string{"-fig5", "-maxiter", "10"}, "-maxiter not read by -fig5"},
 		{[]string{"-structural", "-metrics", "m.json"}, "-metrics not read by -structural"},
@@ -45,7 +45,7 @@ func TestValidateFlags(t *testing.T) {
 
 		// -table1 reads neither the attack-only flags nor -v.
 		{[]string{"-table1", "-small", "-det", "-sweep=false"}, "-sweep not read by -table1"},
-		{[]string{"-table1", "-sweep-words", "4"}, "-sweep-words not read by -table1"},
+		{[]string{"-table1", "-sweep=true"}, "-sweep not read by -table1"},
 		{[]string{"-table1", "-v"}, "-v not read by -table1"},
 		{[]string{"-table1", "-enc", "l.bench"}, "-enc not read by -table1"},
 		{[]string{"-table1", "-attack", "appsat"}, "-attack not read by -table1"},

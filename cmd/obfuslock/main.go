@@ -8,9 +8,9 @@
 // The locked netlist's key inputs are named k0, k1, ...; the correct key
 // is written to -key as a 0/1 string (k0 first).
 //
-// The -verify proof runs SAT-swept by default (-sweep, -sweep-words; see
-// DESIGN.md "Equivalence checking & SAT sweeping"); -sweep=false forces
-// the monolithic miter.
+// The -verify proof runs SAT-swept by default (-sweep; see DESIGN.md
+// "Equivalence checking & SAT sweeping"); -sweep=false forces the
+// monolithic miter.
 //
 // With -resilience <duration> the tool additionally attacks its own
 // output: the oracle-guided SAT attack runs for that long as a
@@ -51,7 +51,6 @@ func main() {
 	verify := flag.Bool("verify", true, "prove key correctness by SAT equivalence checking")
 	resilience := flag.Duration("resilience", 0, "after locking, self-check resilience by running the SAT attack with this time budget (0: skip)")
 	sweep := flag.Bool("sweep", true, "use SAT sweeping (fraig) for the -verify equivalence proof")
-	sweepWords := flag.Int("sweep-words", 8, "64-pattern signature words seeding the sweep's equivalence classes")
 
 	var solver cliflags.Solver
 	var tele cliflags.Telemetry
@@ -134,7 +133,6 @@ func main() {
 		copt := obfuslock.DefaultCECOptions()
 		if *sweep {
 			copt = obfuslock.SweepCECOptions()
-			copt.SweepWords = *sweepWords
 		}
 		copt.Seed = *seed
 		copt.Trace = tracer

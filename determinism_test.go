@@ -258,7 +258,7 @@ func renderQuerySuite(t *testing.T, workers int) []byte {
 		var sb strings.Builder
 
 		// CEC: the circuit against a rewritten (equivalent) copy.
-		rw := rewrite.FunctionalRewrite(c, rewrite.ObfuscationOptions(7))
+		rw := rewrite.FunctionalRewrite(c, 7)
 		r, err := CheckEquivalent(ctx, c, rw, DefaultCECOptions())
 		if err != nil {
 			t.Error(err)

@@ -21,7 +21,6 @@ import (
 var godocPackages = []string{
 	"internal/attacks",
 	"internal/locking",
-	"internal/service",
 }
 
 // TestGodocDocGo requires a doc.go package overview in every audited

@@ -52,9 +52,6 @@ type Options struct {
 	// shared inputs, fraiged (internal/fraig), and only output pairs the
 	// sweep could not merge go to the final miter solve.
 	Sweep bool
-	// SweepWords of 64 random patterns seed the sweep's equivalence
-	// classes (0: 8). Only used when Sweep is set.
-	SweepWords int
 	// Simp controls CNF preprocessing before the miter solve (zero
 	// value: enabled; simp.Off() disables).
 	Simp simp.Options
@@ -62,6 +59,9 @@ type Options struct {
 	// instrumentation (nil: disabled).
 	Trace *obs.Tracer
 }
+
+// sweepWords of 64 random patterns seed a sweep's equivalence classes.
+const sweepWords = 8
 
 // MetricProofLatency is the histogram of final miter-solve latencies
 // (microseconds), one observation per SAT proof attempt.
@@ -88,7 +88,6 @@ func DefaultOptions() Options {
 func SweepOptions() Options {
 	opt := DefaultOptions()
 	opt.Sweep = true
-	opt.SweepWords = 8
 	return opt
 }
 
@@ -186,7 +185,7 @@ func checkSwept(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (
 		comb.AddOutput(o, "b:"+b.OutputName(i))
 	}
 	fr := fraig.Sweep(ctx, comb, fraig.Options{
-		Words:  opt.SweepWords,
+		Words:  sweepWords,
 		Seed:   opt.Seed,
 		Budget: opt.Budget,
 		Simp:   opt.Simp,
@@ -446,7 +445,7 @@ func FindNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec aig.Lit, opt
 	if quick < 0 || quick > quickConflicts {
 		quick = quickConflicts
 	}
-	popt := Options{Seed: opt.Seed, Budget: opt.Budget, Sweep: true, SweepWords: 8, Simp: opt.Simp, Trace: opt.Trace}
+	popt := Options{Seed: opt.Seed, Budget: opt.Budget, Sweep: true, Simp: opt.Simp, Trace: opt.Trace}
 	var specCone *aig.AIG
 	undecided := false
 	for len(queue) > 0 {

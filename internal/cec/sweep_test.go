@@ -72,8 +72,7 @@ func TestSweptCheckCrossCheck(t *testing.T) {
 		var b *aig.AIG
 		equivalentByConstruction := i%2 == 0
 		if equivalentByConstruction {
-			ropt := rewrite.ObfuscationOptions(int64(i) + 1000)
-			b = rewrite.Balance(rewrite.FunctionalRewrite(a, ropt))
+			b = rewrite.Balance(rewrite.FunctionalRewrite(a, int64(i)+1000))
 		} else {
 			b = mutate(a, rng)
 		}
@@ -121,8 +120,7 @@ func TestCheckTraced(t *testing.T) {
 	col := obs.NewCollector()
 	tr := obs.New(col)
 	a := randAIG(1, 5, 30)
-	ropt := rewrite.ObfuscationOptions(2)
-	b := rewrite.FunctionalRewrite(a, ropt)
+	b := rewrite.FunctionalRewrite(a, 2)
 	for _, sweep := range []bool{false, true} {
 		opt := DefaultOptions()
 		if sweep {

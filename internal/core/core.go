@@ -110,10 +110,6 @@ type Options struct {
 	// ProtectedOutput selects the output to double-flip (-1: the output
 	// with the deepest cone).
 	ProtectedOutput int
-	// ReshapeApplications budgets rules (2)-(4).
-	ReshapeApplications int
-	// ElimApplications budgets rule (5)-style eliminations.
-	ElimApplications int
 	// FinalRewrite runs a randomized functional-rewriting pass over the
 	// whole encrypted netlist to erase residual traces.
 	FinalRewrite bool
@@ -121,8 +117,6 @@ type Options struct {
 	SubCircuit bool
 	// SubCircuitMinCut is the minimum cut width (0: derived from target).
 	SubCircuitMinCut int
-	// MaxSupport bounds the key length (0: derived from target).
-	MaxSupport int
 	// AllowDirect permits whole-circuit input permutation encryption when
 	// the original outputs are already skewed enough.
 	AllowDirect bool
@@ -145,17 +139,22 @@ type Options struct {
 	Simp simp.Options
 }
 
-// DefaultOptions targets 20 bits of skewness. Rule budgets keep the
-// overhead a few percent on benchmark-scale circuits; raise them (or
-// re-run with a larger seed sweep) for extra structural diversity.
+// Rule budgets of the first blend attempt: reshapeApplications bounds
+// rules (2)-(4), elimApplications rule (5)-style eliminations. They keep
+// the overhead a few percent on benchmark-scale circuits; each failed
+// attempt raises both by half.
+const (
+	reshapeApplications = 16
+	elimApplications    = 32
+)
+
+// DefaultOptions targets 20 bits of skewness.
 func DefaultOptions() Options {
 	return Options{
-		TargetSkewBits:      20,
-		ProtectedOutput:     -1,
-		ReshapeApplications: 16,
-		ElimApplications:    32,
-		FinalRewrite:        true,
-		AllowDirect:         true,
+		TargetSkewBits:  20,
+		ProtectedOutput: -1,
+		FinalRewrite:    true,
+		AllowDirect:     true,
 	}
 }
 
@@ -256,12 +255,6 @@ func lock(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span, start time
 	if opt.TargetSkewBits <= 0 {
 		opt.TargetSkewBits = 20
 	}
-	if opt.ReshapeApplications <= 0 {
-		opt.ReshapeApplications = 16
-	}
-	if opt.ElimApplications <= 0 {
-		opt.ElimApplications = 32
-	}
 
 	// Step 1: assess the skewness of the original circuit. If every
 	// output is already past the threshold, input permutation encryption
@@ -342,7 +335,7 @@ func lockDirect(c *aig.AIG, opt Options, sp *obs.Span) (*Result, error) {
 	cb, bubbles := rewrite.InsertBubbles(c, opt.Seed)
 	cb = rewrite.HideInverters(cb)
 	if opt.FinalRewrite {
-		cb = rewrite.FunctionalRewrite(cb, rewrite.ObfuscationOptions(opt.Seed))
+		cb = rewrite.FunctionalRewrite(cb, opt.Seed)
 	}
 	psp.End(obs.Int("key_bits", int64(m)))
 	enc := aig.New()
@@ -416,14 +409,12 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 	bsp := sp.Span("lock.build_l", obs.Int("protected_output", int64(po)))
 	for attempt := int64(0); attempt < 3; attempt++ {
 		work = c.Copy()
-		bopt := defaultBuildOptions(opt.TargetSkewBits, opt.Seed+7919*attempt)
-		bopt.Simp = opt.Simp
-		bopt.MaxSupport = opt.MaxSupport
-		if bopt.MaxSupport == 0 {
-			bopt.MaxSupport = int(2.5*opt.TargetSkewBits) + 8
-		}
-		bopt.Span = bsp
-		lc, err = buildLockingCircuit(work, bopt)
+		lc, err = buildLockingCircuit(work, buildOptions{
+			TargetBits: opt.TargetSkewBits,
+			Seed:       opt.Seed + 7919*attempt,
+			Span:       bsp,
+			Simp:       opt.Simp,
+		})
 		if err == nil {
 			break
 		}
@@ -444,7 +435,7 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 	keyBits := len(sup)
 	lb, bubbles := rewrite.InsertBubbles(lcone, opt.Seed+1)
 	lb = rewrite.HideInverters(lb)
-	lb = rewrite.FunctionalRewrite(lb, rewrite.ObfuscationOptions(opt.Seed+2))
+	lb = rewrite.FunctionalRewrite(lb, opt.Seed+2)
 	psp.End(obs.Int("key_bits", int64(keyBits)), obs.Int("l_nodes", int64(lcone.NumNodes())))
 
 	m := c.NumInputs()
@@ -488,7 +479,7 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 		verdict  string
 		attempts int
 	)
-	reshape, elim := opt.ReshapeApplications, opt.ElimApplications
+	reshape, elim := reshapeApplications, elimApplications
 	const blendAttempts = 6
 	for attempt := int64(0); attempt < blendAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -557,7 +548,7 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 		}
 		if opt.FinalRewrite {
 			rsp := sp.Span("lock.rewrite")
-			rw := rewrite.FunctionalRewrite(cand, rewrite.ObfuscationOptions(opt.Seed+4+attempt))
+			rw := rewrite.FunctionalRewrite(cand, opt.Seed+4+attempt)
 			rw = rewrite.Balance(rw)
 			rsp.End(obs.Int("nodes", int64(rw.NumNodes())))
 			if verdict = check(rw); verdict == CriticalEliminated {

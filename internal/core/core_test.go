@@ -306,8 +306,7 @@ func TestLemma2CorrectKeyBound(t *testing.T) {
 func TestLockingCircuitSkewAccuracy(t *testing.T) {
 	c := netlistgen.Multiplier(6) // 12 inputs
 	work := c.Copy()
-	bo := defaultBuildOptions(7, 11)
-	lc, err := buildLockingCircuit(work, bo)
+	lc, err := buildLockingCircuit(work, buildOptions{TargetBits: 7, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,47 +29,35 @@ type lockingCircuit struct {
 	Attachments int
 }
 
-// buildOptions tunes the incremental construction.
-type buildOptions struct {
-	TargetBits    float64
-	Seed          int64
-	MaxCandidates int
-	// GainBits is the initial required skewness gain per attachment.
-	GainBits float64
-	// GainDecay shrinks the requirement after a failed attachment round.
-	GainDecay float64
-	// TriesPerLevel attachment attempts before decaying the gain level.
-	TriesPerLevel int
-	// QuickSamples / RefineSamples for conditional probability estimates.
-	QuickSamples  int
-	RefineSamples int
-	// MaxSupport bounds the key length (support of L).
-	MaxSupport int
-	// Span, when non-nil, receives per-attachment gain events.
-	Span *obs.Span
-	// SupportMargin is the minimum excess of L's support over its
+// Tuning of the incremental construction of L.
+const (
+	// maxCandidates bounds the pool of skewed candidate nodes.
+	maxCandidates = 48
+	// gainBits is the initial required skewness gain per attachment;
+	// gainDecay shrinks it after a failed attachment round.
+	gainBits  = 2.5
+	gainDecay = 0.7
+	// triesPerLevel attachment attempts before decaying the gain level.
+	triesPerLevel = 6
+	// quickSamples / refineSamples for conditional probability estimates.
+	quickSamples  = 60
+	refineSamples = 200
+	// supportMargin is the minimum excess of L's support over its
 	// skewness, in bits. The attack needs ~2^skew queries to hit L's
 	// on-set but only 2^(support-skew) keys survive afterwards, so both
 	// exponents must clear the attacker's budget.
-	SupportMargin float64
+	supportMargin = 8
+)
+
+// buildOptions configures one construction of L.
+type buildOptions struct {
+	TargetBits float64
+	Seed       int64
+	// Span, when non-nil, receives per-attachment gain events.
+	Span *obs.Span
 	// Simp controls CNF preprocessing inside the witness samplers (zero
 	// value: enabled).
 	Simp simp.Options
-}
-
-func defaultBuildOptions(target float64, seed int64) buildOptions {
-	return buildOptions{
-		TargetBits:    target,
-		Seed:          seed,
-		MaxCandidates: 48,
-		GainBits:      2.5,
-		GainDecay:     0.7,
-		TriesPerLevel: 6,
-		QuickSamples:  60,
-		RefineSamples: 200,
-		MaxSupport:    0, // derived from target when 0
-		SupportMargin: 8,
-	}
 }
 
 // condProb estimates P(target=1 | cond) with n witnesses of cond; false
@@ -93,14 +81,11 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 		return nil, fmt.Errorf("core: circuit has %d inputs, fewer than the %g-bit skewness target",
 			m, opt.TargetBits)
 	}
-	if opt.MaxSupport == 0 {
-		opt.MaxSupport = int(2.5*opt.TargetBits) + 8
-	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	// Candidate pool: algebraically skewed nodes, rare phase, preferring
 	// modest support (small keys), plus raw input literals as filler.
-	cands := skew.TopSkewedNodes(work, opt.MaxCandidates, 2)
+	cands := skew.TopSkewedNodes(work, maxCandidates, 2)
 	type scored struct {
 		lit  aig.Lit
 		sup  []int
@@ -212,9 +197,10 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 		}
 		return false
 	}
-	gain := opt.GainBits
+	gain := gainBits
 	stall := 0
-	maxSupport := opt.MaxSupport
+	// maxSupport bounds the key length (support of L).
+	maxSupport := int(2.5*opt.TargetBits) + 8
 	curSup := map[int]bool{}
 	for _, s := range seed.sup {
 		curSup[s] = true
@@ -232,10 +218,10 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 	// the circuit can offer at all.
 	marginFor := func(bits float64) float64 {
 		limit := float64(m) - bits
-		if limit < opt.SupportMargin {
+		if limit < supportMargin {
 			return math.Max(0, limit)
 		}
-		return opt.SupportMargin
+		return supportMargin
 	}
 	supportOK := func() bool {
 		return float64(len(curSup)) >= curBits+marginFor(curBits)
@@ -274,7 +260,7 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 		hardenMode := basicsOK
 		supportMode := !supportOK() && curBits >= opt.TargetBits
 		accepted := false
-		for try := 0; try < opt.TriesPerLevel; try++ {
+		for try := 0; try < triesPerLevel; try++ {
 			cand := pool[rng.Intn(len(pool))]
 			// Respect the support bound (key length control); the cap is
 			// soft — it relaxes when construction would otherwise stall.
@@ -305,7 +291,7 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 			if tentative == lc.Root || tentative.IsConst() {
 				continue
 			}
-			newProb, ok := chainProb(work, tentative, lc.Root, curProb, opt.QuickSamples, opt.Seed+int64(lc.Attachments)*31+int64(try), opt.Simp)
+			newProb, ok := chainProb(work, tentative, lc.Root, curProb, quickSamples, opt.Seed+int64(lc.Attachments)*31+int64(try), opt.Simp)
 			if !ok || newProb <= 0 {
 				continue
 			}
@@ -322,7 +308,7 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 			}
 			if g >= need {
 				// Accept; refine the estimate with a larger budget.
-				refined, ok2 := chainProb(work, tentative, lc.Root, curProb, opt.RefineSamples, opt.Seed^0x5bd1e995+int64(lc.Attachments), opt.Simp)
+				refined, ok2 := chainProb(work, tentative, lc.Root, curProb, refineSamples, opt.Seed^0x5bd1e995+int64(lc.Attachments), opt.Simp)
 				if ok2 && refined > 0 {
 					newProb = refined
 				}
@@ -344,12 +330,12 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 						obs.Int("support", int64(len(curSup))))
 				}
 				accepted = true
-				gain = opt.GainBits
+				gain = gainBits
 				break
 			}
 		}
 		if !accepted {
-			gain *= opt.GainDecay
+			gain *= gainDecay
 			stall++
 			if stall%12 == 0 {
 				// The support cap is binding or the pool is correlated;
@@ -419,7 +405,7 @@ func condProbRejection(g *aig.AIG, target, cond aig.Lit, want int, seed int64) (
 func splitOpts(opt buildOptions, round int64) skew.SplittingOptions {
 	so := skew.DefaultSplittingOptions()
 	so.Seed = opt.Seed + round
-	so.SamplesPerStage = opt.RefineSamples
+	so.SamplesPerStage = refineSamples
 	so.Simp = opt.Simp
 	return so
 }

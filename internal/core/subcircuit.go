@@ -199,7 +199,7 @@ func lockSubCircuit(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 	enc.SetOutput(po, newOut)
 	encC := enc.Cleanup()
 	if opt.FinalRewrite {
-		encC = rewrite.FunctionalRewrite(encC, rewrite.ObfuscationOptions(opt.Seed+9))
+		encC = rewrite.FunctionalRewrite(encC, opt.Seed+9)
 	}
 
 	l := &locking.Locked{

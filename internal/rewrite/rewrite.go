@@ -6,47 +6,22 @@ import (
 	"obfuslock/internal/aig"
 )
 
-// Options configures FunctionalRewrite.
-type Options struct {
-	// CutSize is the maximum cut width considered (<= 6).
-	CutSize int
-	// CutsPerNode bounds cut enumeration.
-	CutsPerNode int
-	// Seed randomizes structural choices when Randomize is true.
-	Seed int64
-	// Randomize picks among equal-cost equivalent structures at random —
-	// the diversification knob ObfusLock uses to break deterministic
-	// locking patterns.
-	Randomize bool
-	// ZeroCost accepts equal-size replacements too (more churn, useful for
-	// obfuscation; classic size-driven rewriting sets this false).
-	ZeroCost bool
-}
-
-// DefaultOptions is size-driven deterministic rewriting.
-func DefaultOptions() Options {
-	return Options{CutSize: 4, CutsPerNode: 8}
-}
-
-// ObfuscationOptions is randomized zero-cost rewriting used to erase
-// structural traces after locking.
-func ObfuscationOptions(seed int64) Options {
-	return Options{CutSize: 4, CutsPerNode: 8, Seed: seed, Randomize: true, ZeroCost: true}
-}
+// Cut enumeration limits of FunctionalRewrite: the widest cut considered
+// and the cuts kept per node.
+const (
+	cutSize     = 4
+	cutsPerNode = 8
+)
 
 // FunctionalRewrite rebuilds the graph, replacing local cones by ISOP-based
 // resyntheses of their cut functions whenever that does not increase size
-// (standard DAG-aware AIG rewriting, simplified). The result is cleaned up
+// (standard DAG-aware AIG rewriting, simplified). Among equal-cost
+// structures it picks at random from seed — the diversification ObfusLock
+// uses to erase structural traces after locking. The result is cleaned up
 // and functionally equivalent to the input.
-func FunctionalRewrite(g *aig.AIG, opt Options) *aig.AIG {
-	if opt.CutSize <= 0 || opt.CutSize > 6 {
-		opt.CutSize = 4
-	}
-	if opt.CutsPerNode <= 0 {
-		opt.CutsPerNode = 8
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	cuts := EnumerateCuts(g, opt.CutSize, opt.CutsPerNode)
+func FunctionalRewrite(g *aig.AIG, seed int64) *aig.AIG {
+	rng := rand.New(rand.NewSource(seed))
+	cuts := EnumerateCuts(g, cutSize, cutsPerNode)
 
 	ng := aig.New()
 	ng.Name = g.Name
@@ -106,11 +81,7 @@ func FunctionalRewrite(g *aig.AIG, opt Options) *aig.AIG {
 			b := ng.MaxVar()
 			cand := BuildFromTruth(ng, tt, leafLits)
 			cost := int(ng.MaxVar() - b)
-			replace := cost < bestCost
-			if !replace && opt.ZeroCost && cost == bestCost {
-				replace = !opt.Randomize || rng.Intn(2) == 0
-			}
-			if replace {
+			if cost < bestCost || (cost == bestCost && rng.Intn(2) == 0) {
 				best, bestCost = cand, cost
 			}
 		}

@@ -108,10 +108,12 @@ func TestFunctionalRewriteEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(rng, 5+rng.Intn(4), 40+rng.Intn(60))
-		rw := FunctionalRewrite(g, DefaultOptions())
-		mustEquivalent(t, g, rw, "deterministic rewrite")
-		if rw.NumNodes() > g.NumNodes()+2 {
-			t.Fatalf("size-driven rewrite grew: %d -> %d", g.NumNodes(), rw.NumNodes())
+		for seed := int64(1); seed <= 3; seed++ {
+			rw := FunctionalRewrite(g, seed)
+			mustEquivalent(t, g, rw, "rewrite")
+			if rw.NumNodes() > g.NumNodes()+2 {
+				t.Fatalf("seed %d: rewrite grew: %d -> %d", seed, g.NumNodes(), rw.NumNodes())
+			}
 		}
 	}
 }
@@ -119,8 +121,8 @@ func TestFunctionalRewriteEquivalent(t *testing.T) {
 func TestFunctionalRewriteRandomizedEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomGraph(rng, 7, 60)
-	rw1 := FunctionalRewrite(g, ObfuscationOptions(1))
-	rw2 := FunctionalRewrite(g, ObfuscationOptions(2))
+	rw1 := FunctionalRewrite(g, 1)
+	rw2 := FunctionalRewrite(g, 2)
 	mustEquivalent(t, g, rw1, "randomized rewrite 1")
 	mustEquivalent(t, g, rw2, "randomized rewrite 2")
 }
@@ -132,10 +134,12 @@ func TestFunctionalRewriteReducesRedundancy(t *testing.T) {
 	x := g.Mux(in[0], in[1].Not(), in[1])
 	x2 := g.Mux(x, in[0], in[0].Not()) // == XNOR(x, in0)... more junk
 	g.AddOutput(g.And(x, x2.Not()).Not(), "f")
-	rw := FunctionalRewrite(g, DefaultOptions())
-	mustEquivalent(t, g, rw, "cleanup rewrite")
-	if rw.NumNodes() > g.NumNodes() {
-		t.Fatalf("rewrite grew: %d -> %d", g.NumNodes(), rw.NumNodes())
+	for seed := int64(1); seed <= 4; seed++ {
+		rw := FunctionalRewrite(g, seed)
+		mustEquivalent(t, g, rw, "cleanup rewrite")
+		if rw.NumNodes() > g.NumNodes() {
+			t.Fatalf("seed %d: rewrite grew: %d -> %d", seed, g.NumNodes(), rw.NumNodes())
+		}
 	}
 }
 
