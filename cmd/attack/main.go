@@ -167,13 +167,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// In deterministic mode the tracer metrics (wall-clock histograms)
-		// are excluded so metrics.json is byte-reproducible too.
-		mtr := tracer
-		if cfg.det {
-			mtr = nil
-		}
-		if err := writeMetrics(cfg.metricsPath, rows, mtr); err != nil {
+		if err := writeMetrics(cfg.metricsPath, rows); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s (%d rows)\n", cfg.metricsPath, len(rows))
@@ -380,13 +374,13 @@ func validateFlags(fs *flag.FlagSet, c *config) error {
 	return nil
 }
 
-func writeMetrics(path string, rows []experiments.TableIRow, tr *obs.Tracer) error {
+func writeMetrics(path string, rows []experiments.TableIRow) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return experiments.WriteMetricsJSON(f, rows, tr)
+	return experiments.WriteMetricsJSON(f, rows)
 }
 
 func printSolverStats(verbose bool, st sat.Stats) {

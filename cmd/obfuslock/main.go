@@ -21,46 +21,97 @@
 // every lock phase as a JSON-Lines span/event stream, -pprof prefix
 // writes <prefix>.cpu.pprof during the run plus <prefix>.heap.pprof and
 // <prefix>.allocs.pprof at exit (spans label the profiles), -ledger
-// writes a ledger.json run record, and -v prints the critical-node
-// verdict and the blend attempts.
+// writes a ledger.json run record with per-span totals, and -v prints
+// the critical-node verdict and the blend attempts.
+//
+// A flag the run does not read is rejected with status 2 instead of
+// being silently ignored: -dip-batch without -resilience, -sweep with
+// -verify=false, and -mincut without -sub.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
+	"time"
 
 	"obfuslock"
 	"obfuslock/internal/cliflags"
 )
 
+// config is the parsed command line.
+type config struct {
+	in, benchName, out, keyOut string
+	skewBits                   float64
+	seed                       int64
+	sub                        bool
+	minCut, output             int
+	noRewrite, verify, sweep   bool
+	resilience                 time.Duration
+	verbose                    bool
+
+	solver cliflags.Solver
+	tele   cliflags.Telemetry
+}
+
+// register binds every flag of the tool onto fs.
+func (c *config) register(fs *flag.FlagSet) {
+	fs.StringVar(&c.in, "in", "", "input .bench netlist")
+	fs.StringVar(&c.benchName, "bench", "", "lock a built-in benchmark instead of -in")
+	fs.StringVar(&c.out, "out", "locked.bench", "output locked netlist")
+	fs.StringVar(&c.keyOut, "key", "key.txt", "output key file")
+	fs.Float64Var(&c.skewBits, "skew", 20, "target skewness in bits")
+	fs.Int64Var(&c.seed, "seed", 1, "construction seed")
+	fs.BoolVar(&c.sub, "sub", false, "lock a sub-circuit behind a reachable cut (for large designs)")
+	fs.IntVar(&c.minCut, "mincut", 0, "minimum sub-circuit cut width (0: derived)")
+	fs.IntVar(&c.output, "po", -1, "protected output index (-1: deepest cone)")
+	fs.BoolVar(&c.noRewrite, "norewrite", false, "skip the final functional-rewriting pass")
+	fs.BoolVar(&c.verify, "verify", true, "prove key correctness by SAT equivalence checking")
+	fs.DurationVar(&c.resilience, "resilience", 0, "after locking, self-check resilience by running the SAT attack with this time budget (0: skip)")
+	fs.BoolVar(&c.sweep, "sweep", true, "use SAT sweeping (fraig) for the -verify equivalence proof")
+
+	c.solver.Register(fs)
+	c.tele.Register(fs)
+
+	fs.BoolVar(&c.verbose, "v", false, "print the critical-node verdict and blend attempts")
+}
+
+// validateFlags rejects an explicitly set flag that the run does not
+// read: -dip-batch only tunes the -resilience attack, -sweep only the
+// -verify proof, and -mincut only the -sub cut.
+func validateFlags(fs *flag.FlagSet, c *config) error {
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case f.Name == "dip-batch" && c.resilience <= 0:
+			unread = append(unread, "-dip-batch not read without -resilience")
+		case f.Name == "sweep" && !c.verify:
+			unread = append(unread, "-sweep not read with -verify=false")
+		case f.Name == "mincut" && !c.sub:
+			unread = append(unread, "-mincut not read without -sub")
+		}
+	})
+	if len(unread) > 0 {
+		return errors.New(strings.Join(unread, "; "))
+	}
+	return nil
+}
+
 func main() {
-	in := flag.String("in", "", "input .bench netlist")
-	benchName := flag.String("bench", "", "lock a built-in benchmark instead of -in")
-	out := flag.String("out", "locked.bench", "output locked netlist")
-	keyOut := flag.String("key", "key.txt", "output key file")
-	skewBits := flag.Float64("skew", 20, "target skewness in bits")
-	seed := flag.Int64("seed", 1, "construction seed")
-	sub := flag.Bool("sub", false, "lock a sub-circuit behind a reachable cut (for large designs)")
-	minCut := flag.Int("mincut", 0, "minimum sub-circuit cut width (0: derived)")
-	output := flag.Int("po", -1, "protected output index (-1: deepest cone)")
-	noRewrite := flag.Bool("norewrite", false, "skip the final functional-rewriting pass")
-	verify := flag.Bool("verify", true, "prove key correctness by SAT equivalence checking")
-	resilience := flag.Duration("resilience", 0, "after locking, self-check resilience by running the SAT attack with this time budget (0: skip)")
-	sweep := flag.Bool("sweep", true, "use SAT sweeping (fraig) for the -verify equivalence proof")
-
-	var solver cliflags.Solver
-	var tele cliflags.Telemetry
-	solver.Register(flag.CommandLine)
-	tele.Register(flag.CommandLine)
-
-	verbose := flag.Bool("v", false, "print the critical-node verdict and blend attempts")
+	var cfg config
+	cfg.register(flag.CommandLine)
 	flag.Parse()
-
-	sess, err := tele.Start("obfuslock")
+	if err := validateFlags(flag.CommandLine, &cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "obfuslock:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	sess, err := cfg.tele.Start("obfuslock")
 	if err != nil {
 		fatal(err)
 	}
@@ -74,20 +125,20 @@ func main() {
 
 	var c *obfuslock.Circuit
 	switch {
-	case *benchName != "":
+	case cfg.benchName != "":
 		found := false
 		for _, b := range append(obfuslock.Benchmarks(), obfuslock.SmallBenchmarks()...) {
-			if b.Name == *benchName {
+			if b.Name == cfg.benchName {
 				c = b.Build()
 				found = true
 				break
 			}
 		}
 		if !found {
-			fatal(fmt.Errorf("unknown benchmark %q (try benchgen -list)", *benchName))
+			fatal(fmt.Errorf("unknown benchmark %q (try benchgen -list)", cfg.benchName))
 		}
-	case *in != "":
-		f, err := os.Open(*in)
+	case cfg.in != "":
+		f, err := os.Open(cfg.in)
 		if err != nil {
 			fatal(err)
 		}
@@ -100,15 +151,15 @@ func main() {
 		fatal(fmt.Errorf("one of -in or -bench is required"))
 	}
 
-	sopt := solver.SimpOptions()
+	sopt := cfg.solver.SimpOptions()
 
 	opt := obfuslock.DefaultOptions()
-	opt.TargetSkewBits = *skewBits
-	opt.Seed = *seed
-	opt.SubCircuit = *sub
-	opt.SubCircuitMinCut = *minCut
-	opt.ProtectedOutput = *output
-	opt.FinalRewrite = !*noRewrite
+	opt.TargetSkewBits = cfg.skewBits
+	opt.Seed = cfg.seed
+	opt.SubCircuit = cfg.sub
+	opt.SubCircuitMinCut = cfg.minCut
+	opt.ProtectedOutput = cfg.output
+	opt.FinalRewrite = !cfg.noRewrite
 	opt.Trace = tracer
 	opt.Simp = sopt
 
@@ -120,7 +171,7 @@ func main() {
 	fmt.Printf("mode=%s key-bits=%d skew=%.1f bits L-nodes=%d attachments=%d\n",
 		rep.Mode, rep.KeyBits, rep.SkewBits, rep.LockingNodes, rep.Attachments)
 	fmt.Printf("nodes %d -> %d, runtime %v\n", rep.OrigNodes, rep.EncNodes, rep.Runtime)
-	if *verbose {
+	if cfg.verbose {
 		critical := rep.CriticalNode
 		if critical == "" {
 			critical = "unchecked"
@@ -128,13 +179,13 @@ func main() {
 		fmt.Printf("critical-node=%s blend-attempts=%d\n", critical, rep.BlendAttempts)
 	}
 
-	if *verify {
-		vsp := tracer.Span("verify", obfuslock.TraceBool("sweep", *sweep))
+	if cfg.verify {
+		vsp := tracer.Span("verify", obfuslock.TraceBool("sweep", cfg.sweep))
 		copt := obfuslock.DefaultCECOptions()
-		if *sweep {
+		if cfg.sweep {
 			copt = obfuslock.SweepCECOptions()
 		}
-		copt.Seed = *seed
+		copt.Seed = cfg.seed
 		copt.Trace = tracer
 		copt.Simp = sopt
 		err := res.Locked.VerifyWith(ctx, c, copt)
@@ -146,14 +197,14 @@ func main() {
 		fmt.Println("verified: correct key restores the original function")
 	}
 
-	if *resilience > 0 {
-		rsp := tracer.Span("resilience", obfuslock.TraceDur("budget", *resilience))
+	if cfg.resilience > 0 {
+		rsp := tracer.Span("resilience", obfuslock.TraceDur("budget", cfg.resilience))
 		aopt := obfuslock.DefaultAttackOptions()
-		aopt.Timeout = *resilience
-		aopt.Seed = *seed
+		aopt.Timeout = cfg.resilience
+		aopt.Seed = cfg.seed
 		aopt.Trace = tracer
 		aopt.Simp = sopt
-		aopt.DIPBatch = solver.DIPBatch
+		aopt.DIPBatch = cfg.solver.DIPBatch
 		a, _ := obfuslock.AttackNamed("sat")
 		r := a.Run(ctx, res.Locked, obfuslock.NewOracle(c), aopt)
 		rsp.End(obfuslock.TraceBool("key_found", r.Key != nil),
@@ -164,11 +215,11 @@ func main() {
 				r.Runtime, r.Iterations, r.Queries)
 		} else {
 			fmt.Printf("resilience: survived a %v SAT attack (%d iterations, %d queries)\n",
-				*resilience, r.Iterations, r.Queries)
+				cfg.resilience, r.Iterations, r.Queries)
 		}
 	}
 
-	of, err := os.Create(*out)
+	of, err := os.Create(cfg.out)
 	if err != nil {
 		fatal(err)
 	}
@@ -184,16 +235,16 @@ func main() {
 			key[i] = '1'
 		}
 	}
-	if err := os.WriteFile(*keyOut, append(key, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(cfg.keyOut, append(key, '\n'), 0o644); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s and %s\n", *out, *keyOut)
+	fmt.Printf("wrote %s and %s\n", cfg.out, cfg.keyOut)
 
 	if err := sess.WriteLedger(); err != nil {
 		fatal(err)
 	}
 	if sess.Ledger != nil {
-		fmt.Printf("wrote %s\n", tele.LedgerPath)
+		fmt.Printf("wrote %s\n", cfg.tele.LedgerPath)
 	}
 }
 

@@ -201,7 +201,7 @@ func sweepAt(t *testing.T, workers int) (table, metrics []byte) {
 		t.Fatal("sweep produced no rows")
 	}
 	var mj bytes.Buffer
-	if err := experiments.WriteMetricsJSON(&mj, rows, nil); err != nil {
+	if err := experiments.WriteMetricsJSON(&mj, rows); err != nil {
 		t.Fatal(err)
 	}
 	return tbl.Bytes(), mj.Bytes()

@@ -1,8 +1,6 @@
 package attacks
 
 import (
-	"time"
-
 	"obfuslock/internal/cnf"
 	"obfuslock/internal/locking"
 	"obfuslock/internal/sat"
@@ -101,26 +99,6 @@ func (st *attackState) dipRound(k int) (sat.Status, [][]bool) {
 		}
 	}
 	return sat.Sat, dips
-}
-
-// answerBatch feeds one enumerated batch through the bit-parallel
-// oracle and records the batching histograms.
-func (st *attackState) answerBatch(dips [][]bool) [][]bool {
-	if st.hDPS != nil {
-		st.hDPS.Record(int64(len(dips)))
-	}
-	var t0 time.Time
-	if st.hOracle != nil {
-		t0 = time.Now()
-	}
-	ys := st.oracle.QueryBatch(dips)
-	if st.hOracle != nil {
-		st.hOracle.RecordDuration(time.Since(t0))
-	}
-	if st.hBatch != nil {
-		st.hBatch.Record(int64(len(dips)))
-	}
-	return ys
 }
 
 // extractKey returns the lexicographically smallest key consistent with

@@ -27,7 +27,6 @@ func (c *cancelOnDIP) Event(_ uint64, name string, _ time.Time, _ []obs.Field) {
 		c.cancel()
 	}
 }
-func (c *cancelOnDIP) Metric(obs.MetricSnapshot) {}
 
 // waitForGoroutines polls until the goroutine count drops back to at most
 // base (plus the runtime's own slack) or the deadline passes, and returns

@@ -34,9 +34,8 @@ type IOOptions struct {
 	// exact termination — batching changes wall clock, not answers.
 	DIPBatch int
 	// Simp controls CNF preprocessing of the miter before the first DIP
-	// solve and inprocessing between iterations (zero value: enabled
-	// with inprocessing every 16 DIPs; simp.Off() disables; set
-	// InprocessEvery < 0 to preprocess once and never inprocess).
+	// solve and inprocessing every 16 DIPs (simp.Options.InprocessDue);
+	// the zero value enables both, simp.Off() disables both.
 	Simp simp.Options
 	// Trace receives an attack.sat / attack.appsat span with one dip
 	// event per DIP (elapsed time, oracle queries, per-round solver
@@ -64,9 +63,6 @@ const (
 	// progressConflicts is the interval, in solver conflicts, of the
 	// traced solver.progress events.
 	progressConflicts = 10000
-	// inprocessDefault is the DIP-iteration cadence for inprocessing
-	// passes when IOOptions.Simp.InprocessEvery is 0.
-	inprocessDefault = 16
 )
 
 // batchWidth normalizes the configured DIP batch width.
@@ -138,32 +134,9 @@ type attackState struct {
 	// (each encoded once per key copy), for the span's key_nodes field.
 	keyNodes int64
 	blockBuf []sat.Lit
-	// Pipeline histograms; all nil with telemetry off, and the loops
-	// then never read the clock for them.
-	hDIP    *obs.Histogram // per-round latency (attack.dip_us)
-	hBatch  *obs.Histogram // answered batch sizes (attack.batch_size)
-	hOracle *obs.Histogram // batched oracle latency (attack.oracle_us)
-	hDPS    *obs.Histogram // DIPs enumerated per solve round (attack.dips_per_solve)
 }
 
-// Histogram names of the batched DIP pipeline. All are record-only:
-// detaching the tracer never changes attack behavior.
-const (
-	// MetricDIPLatency is the per-round pipeline latency histogram
-	// (microseconds: miter solve + DIP enumeration + batched oracle
-	// query + bulk constraint add).
-	MetricDIPLatency = "attack.dip_us"
-	// MetricBatchSize is the histogram of answered oracle batch sizes.
-	MetricBatchSize = "attack.batch_size"
-	// MetricOracleLatency is the batched oracle query latency histogram
-	// (microseconds per QueryBatch call).
-	MetricOracleLatency = "attack.oracle_us"
-	// MetricDIPsPerSolve is the histogram of DIPs enumerated per solve
-	// round (how much each round's blocking-clause enumeration yields).
-	MetricDIPsPerSolve = "attack.dips_per_solve"
-)
-
-func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, sp *obs.Span, tr *obs.Tracer) *attackState {
+func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, sp *obs.Span) *attackState {
 	s, xLits, k1, k2, act := buildMiter(l)
 	st := &attackState{
 		l: l, oracle: oracle, s: s,
@@ -172,16 +145,11 @@ func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Orac
 		cone:    locking.NewKeyCone(l.Enc, l.NumInputs),
 		round:   aig.New(),
 		keys:    make([]aig.Lit, l.KeyBits),
-		hDIP:    tr.Histogram(MetricDIPLatency),
-		hBatch:  tr.Histogram(MetricBatchSize),
-		hOracle: tr.Histogram(MetricOracleLatency),
-		hDPS:    tr.Histogram(MetricDIPsPerSolve),
 	}
 	for c := range st.encs {
 		st.encs[c] = cnf.NewEncoder(st.round, s)
 	}
 	s.SetContext(ctx)
-	s.SetTelemetry(tr.Registry())
 	if sp.Enabled() {
 		s.SetProgress(progressConflicts, func(p sat.Progress) {
 			sp.Event("solver.progress",
@@ -260,7 +228,7 @@ func (st *attackState) addIOConstraints(xs, ys [][]bool, perDIP func(j int)) {
 // covered; the pass then runs once for the whole round.
 func inprocessDue(o simp.Options, lo, hi int) bool {
 	for it := lo + 1; it <= hi; it++ {
-		if o.InprocessDue(it, inprocessDefault) {
+		if o.InprocessDue(it) {
 			return true
 		}
 	}
@@ -313,7 +281,7 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 		obs.Int("key_bits", int64(l.KeyBits)),
 		sizeField,
 		obs.Int("dip_batch", int64(opt.batchWidth())))
-	st := newAttackState(ctx, l, oracle, sp, opt.Trace)
+	st := newAttackState(ctx, l, oracle, sp)
 	// Preprocess the miter once up front. All interface literals (inputs,
 	// both key copies, the activation literal) are frozen, so full
 	// variable elimination is sound here and for every later constraint.
@@ -331,10 +299,6 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 		if opt.MaxIterations > 0 && res.Iterations+width > opt.MaxIterations {
 			width = opt.MaxIterations - res.Iterations
 		}
-		var roundStart time.Time
-		if st.hDIP != nil {
-			roundStart = time.Now()
-		}
 		st.beginRound()
 		prev := st.s.Stats()
 		status, dips := st.dipRound(width)
@@ -348,7 +312,7 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 			res.Exact = res.Key != nil
 			break
 		}
-		ys := st.answerBatch(dips)
+		ys := st.oracle.QueryBatch(dips)
 		d := st.s.Stats().Sub(prev)
 		st.addIOConstraints(dips, ys, func(j int) {
 			res.Iterations++
@@ -363,9 +327,6 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 					obs.Int("decisions_delta", d.Decisions))
 			}
 		})
-		if st.hDIP != nil {
-			st.hDIP.RecordDuration(time.Since(roundStart))
-		}
 		// AppSAT runs the reinforcement rounds the batch's iterations
 		// owe, drawing random patterns in the same order as the serial
 		// loop and answering each round with one bit-parallel oracle pass.

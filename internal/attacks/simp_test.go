@@ -12,13 +12,13 @@ import (
 
 // The SAT attack's exactness claim must survive any preprocessing
 // configuration: whenever the DIP loop reaches UNSAT, the extracted key
-// has to restore the original function exactly — with full elimination,
-// with inprocessing forced on every iteration, and with simp off. The
-// keys themselves may differ between configurations (several keys can be
-// correct), so the check is functional, not positional. Both DIP widths
-// run: the serial loop folds one DIP per round, the default width folds
-// a whole batch into one round graph, and inproc1 eliminates variables
-// between every pair of rounds.
+// has to restore the original function exactly — with full elimination
+// and inprocessing, and with simp off. The keys themselves may differ
+// between configurations (several keys can be correct), so the check is
+// functional, not positional. Both DIP widths run: the serial loop folds
+// one DIP per round, the default width folds a whole batch into one
+// round graph. SARLock's serial attack takes dozens of DIPs, so "on"
+// inprocesses between rounds (every 16 DIPs) there.
 func TestSATAttackSimpOnOffBothExact(t *testing.T) {
 	type instance struct {
 		name string
@@ -36,9 +36,8 @@ func TestSATAttackSimpOnOffBothExact(t *testing.T) {
 		}},
 	}
 	configs := map[string]simp.Options{
-		"on":      {},
-		"off":     simp.Off(),
-		"inproc1": {InprocessEvery: 1},
+		"on":  {},
+		"off": simp.Off(),
 	}
 	for seed := int64(0); seed < 8; seed++ {
 		for _, ins := range instances {

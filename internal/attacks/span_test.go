@@ -30,7 +30,6 @@ func (s *spanEnds) SpanEnd(sd obs.SpanData) {
 	s.ends[sd.Name] = fields
 }
 func (s *spanEnds) Event(uint64, string, time.Time, []obs.Field) {}
-func (s *spanEnds) Metric(obs.MetricSnapshot)                    {}
 
 // The attack spans end with the formula's size — key_nodes folded by the
 // I/O constraints and the solver's variable count — and recording them

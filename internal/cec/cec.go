@@ -63,22 +63,6 @@ type Options struct {
 // sweepWords of 64 random patterns seed a sweep's equivalence classes.
 const sweepWords = 8
 
-// MetricProofLatency is the histogram of final miter-solve latencies
-// (microseconds), one observation per SAT proof attempt.
-const MetricProofLatency = "cec.proof_us"
-
-// timedSolve runs one Solve recording its latency into h (which may be
-// nil, in which case the clock is never read).
-func timedSolve(s *sat.Solver, h *obs.Histogram, assumps ...sat.Lit) sat.Status {
-	if h == nil {
-		return s.Solve(assumps...)
-	}
-	t0 := time.Now()
-	st := s.Solve(assumps...)
-	h.RecordDuration(time.Since(t0))
-	return st
-}
-
 // DefaultOptions uses a small simulation pre-filter and no SAT budget.
 func DefaultOptions() Options {
 	return Options{SimWords: 4, Seed: 1}
@@ -145,7 +129,6 @@ func check(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (Resul
 	s := sat.New()
 	s.SetBudget(opt.Budget.ConflictCap())
 	s.SetContext(ctx)
-	s.SetTelemetry(opt.Trace.Registry())
 	inputs, diff := cnf.Miter(s, a, b)
 	s.AddClause(diff)
 	// Preprocess the whole miter CNF: the shared-input interface is
@@ -153,7 +136,7 @@ func check(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (Resul
 	if !simp.Apply(s, opt.Simp, opt.Trace) {
 		return Result{Equivalent: true, Decided: true, SolverStats: s.Stats()}, nil
 	}
-	switch timedSolve(s, opt.Trace.Histogram(MetricProofLatency)) {
+	switch s.Solve() {
 	case sat.Unsat:
 		return Result{Equivalent: true, Decided: true, SolverStats: s.Stats()}, nil
 	case sat.Sat:
@@ -220,7 +203,6 @@ func solvePairs(ctx context.Context, g *aig.AIG, pairs [][2]aig.Lit, opt Options
 	s := sat.New()
 	s.SetBudget(opt.Budget.ConflictCap())
 	s.SetContext(ctx)
-	s.SetTelemetry(opt.Trace.Registry())
 	e := cnf.NewEncoder(g, s)
 	inputs := make([]sat.Lit, g.NumInputs())
 	for i := range inputs {
@@ -237,7 +219,7 @@ func solvePairs(ctx context.Context, g *aig.AIG, pairs [][2]aig.Lit, opt Options
 	if !simp.Apply(s, opt.Simp, opt.Trace) {
 		return Result{Equivalent: true, Decided: true, SolverStats: s.Stats()}
 	}
-	switch timedSolve(s, opt.Trace.Histogram(MetricProofLatency)) {
+	switch s.Solve() {
 	case sat.Unsat:
 		return Result{Equivalent: true, Decided: true, SolverStats: s.Stats()}
 	case sat.Sat:

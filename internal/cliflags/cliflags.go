@@ -61,7 +61,7 @@ func (t *Telemetry) Register(fs *flag.FlagSet) {
 	fs.StringVar(&t.PprofPrefix, "pprof", "",
 		"write <prefix>.cpu.pprof, <prefix>.heap.pprof and <prefix>.allocs.pprof profiles")
 	fs.StringVar(&t.LedgerPath, "ledger", "",
-		"write a ledger.json run record (flags, build, metrics, peak RSS) to this file")
+		"write a ledger.json run record (flags, build, per-span totals, peak RSS) to this file")
 }
 
 // Session is one tool invocation's observability stack, built by
@@ -73,43 +73,43 @@ type Session struct {
 	// Ledger is the run record (nil without -ledger).
 	Ledger *obs.Ledger
 
+	rollup     *obs.Rollup // the ledger's span totals (nil without -ledger)
 	ledgerPath string
 	closers    []func()
-	finished   bool
 	ledgerDone bool
 }
 
 // Start builds the observability stack from the flags: trace file,
-// span-duration histograms, pprof profiles, ledger. It returns an error
-// instead of exiting so the caller owns the usage message.
+// ledger span rollup, pprof profiles. It returns an error instead of
+// exiting so the caller owns the usage message.
 func (t *Telemetry) Start(tool string) (*Session, error) {
 	s := &Session{ledgerPath: t.LedgerPath}
+	var sinks []obs.Sink
 	if t.LedgerPath != "" {
 		s.Ledger = obs.NewLedger(tool)
+		s.rollup = obs.NewRollup()
+		sinks = append(sinks, s.rollup)
 	}
-	var sinks []obs.Sink
 	if t.TracePath != "" {
 		f, err := os.Create(t.TracePath)
 		if err != nil {
-			s.close()
+			s.Finish()
 			return nil, err
 		}
 		sinks = append(sinks, obs.NewJSONL(f))
 		s.closers = append(s.closers, func() { f.Close() })
 	}
-	reg := obs.NewRegistry()
-	if t.TracePath != "" || t.PprofPrefix != "" || t.LedgerPath != "" {
-		// Every completed span also lands in a span.<name>_us histogram,
-		// so the ledger carries per-phase latency distributions; the
-		// enabled tracer also labels the pprof profiles.
-		sinks = append(sinks, obs.NewSpanDurations(reg))
+	if t.PprofPrefix != "" && len(sinks) == 0 {
+		// -pprof alone still needs an enabled tracer: its spans label the
+		// profiles.
+		sinks = append(sinks, obs.Discard)
 	}
-	s.Tracer = obs.NewWithRegistry(obs.Multi(sinks...), reg)
+	s.Tracer = obs.New(obs.Multi(sinks...))
 	s.Tracer.EnablePprofLabels()
 	if t.PprofPrefix != "" {
 		stop, err := obs.StartProfiles(t.PprofPrefix)
 		if err != nil {
-			s.close()
+			s.Finish()
 			return nil, err
 		}
 		s.closers = append(s.closers, func() {
@@ -121,18 +121,9 @@ func (t *Telemetry) Start(tool string) (*Session, error) {
 	return s, nil
 }
 
-// Finish flushes the tracer and runs the cleanup chain exactly once.
-// Safe to both defer and call explicitly before os.Exit.
+// Finish runs the cleanup chain exactly once. Safe to both defer and
+// call explicitly before os.Exit.
 func (s *Session) Finish() {
-	if s.finished {
-		return
-	}
-	s.finished = true
-	s.Tracer.Close()
-	s.close()
-}
-
-func (s *Session) close() {
 	for _, c := range s.closers {
 		c()
 	}
@@ -147,6 +138,6 @@ func (s *Session) WriteLedger() error {
 		return nil
 	}
 	s.ledgerDone = true
-	s.Ledger.Finish(s.Tracer)
+	s.Ledger.Finish(s.rollup)
 	return s.Ledger.WriteFile(s.ledgerPath)
 }

@@ -88,7 +88,24 @@ func TestSessionTraceAndLedger(t *testing.T) {
 		t.Fatal("trace holds no span_end records")
 	}
 
-	data, err := os.ReadFile(ledgerPath)
+	l := readLedger(t, ledgerPath)
+	if l.Schema != obs.LedgerSchema || len(l.Spans) == 0 {
+		t.Fatalf("ledger schema %q with %d span totals", l.Schema, len(l.Spans))
+	}
+	// The rollup counts the spans the trace ended.
+	calls := int64(0)
+	for _, st := range l.Spans {
+		calls += st.Calls
+	}
+	if calls != int64(spanEnds) {
+		t.Fatalf("ledger rolls up %d spans, trace ended %d", calls, spanEnds)
+	}
+}
+
+// readLedger decodes a written ledger.json.
+func readLedger(t *testing.T, path string) obs.Ledger {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,20 +113,71 @@ func TestSessionTraceAndLedger(t *testing.T) {
 	if err := json.Unmarshal(data, &l); err != nil {
 		t.Fatalf("ledger invalid: %v", err)
 	}
-	hists := 0
-	for _, m := range l.Metrics {
-		if m.Kind == "histogram" && m.Count > 0 {
-			hists++
+	return l
+}
+
+// TestLedgerRollupMatchesCollector locks c7552-s at 8 bits with the
+// ledger's rollup and a Collector on one tracer: for every span name the
+// written ledger's calls and summed integer end fields must equal the
+// values computed from the collected spans.
+func TestLedgerRollupMatchesCollector(t *testing.T) {
+	roll := obs.NewRollup()
+	col := obs.NewCollector()
+	smallLock(t, obs.New(obs.Multi(roll, col)))
+	l := obs.NewLedger("test")
+	l.Finish(roll)
+	path := filepath.Join(t.TempDir(), "ledger.json")
+	if err := l.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	type totals struct {
+		calls  int64
+		fields map[string]int64
+	}
+	want := map[string]*totals{}
+	for _, sd := range col.Spans() {
+		tt := want[sd.Name]
+		if tt == nil {
+			tt = &totals{fields: map[string]int64{}}
+			want[sd.Name] = tt
+		}
+		tt.calls++
+		for _, f := range sd.Fields {
+			if v, ok := f.Value().(int64); ok {
+				tt.fields[f.Key] += v
+			}
 		}
 	}
-	if l.Schema != obs.LedgerSchema || hists == 0 {
-		t.Fatalf("ledger schema %q with %d histograms", l.Schema, hists)
+	got := readLedger(t, path).Spans
+	if len(got) != len(want) {
+		t.Fatalf("ledger has %d span names, collector %d", len(got), len(want))
+	}
+	for i, st := range got {
+		if i > 0 && got[i-1].Name >= st.Name {
+			t.Fatalf("ledger spans not sorted by name: %q before %q", got[i-1].Name, st.Name)
+		}
+		w := want[st.Name]
+		if w == nil || st.Calls != w.calls {
+			t.Fatalf("span %q: ledger calls %d, collector %+v", st.Name, st.Calls, w)
+		}
+		if len(st.Fields) != len(w.fields) {
+			t.Fatalf("span %q: ledger fields %v, collector %v", st.Name, st.Fields, w.fields)
+		}
+		for k, v := range w.fields {
+			if st.Fields[k] != v {
+				t.Fatalf("span %q field %q: ledger %d, collector %d", st.Name, k, st.Fields[k], v)
+			}
+		}
+	}
+	if lock := want["lock"]; lock == nil || lock.calls != 1 {
+		t.Fatalf("lock span totals %+v, want one call", lock)
 	}
 }
 
 // TestSessionFinishIdempotent covers the CLIs' exit paths, which call
 // Finish and WriteLedger explicitly before os.Exit and again through
-// defer. It also pins that -ledger alone records span histograms.
+// defer. It also pins that -ledger alone rolls up the lock's spans.
 func TestSessionFinishIdempotent(t *testing.T) {
 	ledgerPath := filepath.Join(t.TempDir(), "ledger.json")
 	_, s := startSession(t, "-ledger", ledgerPath)
@@ -125,10 +193,10 @@ func TestSessionFinishIdempotent(t *testing.T) {
 	if err := json.Unmarshal(first, &l); err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Metrics) == 0 {
-		t.Fatal("-ledger alone recorded no metrics")
+	if len(l.Spans) == 0 {
+		t.Fatal("-ledger alone rolled up no spans")
 	}
-	s.Tracer.Counter("late").Inc()
+	s.Tracer.Span("late").End()
 	if err := s.WriteLedger(); err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,7 @@ func EqualLit(s *sat.Solver, a, b sat.Lit) sat.Lit {
 
 // AddXorConstraint adds the parity constraint lits[0] ^ ... ^ lits[n-1] = rhs
 // by chaining fresh variables (3-literal XOR steps). Used by the XOR-hashing
-// model counter and sampler.
+// model counter.
 func AddXorConstraint(s *sat.Solver, lits []sat.Lit, rhs bool) {
 	if len(lits) == 0 {
 		if rhs {

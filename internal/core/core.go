@@ -235,15 +235,8 @@ func Lock(ctx context.Context, c *aig.AIG, opt Options) (*Result, error) {
 		obs.Str("critical_node", res.Report.CriticalNode),
 		obs.Int("blend_attempts", int64(res.Report.BlendAttempts)),
 		obs.Dur("runtime", res.Report.Runtime))
-	// One observation per locked circuit: across a sweep this is the
-	// lock-time distribution behind the paper's Table I column.
-	opt.Trace.Histogram(MetricLockLatency).RecordDuration(res.Report.Runtime)
 	return res, nil
 }
-
-// MetricLockLatency is the per-circuit end-to-end lock latency
-// histogram (microseconds).
-const MetricLockLatency = "lock.total_us"
 
 func lock(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span, start time.Time) (*Result, error) {
 	if c.NumOutputs() == 0 {

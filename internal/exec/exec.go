@@ -14,8 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"obfuslock/internal/obs"
 )
 
 // Budget bounds one unit of work. The zero value is unlimited.
@@ -85,41 +83,6 @@ func Workers(n int) int {
 	return n
 }
 
-// PoolMetrics is the optional telemetry surface of the worker pool: a
-// histogram of per-task latency and a completed-task counter. The zero
-// value (all nil handles) is fully inert, so Collect pays nothing when
-// telemetry is off.
-type PoolMetrics struct {
-	// TaskLatency receives each task's run duration in microseconds.
-	TaskLatency *obs.Histogram
-	// Tasks counts completed tasks.
-	Tasks *obs.Counter
-}
-
-// Pool metric names used by PoolMetricsFrom.
-const (
-	MetricTaskLatency = "exec.task_us"
-	MetricTasks       = "exec.tasks"
-)
-
-// PoolMetricsFrom builds the standard pool metrics from a tracer's
-// registry. A nil tracer yields the inert zero value.
-func PoolMetricsFrom(tr *obs.Tracer) PoolMetrics {
-	reg := tr.Registry()
-	if reg == nil {
-		return PoolMetrics{}
-	}
-	return PoolMetrics{
-		TaskLatency: reg.Histogram(MetricTaskLatency),
-		Tasks:       reg.Counter(MetricTasks),
-	}
-}
-
-// enabled reports whether any metric handle is live.
-func (pm PoolMetrics) enabled() bool {
-	return pm.TaskLatency != nil || pm.Tasks != nil
-}
-
 // Collect runs n independent tasks on a pool of workers and hands every
 // result to emit on the calling goroutine, in task order (0, 1, 2, …)
 // regardless of completion order or worker count. run must not depend on
@@ -131,35 +94,11 @@ func (pm PoolMetrics) enabled() bool {
 // and Collect returns after emitting the contiguous prefix of completed
 // results; tasks that never ran are not emitted.
 func Collect[T any](ctx context.Context, workers, n int, run func(ctx context.Context, i int) T, emit func(i int, r T)) {
-	CollectMetered(ctx, workers, n, PoolMetrics{}, run, emit)
-}
-
-// CollectMetered is Collect with pool telemetry: every task records its
-// latency and completion on finish. The zero PoolMetrics adds no
-// overhead and never reads the clock; ordering semantics are identical
-// to Collect at any worker count (instrumentation is per-task and
-// scheduling-free).
-func CollectMetered[T any](ctx context.Context, workers, n int, pm PoolMetrics, run func(ctx context.Context, i int) T, emit func(i int, r T)) {
 	if n <= 0 {
 		return
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if pm.enabled() {
-		inner := run
-		run = func(ctx context.Context, i int) T {
-			var t0 time.Time
-			if pm.TaskLatency != nil {
-				t0 = time.Now()
-			}
-			r := inner(ctx, i)
-			if pm.TaskLatency != nil {
-				pm.TaskLatency.RecordDuration(time.Since(t0))
-			}
-			pm.Tasks.Inc()
-			return r
-		}
 	}
 	workers = Workers(workers)
 	if workers > n {

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"obfuslock/internal/obs"
 )
 
 func TestConflictCap(t *testing.T) {
@@ -161,45 +159,5 @@ func TestWorkersResolution(t *testing.T) {
 	}
 	if Workers(7) != 7 {
 		t.Fatal("explicit worker count not honored")
-	}
-}
-
-func TestCollectMeteredRecordsPoolTelemetry(t *testing.T) {
-	tr := obs.New(obs.Discard)
-	pm := PoolMetricsFrom(tr)
-	const n = 20
-	var order []int
-	CollectMetered(context.Background(), 4, n, pm,
-		func(ctx context.Context, i int) int { return i * i },
-		func(i, r int) {
-			if r != i*i {
-				t.Fatalf("task %d result %d", i, r)
-			}
-			order = append(order, i)
-		})
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("emit order %v not task order", order)
-		}
-	}
-	if got := pm.Tasks.Value(); got != n {
-		t.Fatalf("task counter = %d, want %d", got, n)
-	}
-	if got := pm.TaskLatency.Count(); got != n {
-		t.Fatalf("latency histogram count = %d, want %d", got, n)
-	}
-}
-
-func TestPoolMetricsFromNilTracerIsInert(t *testing.T) {
-	pm := PoolMetricsFrom(nil)
-	if pm.enabled() {
-		t.Fatal("nil tracer produced live pool metrics")
-	}
-	ran := 0
-	CollectMetered(context.Background(), 1, 3, pm,
-		func(ctx context.Context, i int) int { return i },
-		func(i, r int) { ran++ })
-	if ran != 3 {
-		t.Fatalf("ran %d tasks, want 3", ran)
 	}
 }

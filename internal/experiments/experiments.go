@@ -256,9 +256,7 @@ func TableI(ctx context.Context, suite []netlistgen.Benchmark, skews []float64, 
 		}
 	}
 	var rows []TableIRow
-	// Metered variant: per-cell latency histogram and task counter when
-	// budget.Trace is live; identical scheduling (and output) otherwise.
-	exec.CollectMetered(ctx, budget.Workers, len(cells), exec.PoolMetricsFrom(budget.Trace), func(ctx context.Context, i int) cellOut {
+	exec.Collect(ctx, budget.Workers, len(cells), func(ctx context.Context, i int) cellOut {
 		row, err := TableIEntry(ctx, cells[i].b, cells[i].skew, exec.DeriveSeed(seed, i), budget, nil)
 		return cellOut{row, err}
 	}, func(i int, r cellOut) {

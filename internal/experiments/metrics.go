@@ -3,8 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"io"
-
-	"obfuslock/internal/obs"
 )
 
 // MetricsSchema identifies the metrics.json layout; bump on breaking
@@ -24,31 +22,15 @@ type MetricsRow struct {
 	Attacks map[string]string `json:"attacks"`
 }
 
-// MetricsMetric mirrors one obs.MetricSnapshot in JSON form.
-type MetricsMetric struct {
-	Name  string  `json:"name"`
-	Kind  string  `json:"kind"`
-	Value float64 `json:"value,omitempty"`
-	Count int64   `json:"count,omitempty"`
-	Sum   float64 `json:"sum,omitempty"`
-	Min   float64 `json:"min,omitempty"`
-	Max   float64 `json:"max,omitempty"`
-	P50   float64 `json:"p50,omitempty"`
-	P90   float64 `json:"p90,omitempty"`
-	P99   float64 `json:"p99,omitempty"`
-}
-
 // MetricsFile is the top-level metrics.json document written by
 // cmd/attack -table1.
 type MetricsFile struct {
-	Schema  string          `json:"schema"`
-	Rows    []MetricsRow    `json:"rows"`
-	Metrics []MetricsMetric `json:"metrics,omitempty"`
+	Schema string       `json:"schema"`
+	Rows   []MetricsRow `json:"rows"`
 }
 
-// NewMetricsFile converts sweep rows (and, when tr is non-nil, its
-// registered counters and histograms) into the metrics.json document.
-func NewMetricsFile(rows []TableIRow, tr *obs.Tracer) MetricsFile {
+// NewMetricsFile converts sweep rows into the metrics.json document.
+func NewMetricsFile(rows []TableIRow) MetricsFile {
 	mf := MetricsFile{Schema: MetricsSchema, Rows: make([]MetricsRow, 0, len(rows))}
 	for _, r := range rows {
 		lockSeconds := r.LockTime.Seconds()
@@ -71,19 +53,12 @@ func NewMetricsFile(rows []TableIRow, tr *obs.Tracer) MetricsFile {
 			},
 		})
 	}
-	for _, m := range tr.Metrics() {
-		mf.Metrics = append(mf.Metrics, MetricsMetric{
-			Name: m.Name, Kind: m.Kind, Value: m.Value,
-			Count: m.Count, Sum: m.Sum, Min: m.Min, Max: m.Max,
-			P50: m.P50, P90: m.P90, P99: m.P99,
-		})
-	}
 	return mf
 }
 
 // WriteMetricsJSON writes the metrics.json document for a Table I sweep.
-func WriteMetricsJSON(w io.Writer, rows []TableIRow, tr *obs.Tracer) error {
+func WriteMetricsJSON(w io.Writer, rows []TableIRow) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(NewMetricsFile(rows, tr))
+	return enc.Encode(NewMetricsFile(rows))
 }

@@ -24,7 +24,6 @@ package fraig
 
 import (
 	"context"
-	"time"
 
 	"obfuslock/internal/aig"
 	"obfuslock/internal/cnf"
@@ -111,9 +110,8 @@ type Result struct {
 	SolverStats sat.Stats
 }
 
-// MetricProofLatency is the histogram of per-candidate equivalence
-// proof latencies (microseconds), one observation per SAT query.
-const MetricProofLatency = "fraig.proof_us"
+// simpEvery is the inprocessing cadence of Sweep, in SAT queries.
+const simpEvery = 64
 
 // sweeper carries the mutable state of one Sweep call.
 type sweeper struct {
@@ -124,7 +122,6 @@ type sweeper struct {
 	classOf []int32   // old var -> class index, -1 when unclassified
 	classes [][]uint32
 	st      Stats
-	hProof  *obs.Histogram // per-query proof latency; nil with telemetry off
 }
 
 // Sweep reduces g by merging functionally equivalent nodes. The input
@@ -139,7 +136,7 @@ func Sweep(ctx context.Context, g *aig.AIG, opt Options) *Result {
 		obs.Int("nodes", int64(g.NumNodes())),
 		obs.Int("words", int64(opt.Words)))
 
-	sw := &sweeper{g: g, ng: aig.New(), hProof: tr.Histogram(MetricProofLatency)}
+	sw := &sweeper{g: g, ng: aig.New()}
 	sw.ng.Name = g.Name
 	sw.buildClasses(opt)
 
@@ -148,7 +145,6 @@ func Sweep(ctx context.Context, g *aig.AIG, opt Options) *Result {
 	// selectors) persist across queries.
 	s := sat.New()
 	s.SetContext(ctx)
-	s.SetTelemetry(tr.Registry())
 	enc := cnf.NewEncoder(sw.ng, s)
 	sw.m = make([]aig.Lit, g.MaxVar()+1)
 	sw.m[0] = aig.ConstFalse
@@ -162,10 +158,6 @@ func Sweep(ctx context.Context, g *aig.AIG, opt Options) *Result {
 	// keeps adding cones over internal variables, so elimination is off).
 	fopt := opt.Simp
 	fopt.NoVarElim = true
-	simpEvery := fopt.InprocessEvery
-	if simpEvery == 0 {
-		simpEvery = 64
-	}
 	lastSimp := 0
 
 	decided := true
@@ -197,7 +189,7 @@ func Sweep(ctx context.Context, g *aig.AIG, opt Options) *Result {
 				proving = false
 			}
 		}
-		if q := sw.st.SatProved + sw.st.SatRefuted + sw.st.Undecided; fopt.Enabled() && simpEvery > 0 && q-lastSimp >= simpEvery {
+		if q := sw.st.SatProved + sw.st.SatRefuted + sw.st.Undecided; fopt.Enabled() && q-lastSimp >= simpEvery {
 			lastSimp = q
 			simp.Apply(s, fopt, tr)
 		}
@@ -207,16 +199,12 @@ func Sweep(ctx context.Context, g *aig.AIG, opt Options) *Result {
 	}
 	reduced := sw.ng.Cleanup()
 
-	if tr.Enabled() {
-		tr.Counter("fraig.classes").Add(int64(sw.st.Classes))
-		tr.Counter("fraig.merges").Add(int64(sw.st.Merges))
-		tr.Counter("fraig.sim_refuted").Add(int64(sw.st.SimRefuted))
-		tr.Counter("fraig.sat_proved").Add(int64(sw.st.SatProved))
-		tr.Counter("fraig.undecided").Add(int64(sw.st.Undecided))
-	}
 	sp.End(
 		obs.Int("classes", int64(sw.st.Classes)),
 		obs.Int("merges", int64(sw.st.Merges)),
+		obs.Int("sim_refuted", int64(sw.st.SimRefuted)),
+		obs.Int("sat_proved", int64(sw.st.SatProved)),
+		obs.Int("undecided", int64(sw.st.Undecided)),
 		obs.Int("rounds", int64(sw.st.Rounds)),
 		obs.Int("nodes_out", int64(reduced.NumNodes())),
 		obs.Bool("decided", decided))
@@ -301,15 +289,7 @@ func (sw *sweeper) prove(ctx context.Context, v uint32, s *sat.Solver, enc *cnf.
 		lits := enc.Encode(sw.m[v], target)
 		d := cnf.XorLit(s, lits[0], lits[1])
 		s.SetBudget(opt.Budget.ConflictCap())
-		var t0 time.Time
-		if sw.hProof != nil {
-			t0 = time.Now()
-		}
-		status := s.Solve(d)
-		if sw.hProof != nil {
-			sw.hProof.RecordDuration(time.Since(t0))
-		}
-		switch status {
+		switch s.Solve(d) {
 		case sat.Unsat:
 			s.AddClause(d.Not()) // lock the proven equality in for later queries
 			sw.m[v] = target

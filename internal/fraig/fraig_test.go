@@ -171,24 +171,40 @@ func TestSweepCancelledStaysSound(t *testing.T) {
 
 func TestSweepInstrumentation(t *testing.T) {
 	col := obs.NewCollector()
-	tr := obs.New(col)
+	roll := obs.NewRollup()
 	opt := fraig.DefaultOptions()
-	opt.Trace = tr
+	opt.Trace = obs.New(obs.Multi(col, roll))
 	g := randAIG(5, 6, 50)
 	res := fraig.Sweep(context.Background(), g, opt)
 	if res.Stats.Merges == 0 {
 		t.Fatal("expected merges on the duplicate-rich random graph")
 	}
-	found := false
-	for _, m := range tr.Metrics() {
-		if m.Name == "fraig.merges" {
-			found = true
+	sd, ok := col.SpanNamed("fraig.sweep")
+	if !ok {
+		t.Fatal("no fraig.sweep span recorded")
+	}
+	want := map[string]int64{
+		"classes":     int64(res.Stats.Classes),
+		"merges":      int64(res.Stats.Merges),
+		"sim_refuted": int64(res.Stats.SimRefuted),
+		"sat_proved":  int64(res.Stats.SatProved),
+		"undecided":   int64(res.Stats.Undecided),
+	}
+	got := map[string]int64{}
+	for _, f := range sd.Fields {
+		if v, ok := f.Value().(int64); ok {
+			got[f.Key] = v
 		}
 	}
-	if !found {
-		t.Fatal("fraig.merges counter not recorded")
+	var rolled map[string]int64
+	for _, st := range roll.Spans() {
+		if st.Name == "fraig.sweep" {
+			rolled = st.Fields
+		}
 	}
-	if len(col.Spans()) == 0 {
-		t.Fatal("no fraig.sweep span recorded")
+	for k, v := range want {
+		if got[k] != v || rolled[k] != v {
+			t.Errorf("fraig.sweep %s: span %d, rollup %d, want %d", k, got[k], rolled[k], v)
+		}
 	}
 }

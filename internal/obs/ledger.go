@@ -13,12 +13,12 @@ import (
 
 // LedgerSchema identifies the ledger.json layout; bump on breaking
 // changes so cross-run trajectory tooling can detect stale files.
-const LedgerSchema = "obfuslock-ledger/v1"
+const LedgerSchema = "obfuslock-ledger/v2"
 
 // Ledger is the run ledger: one JSON document per CLI invocation
 // recording what ran (tool, args, build), on what (go version,
-// GOOS/GOARCH), for how long, at what peak memory, and the final metric
-// snapshot. Accumulated across runs, ledgers give the perf trajectory
+// GOOS/GOARCH), for how long, at what peak memory, and the per-phase
+// span rollup. Accumulated across runs, ledgers give the perf trajectory
 // of the project — the cross-run counterpart to a single run's
 // metrics.json.
 type Ledger struct {
@@ -38,22 +38,8 @@ type Ledger struct {
 	// PeakRSSBytes is the process's high-water resident set size (VmHWM
 	// on Linux; 0 where the platform offers no cheap source).
 	PeakRSSBytes int64 `json:"peak_rss_bytes"`
-	// Metrics is the final registry snapshot, sorted by name.
-	Metrics []LedgerMetric `json:"metrics,omitempty"`
-}
-
-// LedgerMetric mirrors one MetricSnapshot in ledger JSON form.
-type LedgerMetric struct {
-	Name  string  `json:"name"`
-	Kind  string  `json:"kind"`
-	Value float64 `json:"value,omitempty"`
-	Count int64   `json:"count,omitempty"`
-	Sum   float64 `json:"sum,omitempty"`
-	Min   float64 `json:"min,omitempty"`
-	Max   float64 `json:"max,omitempty"`
-	P50   float64 `json:"p50,omitempty"`
-	P90   float64 `json:"p90,omitempty"`
-	P99   float64 `json:"p99,omitempty"`
+	// Spans is the run's span rollup, sorted by span name.
+	Spans []SpanTotal `json:"spans,omitempty"`
 }
 
 // NewLedger opens a ledger for the named tool, stamping the start time,
@@ -71,20 +57,13 @@ func NewLedger(tool string) *Ledger {
 	}
 }
 
-// Finish stamps the end time, wall duration, peak RSS, and the final
-// metric snapshot from tr (which may be nil).
-func (l *Ledger) Finish(tr *Tracer) {
+// Finish stamps the end time, wall duration, peak RSS, and the span
+// totals of r (which may be nil).
+func (l *Ledger) Finish(r *Rollup) {
 	l.End = time.Now()
 	l.WallSeconds = l.End.Sub(l.Start).Seconds()
 	l.PeakRSSBytes = peakRSSBytes()
-	l.Metrics = l.Metrics[:0]
-	for _, m := range tr.Metrics() {
-		l.Metrics = append(l.Metrics, LedgerMetric{
-			Name: m.Name, Kind: m.Kind, Value: m.Value,
-			Count: m.Count, Sum: m.Sum, Min: m.Min, Max: m.Max,
-			P50: m.P50, P90: m.P90, P99: m.P99,
-		})
-	}
+	l.Spans = r.Spans()
 }
 
 // WriteFile writes the ledger as indented JSON to path.

@@ -1,6 +1,6 @@
 // Package obs is the repository's observability layer: hierarchical
-// wall-clock spans, structured events, and named counters and
-// histograms, all delivered to a pluggable Sink. It is stdlib-only and
+// wall-clock spans with typed end fields and structured events, both
+// delivered to a pluggable Sink. It is stdlib-only and
 // built around one invariant: a disabled tracer (a nil *Tracer, or one
 // the caller never created) costs nothing on the hot paths — every
 // method is nil-safe and the guarded call pattern
@@ -14,7 +14,8 @@
 // progress callback (internal/sat), the attack suite (internal/attacks)
 // and the counting/sampling engines (internal/count, internal/sample)
 // all emit through this package; cmd/attack and cmd/obfuslock expose it
-// via -trace, -ledger and -pprof.
+// via -trace, -ledger and -pprof. The Rollup sink sums the span stream
+// per span name for the run ledger.
 package obs
 
 import (
@@ -96,20 +97,18 @@ type SpanData struct {
 	Fields []Field
 }
 
-// Sink receives the span/event/metric stream. Implementations must be
-// safe for concurrent use.
+// Sink receives the span/event stream. Implementations must be safe for
+// concurrent use.
 type Sink interface {
 	SpanStart(sd SpanData)
 	SpanEnd(sd SpanData)
 	Event(spanID uint64, name string, at time.Time, fields []Field)
-	Metric(ms MetricSnapshot)
 }
 
 // Tracer is the root of an observability session. A nil *Tracer is a
 // valid, fully disabled tracer.
 type Tracer struct {
 	sink   Sink
-	reg    *Registry
 	nextID atomic.Uint64
 	pprof  bool
 }
@@ -117,31 +116,10 @@ type Tracer struct {
 // New returns a tracer delivering to sink. A nil sink yields a nil
 // (disabled) tracer.
 func New(sink Sink) *Tracer {
-	return NewWithRegistry(sink, nil)
-}
-
-// NewWithRegistry returns a tracer delivering to sink whose metric
-// namespace is reg, letting a sink built before the tracer (such as
-// SpanDurations) share the tracer's registry. A nil reg allocates a
-// fresh one; a nil sink yields a nil (disabled) tracer.
-func NewWithRegistry(sink Sink, reg *Registry) *Tracer {
 	if sink == nil {
 		return nil
 	}
-	if reg == nil {
-		reg = NewRegistry()
-	}
-	return &Tracer{sink: sink, reg: reg}
-}
-
-// Registry returns the tracer's metric registry (nil for a disabled
-// tracer). It lets callers hand the metric namespace to components that
-// do not emit spans.
-func (t *Tracer) Registry() *Registry {
-	if !t.Enabled() {
-		return nil
-	}
-	return t.reg
+	return &Tracer{sink: sink}
 }
 
 // EnablePprofLabels makes every span tag the current goroutine's pprof
@@ -235,15 +213,4 @@ func (t *Tracer) Event(name string, fields ...Field) {
 		return
 	}
 	t.sink.Event(0, name, time.Now(), fields)
-}
-
-// Close flushes the metric registry to the sink. It does not close the
-// sink's underlying writer (the caller owns it).
-func (t *Tracer) Close() {
-	if !t.Enabled() {
-		return
-	}
-	for _, ms := range t.Metrics() {
-		t.sink.Metric(ms)
-	}
 }

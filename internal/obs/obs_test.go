@@ -24,12 +24,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	child.End()
 	sp.End()
 	tr.Event("orphan")
-	tr.Counter("c").Add(5)
-	tr.Histogram("h").Observe(2)
-	if got := tr.Metrics(); got != nil {
-		t.Fatalf("nil tracer metrics = %v", got)
-	}
-	tr.Close()
 	if New(nil) != nil {
 		t.Fatal("New(nil) should return a disabled (nil) tracer")
 	}
@@ -67,31 +61,6 @@ func TestCollectorHierarchy(t *testing.T) {
 	}
 }
 
-func TestMetricsRegistry(t *testing.T) {
-	tr := New(NewCollector())
-	c := tr.Counter("sat.conflicts")
-	c.Add(10)
-	tr.Counter("sat.conflicts").Inc() // same instance by name
-	if c.Value() != 11 {
-		t.Fatalf("counter = %d, want 11", c.Value())
-	}
-	h := tr.Histogram("dip.us")
-	h.Observe(3)
-	h.Observe(1)
-	h.Observe(2)
-	ms := tr.Metrics()
-	if len(ms) != 2 {
-		t.Fatalf("got %d metrics, want 2", len(ms))
-	}
-	// Sorted by name: dip.us, sat.conflicts.
-	if ms[0].Name != "dip.us" || ms[0].Count != 3 || ms[0].Min != 1 || ms[0].Max != 3 || ms[0].Sum != 6 {
-		t.Fatalf("histogram snapshot = %+v", ms[0])
-	}
-	if ms[1].Name != "sat.conflicts" || ms[1].Value != 11 {
-		t.Fatalf("counter snapshot = %+v", ms[1])
-	}
-}
-
 func TestJSONLValidAndComplete(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(NewJSONL(&buf))
@@ -99,13 +68,10 @@ func TestJSONLValidAndComplete(t *testing.T) {
 	root.Event("dip", Int("iter", 1), Dur("elapsed", 1500*time.Microsecond),
 		Bool("exact", false), Float("rate", 0.5), Str("phase", "solve"))
 	root.End(Bool("exact", true))
-	tr.Counter("oracle.queries").Add(7)
-	tr.Histogram("iter.us").Observe(12)
-	tr.Close()
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("got %d JSONL lines, want 5:\n%s", len(lines), buf.String())
+	if len(lines) != 3 {
+		t.Fatalf("got %d JSONL lines, want 3:\n%s", len(lines), buf.String())
 	}
 	types := map[string]int{}
 	for _, ln := range lines {
@@ -115,7 +81,7 @@ func TestJSONLValidAndComplete(t *testing.T) {
 		}
 		types[m["type"].(string)]++
 	}
-	if types["span_start"] != 1 || types["span_end"] != 1 || types["event"] != 1 || types["metric"] != 2 {
+	if types["span_start"] != 1 || types["span_end"] != 1 || types["event"] != 1 {
 		t.Fatalf("record mix = %v", types)
 	}
 
@@ -133,7 +99,6 @@ func TestJSONLNonFiniteFloats(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(NewJSONL(&buf))
 	tr.Span("x", Float("inf", math.Inf(1)), Float("nan", math.NaN())).End()
-	tr.Close()
 	for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(ln), &m); err != nil {
@@ -178,7 +143,6 @@ func TestConcurrentSpansFanIn(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	tr.Close()
 	ended := 0
 	for _, sd := range col.Spans() {
 		if sd.Name == "cell" {

@@ -15,7 +15,6 @@ type discard struct{}
 func (discard) SpanStart(SpanData)                       {}
 func (discard) SpanEnd(SpanData)                         {}
 func (discard) Event(uint64, string, time.Time, []Field) {}
-func (discard) Metric(MetricSnapshot)                    {}
 
 // Discard is a sink that drops the whole stream.
 var Discard Sink = discard{}
@@ -57,19 +56,12 @@ func (m multiSink) Event(id uint64, name string, at time.Time, fields []Field) {
 	}
 }
 
-func (m multiSink) Metric(ms MetricSnapshot) {
-	for _, s := range m {
-		s.Metric(ms)
-	}
-}
-
-// JSONL writes the stream as JSON Lines. One object per line, four
+// JSONL writes the stream as JSON Lines. One object per line, three
 // record shapes (see DESIGN.md "Observability" for the schema):
 //
 //	{"type":"span_start","id":2,"parent":1,"name":"lock.build_l","ts":"…"}
 //	{"type":"span_end","id":2,"parent":1,"name":"lock.build_l","ts":"…","dur_us":8123,"fields":{…}}
 //	{"type":"event","span":2,"name":"attach","ts":"…","fields":{"gain_bits":2.1}}
-//	{"type":"metric","name":"sat.conflicts","kind":"counter","value":512}
 //
 // Timestamps are RFC3339Nano; durations are integer microseconds. JSONL
 // is safe for concurrent use.
@@ -170,36 +162,6 @@ func (j *JSONL) Event(id uint64, name string, at time.Time, fields []Field) {
 	})
 }
 
-// Metric implements Sink.
-func (j *JSONL) Metric(ms MetricSnapshot) {
-	j.line(func(b []byte) []byte {
-		b = append(b, `{"type":"metric","name":`...)
-		b = strconv.AppendQuote(b, ms.Name)
-		b = append(b, `,"kind":`...)
-		b = strconv.AppendQuote(b, ms.Kind)
-		if ms.Kind == "histogram" {
-			b = append(b, `,"count":`...)
-			b = strconv.AppendInt(b, ms.Count, 10)
-			b = append(b, `,"sum":`...)
-			b = appendJSONFloat(b, ms.Sum)
-			b = append(b, `,"min":`...)
-			b = appendJSONFloat(b, ms.Min)
-			b = append(b, `,"max":`...)
-			b = appendJSONFloat(b, ms.Max)
-			b = append(b, `,"p50":`...)
-			b = appendJSONFloat(b, ms.P50)
-			b = append(b, `,"p90":`...)
-			b = appendJSONFloat(b, ms.P90)
-			b = append(b, `,"p99":`...)
-			b = appendJSONFloat(b, ms.P99)
-		} else {
-			b = append(b, `,"value":`...)
-			b = appendJSONFloat(b, ms.Value)
-		}
-		return append(b, '}')
-	})
-}
-
 // CollectedEvent is one event captured by a Collector.
 type CollectedEvent struct {
 	SpanID uint64
@@ -209,7 +171,7 @@ type CollectedEvent struct {
 }
 
 // Collector is an in-memory Sink for tests: it records every span
-// (keyed by completion) and event; metrics are ignored.
+// (keyed by completion) and event.
 type Collector struct {
 	mu      sync.Mutex
 	started []SpanData
@@ -257,9 +219,6 @@ func (c *Collector) Event(id uint64, name string, at time.Time, fields []Field) 
 	c.events = append(c.events, CollectedEvent{SpanID: id, Name: name, At: at, Fields: fm})
 	c.mu.Unlock()
 }
-
-// Metric implements Sink; a Collector keeps no metrics.
-func (c *Collector) Metric(MetricSnapshot) {}
 
 // Spans returns the completed spans in end order.
 func (c *Collector) Spans() []SpanData {

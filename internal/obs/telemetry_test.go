@@ -9,182 +9,88 @@ import (
 	"time"
 )
 
-func TestHistogramBuckets(t *testing.T) {
-	cases := []struct {
-		v    int64
-		want int
-	}{
-		{-5, 0}, {0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4},
-		{1023, 10}, {1024, 11}, {1 << 62, 63},
+func TestRollupSumsPerSpanName(t *testing.T) {
+	r := NewRollup()
+	r.SpanEnd(SpanData{Name: "cec.check", Duration: 3 * time.Millisecond,
+		Fields: []Field{Int("conflicts", 5), Bool("decided", true), Str("mode", "swept")}})
+	r.SpanEnd(SpanData{Name: "cec.check", Duration: 1500 * time.Microsecond,
+		Fields: []Field{Int("conflicts", 7), Dur("budget", time.Second)}})
+	r.SpanEnd(SpanData{Name: "attack.sat", Duration: 10 * time.Microsecond})
+	r.SpanStart(SpanData{Name: "open"})
+	r.Event(1, "dip", time.Now(), []Field{Int("iter", 1)})
+
+	got := r.Spans()
+	if len(got) != 2 || got[0].Name != "attack.sat" || got[1].Name != "cec.check" {
+		t.Fatalf("spans = %+v, want attack.sat then cec.check", got)
 	}
-	for _, c := range cases {
-		if got := bucketOf(c.v); got != c.want {
-			t.Errorf("bucketOf(%d) = %d, want %d", c.v, got, c.want)
-		}
+	if a := got[0]; a.Calls != 1 || a.TotalUS != 10 || a.MaxUS != 10 || a.Fields != nil {
+		t.Fatalf("attack.sat = %+v", a)
+	}
+	c := got[1]
+	if c.Calls != 2 || c.TotalUS != 4500 || c.MaxUS != 3000 {
+		t.Fatalf("cec.check = %+v", c)
+	}
+	if len(c.Fields) != 1 || c.Fields["conflicts"] != 12 {
+		t.Fatalf("cec.check fields = %v, want only conflicts=12", c.Fields)
+	}
+	// Spans returns a copy: later spans do not change it.
+	c.Fields["conflicts"] = 0
+	r.SpanEnd(SpanData{Name: "cec.check", Fields: []Field{Int("conflicts", 1)}})
+	if again := r.Spans()[1]; again.Calls != 3 || again.Fields["conflicts"] != 13 {
+		t.Fatalf("cec.check after a third span = %+v", again)
+	}
+	var nilR *Rollup
+	if nilR.Spans() != nil {
+		t.Fatal("nil rollup returned spans")
 	}
 }
 
-func TestHistogramSnapshotAndQuantiles(t *testing.T) {
-	h := newHistogram("lat.us")
-	// 100 observations 1..100: exact quantiles are 50, 90, 99; the log-2
-	// estimate must land inside the right bucket's range.
-	for i := int64(1); i <= 100; i++ {
-		h.Record(i)
-	}
-	ms := h.metricSnapshot()
-	if ms.Count != 100 || ms.Sum != 5050 || ms.Min != 1 || ms.Max != 100 {
-		t.Fatalf("snapshot = %+v", ms)
-	}
-	// p50=50 lives in bucket [32,63]; p90=90 and p99=99 in [64,100].
-	if ms.P50 < 32 || ms.P50 > 63 {
-		t.Errorf("p50 = %v, want within [32,63]", ms.P50)
-	}
-	if ms.P90 < 64 || ms.P90 > 100 {
-		t.Errorf("p90 = %v, want within [64,100]", ms.P90)
-	}
-	if ms.P99 < ms.P90 || ms.P99 > 100 {
-		t.Errorf("p99 = %v, want within [p90,100]", ms.P99)
-	}
-}
-
-func TestHistogramQuantileEdgeCases(t *testing.T) {
-	var nilH *Histogram
-	if nilH.Quantile(0.5) != 0 || nilH.Count() != 0 {
-		t.Fatal("nil histogram not inert")
-	}
-	nilH.Record(1)
-	nilH.RecordDuration(time.Second)
-
-	h := newHistogram("h")
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
-	}
-	h.Record(42)
-	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
-		if got := h.Quantile(q); got != 42 {
-			t.Fatalf("single-value quantile(%v) = %v, want 42", q, got)
-		}
-	}
-	h2 := newHistogram("h2")
-	h2.Record(-7) // clamps into bucket 0, min tracks the true value
-	ms := h2.metricSnapshot()
-	if ms.Min != -7 || ms.Max != -7 || ms.Count != 1 {
-		t.Fatalf("negative observation snapshot = %+v", ms)
-	}
-	if q := h2.Quantile(0.5); q != -7 {
-		t.Fatalf("negative quantile = %v, want clamped to -7", q)
-	}
-}
-
-func TestHistogramRecordDuration(t *testing.T) {
-	h := newHistogram("d")
-	h.RecordDuration(1500 * time.Microsecond)
-	ms := h.metricSnapshot()
-	if ms.Count != 1 || ms.Sum != 1500 {
-		t.Fatalf("duration recorded as %+v, want 1500us", ms)
-	}
-}
-
-func TestRegistryStandalone(t *testing.T) {
-	var nilR *Registry
-	if nilR.Counter("c") != nil || nilR.Histogram("h") != nil {
-		t.Fatal("nil registry returned live handles")
-	}
-	if nilR.Snapshot() != nil {
-		t.Fatal("nil registry snapshot not nil")
-	}
-
-	r := NewRegistry()
-	r.Counter("z.count").Add(3)
-	r.Histogram("a.depth").Record(2)
-	r.Histogram("m.lat").Record(10)
-	if r.Counter("z.count") != r.Counter("z.count") {
-		t.Fatal("counter identity not stable by name")
-	}
-	s1 := r.Snapshot()
-	s2 := r.Snapshot()
-	if len(s1) != 3 {
-		t.Fatalf("got %d metrics, want 3", len(s1))
-	}
-	// Deterministic: sorted by name, repeatable.
-	if s1[0].Name != "a.depth" || s1[1].Name != "m.lat" || s1[2].Name != "z.count" {
-		t.Fatalf("snapshot order: %v %v %v", s1[0].Name, s1[1].Name, s1[2].Name)
-	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatalf("snapshots differ at %d: %+v vs %+v", i, s1[i], s2[i])
-		}
-	}
-}
-
-func TestTracerRegistryAccessor(t *testing.T) {
-	var nilT *Tracer
-	if nilT.Registry() != nil {
-		t.Fatal("nil tracer registry not nil")
-	}
-	tr := New(Discard)
-	reg := tr.Registry()
-	if reg == nil {
-		t.Fatal("enabled tracer has nil registry")
-	}
-	reg.Counter("via.registry").Inc()
-	if tr.Counter("via.registry").Value() != 1 {
-		t.Fatal("tracer and registry do not share the metric namespace")
-	}
-}
-
-// TestConcurrentMetricRecording hammers one histogram and one
-// counter from many goroutines; run under -race this is the
-// concurrency proof for the lock-free record paths, and the final
-// totals prove no update was lost.
+// TestConcurrentMetricRecording ends spans of two names from many
+// goroutines into one rollup; run under -race this is the concurrency
+// proof for the record path, and the final totals prove no update was
+// lost.
 func TestConcurrentMetricRecording(t *testing.T) {
-	r := NewRegistry()
+	r := NewRollup()
+	tr := New(r)
 	const workers = 8
-	const perWorker = 10000
+	const perWorker = 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			h := r.Histogram("conc.lat")
-			c := r.Counter("conc.total")
 			for i := 0; i < perWorker; i++ {
-				h.Record(int64(i%1000 + 1))
-				c.Inc()
+				tr.Span("conc.cell").End(Int("n", 1), Int("i", int64(i)))
 				if i%512 == 0 {
-					r.Snapshot() // concurrent snapshots must be safe too
+					tr.Span("conc.snapshot").End()
+					r.Spans() // concurrent snapshots must be safe too
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	h := r.Histogram("conc.lat")
-	if h.Count() != workers*perWorker {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*perWorker)
+	got := r.Spans()
+	if len(got) != 2 || got[0].Name != "conc.cell" {
+		t.Fatalf("spans = %+v", got)
 	}
-	s := h.snapshot()
-	var bucketTotal int64
-	for _, n := range s.buckets {
-		bucketTotal += n
+	c := got[0]
+	if c.Calls != workers*perWorker || c.Fields["n"] != workers*perWorker ||
+		c.Fields["i"] != workers*perWorker*(perWorker-1)/2 {
+		t.Fatalf("conc.cell = %+v", c)
 	}
-	if bucketTotal != workers*perWorker {
-		t.Fatalf("bucket total = %d, want %d", bucketTotal, workers*perWorker)
-	}
-	if s.min != 1 || s.max != 1000 {
-		t.Fatalf("min/max = %d/%d, want 1/1000", s.min, s.max)
-	}
-	if got := r.Counter("conc.total").Value(); got != workers*perWorker {
-		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
+	if s := got[1]; s.Calls != workers*((perWorker+511)/512) {
+		t.Fatalf("conc.snapshot calls = %d", s.Calls)
 	}
 }
 
 func TestLedgerRoundTrip(t *testing.T) {
-	tr := New(Discard)
-	tr.Counter("runs").Inc()
-	tr.Histogram("lat.us").Record(50)
+	r := NewRollup()
+	tr := New(r)
+	tr.Span("run").End()
+	tr.Span("lock").End()
 
 	l := NewLedger("obfuslock-test")
-	l.Finish(tr)
+	l.Finish(r)
 
 	if l.Schema != LedgerSchema || l.Tool != "obfuslock-test" {
 		t.Fatalf("header = %+v", l)
@@ -195,8 +101,8 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if l.End.Before(l.Start) || l.WallSeconds < 0 {
 		t.Fatalf("timing mangled: %+v", l)
 	}
-	if len(l.Metrics) != 2 || l.Metrics[0].Name != "lat.us" || l.Metrics[1].Name != "runs" {
-		t.Fatalf("metrics = %+v", l.Metrics)
+	if len(l.Spans) != 2 || l.Spans[0].Name != "lock" || l.Spans[1].Name != "run" {
+		t.Fatalf("spans = %+v", l.Spans)
 	}
 
 	path := filepath.Join(t.TempDir(), "ledger.json")
@@ -211,7 +117,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("ledger.json invalid: %v", err)
 	}
-	if back.Schema != LedgerSchema || back.Tool != l.Tool || len(back.Metrics) != len(l.Metrics) {
+	if back.Schema != LedgerSchema || back.Tool != l.Tool || len(back.Spans) != len(l.Spans) {
 		t.Fatalf("round trip = %+v", back)
 	}
 	if back.PeakRSSBytes == 0 && peakRSSBytes() != 0 {
@@ -222,8 +128,8 @@ func TestLedgerRoundTrip(t *testing.T) {
 func TestLedgerNilTracer(t *testing.T) {
 	l := NewLedger("t")
 	l.Finish(nil)
-	if len(l.Metrics) != 0 {
-		t.Fatalf("nil tracer produced metrics: %+v", l.Metrics)
+	if l.Spans != nil {
+		t.Fatalf("nil rollup produced spans: %+v", l.Spans)
 	}
 }
 
@@ -250,23 +156,5 @@ func TestStartProfilesWritesAllThree(t *testing.T) {
 		if suffix != ".cpu.pprof" && st.Size() == 0 {
 			t.Fatalf("profile %s is empty", suffix)
 		}
-	}
-}
-
-func TestSpanDurationsBridge(t *testing.T) {
-	reg := NewRegistry()
-	tr := New(Multi(Discard, NewSpanDurations(reg)))
-	tr.Span("lock.cec").End()
-	tr.Span("lock.cec").End()
-	tr.Span("attack.sat").End()
-	h := reg.Histogram("span.lock.cec_us")
-	if h.Count() != 2 {
-		t.Fatalf("span.lock.cec_us count = %d, want 2", h.Count())
-	}
-	if reg.Histogram("span.attack.sat_us").Count() != 1 {
-		t.Fatal("attack.sat span not bridged")
-	}
-	if NewSpanDurations(nil) != nil {
-		t.Fatal("nil registry should yield nil sink")
 	}
 }

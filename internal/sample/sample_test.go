@@ -79,46 +79,6 @@ func TestCubeSamplerUnsatCond(t *testing.T) {
 	}
 }
 
-func TestXorSamplerValidityAndUniformity(t *testing.T) {
-	// Witness set: 2^6 = 64 patterns out of 2^10.
-	g, cond := skewCircuit(10, 4)
-	s := NewXorSampler(g, cond, 5)
-	wit := s.Sample(80)
-	if len(wit) < 40 {
-		t.Fatalf("only %d witnesses", len(wit))
-	}
-	validateWitnesses(t, g, cond, wit)
-	// Distinct coverage: with near-uniform sampling of 64 witnesses we
-	// expect many distinct values among 80 draws.
-	seen := map[string]bool{}
-	for _, w := range wit {
-		key := ""
-		for _, b := range w {
-			if b {
-				key += "1"
-			} else {
-				key += "0"
-			}
-		}
-		seen[key] = true
-	}
-	if len(seen) < 20 {
-		t.Fatalf("poor witness diversity: %d distinct of %d draws", len(seen), len(wit))
-	}
-}
-
-func TestXorSamplerUnsat(t *testing.T) {
-	g := aig.New()
-	a := g.AddInput("a")
-	b := g.AddInput("b")
-	cond := g.And(g.And(a, b), g.Xor(a, b)) // unsatisfiable
-	g.AddOutput(cond, "c")
-	s := NewXorSampler(g, cond, 2)
-	if wit := s.Sample(4); len(wit) != 0 {
-		t.Fatal("sampled witnesses of an unsatisfiable condition")
-	}
-}
-
 func TestConditionalProbability(t *testing.T) {
 	// cond = x0&x1, target = x0&x1&x2: P(target|cond) = 1/2.
 	g := aig.New()

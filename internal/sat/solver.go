@@ -16,8 +16,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-
-	"obfuslock/internal/obs"
 )
 
 // Lit is a literal: variable v as 2*v (positive) or 2*v+1 (negated).
@@ -197,14 +195,9 @@ type Solver struct {
 	addBuf     []Lit
 	redScratch []cref
 
-	// Telemetry histograms (see telemetry.go); nil when detached, which
-	// must keep the search loop alloc-free and branch-cheap.
-	hConflictDepth *obs.Histogram
-	hLBD           *obs.Histogram
-	hPropsPerDec   *obs.Histogram
-	lastDecProps   int64
-	lbdStamp       []uint32
-	lbdGen         uint32
+	// LBD scratch (see lbd.go).
+	lbdStamp []uint32
+	lbdGen   uint32
 
 	// Simplification state (see simp.go). frozen vars are exempt from
 	// variable elimination; elim vars have been resolved away and their
@@ -734,9 +727,6 @@ func (s *Solver) search(nConflicts int64, assumps []Lit) Status {
 		if confl != crefUndef {
 			s.stats.Conflicts++
 			conflictC++
-			if s.hConflictDepth != nil {
-				s.hConflictDepth.Record(int64(s.decisionLevel()))
-			}
 			if s.progressFn != nil && s.stats.Conflicts >= s.progressNext {
 				s.progressNext = s.stats.Conflicts + s.progressEvery
 				s.progressFn(Progress{Stats: s.stats, Vars: s.numVars, Clauses: s.NumClauses()})
@@ -754,9 +744,6 @@ func (s *Solver) search(nConflicts int64, assumps []Lit) Status {
 			}
 			learnt, btLevel := s.analyze(confl)
 			lbd := s.lbd(learnt)
-			if s.hLBD != nil {
-				s.hLBD.Record(int64(lbd))
-			}
 			// A backjump that would discard a long trail segment is
 			// replaced by a single chronological step: the learnt clause
 			// is still asserting at the previous level (its non-UIP
@@ -812,10 +799,6 @@ func (s *Solver) search(nConflicts int64, assumps []Lit) Status {
 				return Sat // all variables assigned
 			}
 			s.stats.Decisions++
-			if s.hPropsPerDec != nil {
-				s.hPropsPerDec.Record(s.stats.Propagations - s.lastDecProps)
-				s.lastDecProps = s.stats.Propagations
-			}
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.uncheckedEnqueue(next, crefUndef)

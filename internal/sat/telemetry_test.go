@@ -1,10 +1,6 @@
 package sat
 
-import (
-	"testing"
-
-	"obfuslock/internal/obs"
-)
+import "testing"
 
 // phpClauses encodes the pigeonhole principle PHP(n+1, n): n+1 pigeons
 // into n holes, unsatisfiable and guaranteed to generate conflicts and
@@ -34,68 +30,23 @@ func phpClauses(s *Solver, holes int) {
 	}
 }
 
-func TestSetTelemetryRecordsDistributions(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := New()
-	s.SetTelemetry(reg)
-	phpClauses(s, 5)
-	if st := s.Solve(); st != Unsat {
-		t.Fatalf("PHP(6,5) = %v, want UNSAT", st)
-	}
-	stats := s.Stats()
-	depth := reg.Histogram(MetricConflictDepth)
-	lbd := reg.Histogram(MetricLBD)
-	props := reg.Histogram(MetricPropsPerDecision)
-	if depth.Count() == 0 || lbd.Count() == 0 || props.Count() == 0 {
-		t.Fatalf("telemetry empty: depth=%d lbd=%d props=%d",
-			depth.Count(), lbd.Count(), props.Count())
-	}
-	if depth.Count() != stats.Conflicts {
-		t.Fatalf("conflict-depth count %d != conflicts %d", depth.Count(), stats.Conflicts)
-	}
-	if lbd.Count() != stats.Learnt {
-		t.Fatalf("lbd count %d != learnt %d", lbd.Count(), stats.Learnt)
-	}
-	if props.Count() > stats.Decisions {
-		t.Fatalf("props-per-decision count %d > decisions %d", props.Count(), stats.Decisions)
-	}
-	// LBD is at least 1 for any learnt clause and bounded by its length.
-	if ms := reg.Snapshot(); len(ms) == 0 {
-		t.Fatal("registry snapshot empty")
-	}
-	if lbd.Quantile(0) < 1 {
-		t.Fatalf("min lbd = %v, want >= 1", lbd.Quantile(0))
-	}
-}
-
-func TestSetTelemetryDetach(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := New()
-	s.SetTelemetry(reg)
-	s.SetTelemetry(nil)
-	phpClauses(s, 4)
-	if st := s.Solve(); st != Unsat {
-		t.Fatalf("PHP(5,4) = %v, want UNSAT", st)
-	}
-	if n := reg.Histogram(MetricConflictDepth).Count(); n != 0 {
-		t.Fatalf("detached solver still recorded %d conflicts", n)
-	}
-}
-
-// TestTelemetryDoesNotChangeSearch pins that attaching telemetry is
-// observation-only: identical solver work with and without it.
+// TestTelemetryDoesNotChangeSearch pins that the solver's telemetry hook,
+// the progress callback the traced attack installs, is observation-only:
+// identical solver work with and without it.
 func TestTelemetryDoesNotChangeSearch(t *testing.T) {
-	run := func(reg *obs.Registry) Stats {
+	run := func(progress func(Progress)) Stats {
 		s := New()
-		if reg != nil {
-			s.SetTelemetry(reg)
-		}
+		s.SetProgress(64, progress)
 		phpClauses(s, 5)
 		s.Solve()
 		return s.Stats()
 	}
 	plain := run(nil)
-	traced := run(obs.NewRegistry())
+	calls := 0
+	traced := run(func(Progress) { calls++ })
+	if calls == 0 {
+		t.Fatal("progress callback never ran")
+	}
 	if plain != traced {
 		t.Fatalf("telemetry changed search: %+v vs %+v", plain, traced)
 	}

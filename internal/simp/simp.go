@@ -26,10 +26,6 @@ type Options struct {
 	// caller later adds clauses over arbitrary internal variables it
 	// did not freeze — see Equivalence.
 	NoVarElim bool
-	// InprocessEvery re-runs simplification between incremental solve
-	// rounds every N rounds. 0 means the consumer's default cadence;
-	// negative disables inprocessing (the initial Apply still runs).
-	InprocessEvery int
 }
 
 // Default returns the recommended configuration: everything on.
@@ -50,21 +46,16 @@ func (o Options) Enabled() bool {
 	return !o.Disable
 }
 
+// inprocessEvery is the InprocessDue cadence in incremental rounds. Its
+// one caller is the DIP loop of internal/attacks, which so inprocesses
+// every 16 DIPs.
+const inprocessEvery = 16
+
 // InprocessDue reports whether an inprocessing pass is due after the
-// given 1-based incremental round, with the consumer's default cadence
-// def (used when InprocessEvery is 0).
-func (o Options) InprocessDue(round, def int) bool {
-	if !o.Enabled() || o.InprocessEvery < 0 {
-		return false
-	}
-	every := o.InprocessEvery
-	if every == 0 {
-		every = def
-	}
-	if every <= 0 {
-		return false
-	}
-	return round > 0 && round%every == 0
+// given 1-based incremental round: every inprocessEvery rounds while
+// simplification is enabled.
+func (o Options) InprocessDue(round int) bool {
+	return o.Enabled() && round > 0 && round%inprocessEvery == 0
 }
 
 // solverOptions maps the policy flags onto the mechanism's tuning.
@@ -75,8 +66,8 @@ func (o Options) solverOptions() sat.SimpOptions {
 }
 
 // Apply runs one simplification pass on the solver under a
-// "sat.simplify" span, bumping the sat.simp.* counters with the pass's
-// deltas. It returns false when simplification refutes the formula
+// "sat.simplify" span whose end fields carry the pass's deltas. It
+// returns false when simplification refutes the formula
 // (like sat.Solver.Simplify); callers treat that exactly like an Unsat
 // solve answer. A nil tracer costs nothing beyond the pass itself.
 func Apply(s *sat.Solver, o Options, tr *obs.Tracer) bool {
@@ -89,11 +80,6 @@ func Apply(s *sat.Solver, o Options, tr *obs.Tracer) bool {
 	before := s.SimpStats()
 	ok := s.Simplify(o.solverOptions())
 	d := s.SimpStats().Sub(before)
-	if tr.Enabled() {
-		tr.Counter("sat.simp.eliminated_vars").Add(d.ElimVars)
-		tr.Counter("sat.simp.subsumed").Add(d.SubsumedClauses)
-		tr.Counter("sat.simp.strengthened").Add(d.StrengthenedLits + d.VivifiedLits)
-	}
 	sp.End(
 		obs.Int("eliminated_vars", d.ElimVars),
 		obs.Int("subsumed", d.SubsumedClauses),

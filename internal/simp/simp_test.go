@@ -23,28 +23,18 @@ func TestEnabled(t *testing.T) {
 }
 
 func TestInprocessDue(t *testing.T) {
-	// Consumer default cadence applies when InprocessEvery is 0.
+	// One pass every 16 rounds, counted from round 1.
 	o := Options{}
 	for round, want := range map[int]bool{0: false, 1: false, 15: false, 16: true, 32: true, 33: false} {
-		if got := o.InprocessDue(round, 16); got != want {
-			t.Errorf("default cadence, round %d: got %v, want %v", round, got, want)
+		if got := o.InprocessDue(round); got != want {
+			t.Errorf("round %d: got %v, want %v", round, got, want)
 		}
 	}
-	// Explicit cadence overrides the default.
-	o.InprocessEvery = 4
-	if !o.InprocessDue(4, 16) || o.InprocessDue(16+2, 16) && !o.InprocessDue(8, 16) {
-		t.Error("explicit cadence ignored")
+	// The cadence ignores NoVarElim; a disabled config never inprocesses.
+	if !Equivalence().InprocessDue(16) {
+		t.Error("equivalence-only options must inprocess on the cadence")
 	}
-	// Negative disables inprocessing entirely; so does a disabled config
-	// and a zero default cadence.
-	o.InprocessEvery = -1
-	if o.InprocessDue(100, 16) {
-		t.Error("negative InprocessEvery must disable inprocessing")
-	}
-	if Off().InprocessDue(16, 16) {
+	if Off().InprocessDue(16) {
 		t.Error("disabled options must never inprocess")
-	}
-	if (Options{}).InprocessDue(16, 0) {
-		t.Error("zero default cadence must mean no inprocessing")
 	}
 }

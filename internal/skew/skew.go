@@ -95,9 +95,6 @@ type SplittingOptions struct {
 	MaxStageGap float64
 	// Seed drives sampling.
 	Seed int64
-	// UseXorSampler switches to the (slower, more uniform) parity-cell
-	// sampler for conditionals.
-	UseXorSampler bool
 	// Simp controls CNF preprocessing inside the witness samplers (zero
 	// value: enabled).
 	Simp simp.Options
@@ -194,12 +191,7 @@ func Splitting(g *aig.AIG, root aig.Lit, stages []aig.Lit, opt SplittingOptions)
 	if len(stages) == 1 {
 		return sk
 	}
-	newSampler := func(cond aig.Lit, seed int64) sample.Sampler {
-		if opt.UseXorSampler {
-			xs := sample.NewXorSampler(g, cond, seed)
-			xs.Simp = opt.Simp
-			return xs
-		}
+	newSampler := func(cond aig.Lit, seed int64) *sample.CubeSampler {
 		cs := sample.NewCubeSampler(g, cond, seed)
 		cs.Simp = opt.Simp
 		return cs

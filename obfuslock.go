@@ -199,22 +199,14 @@ func SkewnessBits(c *Circuit, output int, seed int64) float64 {
 // a nil tracer is fully disabled and costs nothing. See internal/obs and
 // DESIGN.md "Observability" for the span taxonomy and JSONL schema.
 
-// Tracer delivers hierarchical spans, events and metrics to a TraceSink.
+// Tracer delivers hierarchical spans and events to a TraceSink.
 type Tracer = obs.Tracer
 
-// TraceSink receives the span/event/metric stream.
+// TraceSink receives the span/event stream.
 type TraceSink = obs.Sink
 
 // NewTracer returns a tracer delivering to sink (nil sink: nil tracer).
 func NewTracer(sink TraceSink) *Tracer { return obs.New(sink) }
-
-// NewTracerWithRegistry returns a tracer delivering to sink whose metric
-// namespace is reg — use it when a sink built before the tracer (such as
-// NewSpanDurationsSink) must share the tracer's registry. A nil reg
-// allocates a fresh one; a nil sink yields a nil tracer.
-func NewTracerWithRegistry(sink TraceSink, reg *MetricRegistry) *Tracer {
-	return obs.NewWithRegistry(sink, reg)
-}
 
 // NewJSONLSink returns a sink writing the stream as JSON Lines to w.
 func NewJSONLSink(w io.Writer) TraceSink { return obs.NewJSONL(w) }
@@ -249,26 +241,13 @@ func TraceBool(key string, v bool) TraceField { return obs.Bool(key, v) }
 // TraceDur builds a duration trace field (serialized as microseconds).
 func TraceDur(key string, d time.Duration) TraceField { return obs.Dur(key, d) }
 
-// Deep telemetry. Beyond the span stream, a tracer owns a metric
-// registry of counters and log-2 histograms (p50/p90/p99 snapshots), and
-// a run ledger captures a whole invocation. See DESIGN.md
+// Run records. A run ledger captures a whole invocation. See DESIGN.md
 // "Observability" for the full model.
 
-// MetricRegistry names counters and histograms and takes
-// deterministic (name-ordered) snapshots. Every enabled Tracer owns one,
-// reachable via its Registry method; standalone registries work too.
-type MetricRegistry = obs.Registry
-
-// Metric is one entry of an ordered metric snapshot: a counter value,
-// or a histogram's count/sum/min/max plus p50/p90/p99 estimates.
-type Metric = obs.MetricSnapshot
-
-// NewMetricRegistry returns an empty standalone metric registry.
-func NewMetricRegistry() *MetricRegistry { return obs.NewRegistry() }
-
 // RunLedger accumulates one CLI invocation's provenance — args, go
-// version, build revision, wall time, peak RSS and the final metric
-// snapshot — and serializes it as ledger.json.
+// version, build revision, wall time and peak RSS — and serializes it as
+// ledger.json. The CLIs also embed per-span totals (see cmd/attack and
+// cmd/obfuslock -ledger).
 type RunLedger = obs.Ledger
 
 // LedgerSchema identifies the ledger.json layout.
@@ -282,15 +261,3 @@ func NewRunLedger(tool string) *RunLedger { return obs.NewLedger(tool) }
 // stop function finishes it and writes <prefix>.heap.pprof and
 // <prefix>.allocs.pprof snapshots taken after a final GC.
 func StartProfiles(prefix string) (func() error, error) { return obs.StartProfiles(prefix) }
-
-// NewSpanDurationsSink bridges the span stream into reg: every completed
-// span records its latency into the histogram "span.<name>_us", giving
-// per-phase latency distributions with no extra instrumentation. Attach
-// it alongside a primary sink via MultiSink. A nil registry yields a nil
-// sink.
-func NewSpanDurationsSink(reg *MetricRegistry) TraceSink {
-	if sd := obs.NewSpanDurations(reg); sd != nil {
-		return sd
-	}
-	return nil
-}
