@@ -5,19 +5,19 @@ package obfuslock
 // reduced-size suite so `go test -bench=.` finishes in minutes; run the
 // full-size sweep with `go run ./cmd/attack -table1` (and -fig4/-fig5/
 // -structural). EXPERIMENTS.md records paper-vs-measured for every row.
+// The benchmarks write no file: the solver work and allocations of the
+// SAT-heavy ones are pinned by deterministic tests (solverwork_test.go,
+// and internal/attacks for the batched DIP loop), and the pipeline's
+// end-to-end numbers come from the benchmark/ module.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"obfuslock/internal/attacks"
-	"obfuslock/internal/bench"
 	"obfuslock/internal/cec"
 	"obfuslock/internal/core"
 	"obfuslock/internal/experiments"
@@ -29,86 +29,6 @@ import (
 	"obfuslock/internal/simp"
 	"obfuslock/internal/techmap"
 )
-
-// Every BENCH_*.json row is a bench.Record — wall time per op, heap
-// allocations per op, plus the cumulative SAT-solver work behind it, so
-// a perf regression can be told apart from a search-behavior change
-// (same ns/op, different conflicts — or vice versa). AllocsPerOp guards
-// the solver's pooled hot paths: the arena clause store keeps it within
-// ~10k for the attack benchmarks, and CI fails a >10% regression.
-var (
-	benchRecMu sync.Mutex
-	benchRecs  = map[string]bench.Record{}
-	// attackBenchRecs feeds BENCH_attack.json: the serial/batched
-	// head-to-head of BenchmarkSATAttackBatched, with query counts so the
-	// speedup claim can be checked for equal oracle work.
-	attackBenchRecs = map[string]bench.Record{}
-)
-
-// mallocCount reads the process-wide cumulative allocation counter.
-// Snapshot it before and after a benchmark's b.N loop and hand the
-// delta to recordBench: the SAT-heavy benchmarks run no concurrent
-// goroutines, so the delta is the loop's own allocations (modulo
-// runtime noise well under CI's 10% regression threshold).
-func mallocCount() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
-}
-
-// recordBench files the finished (sub-)benchmark's per-op time, per-op
-// allocations (mallocs is the mallocCount delta across the b.N loop)
-// and solver counters under its full name. Call after the b.N loop.
-func recordBench(b *testing.B, solver sat.Stats, mallocs uint64) {
-	benchRecMu.Lock()
-	defer benchRecMu.Unlock()
-	benchRecs[b.Name()] = bench.Record{
-		NsPerOp:     b.Elapsed().Nanoseconds() / int64(max(b.N, 1)),
-		AllocsPerOp: int64(mallocs) / int64(max(b.N, 1)),
-		Solver:      solver,
-	}
-}
-
-// TestMain dumps the recorded benchmarks to BENCH_sat.json when any
-// benchmark that calls recordBench ran (plain `go test` writes nothing).
-// CI's bench-smoke job runs the SAT-heavy benchmarks at -benchtime 1x and
-// archives the file next to the run.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if len(benchRecs) > 0 {
-		data, err := json.MarshalIndent(benchRecs, "", "  ")
-		if err == nil {
-			err = os.WriteFile("BENCH_sat.json", append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_sat.json:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	if len(attackBenchRecs) > 0 {
-		out := make(map[string]any, len(attackBenchRecs)+2)
-		for k, v := range attackBenchRecs {
-			out[k] = v
-		}
-		if s, bt := attackBenchRecs["serial"], attackBenchRecs["batched"]; s.NsPerOp > 0 && bt.NsPerOp > 0 {
-			out["speedup"] = float64(s.NsPerOp) / float64(bt.NsPerOp)
-			out["equal_queries"] = s.Queries == bt.Queries
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err == nil {
-			err = os.WriteFile("BENCH_attack.json", append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_attack.json:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
-}
 
 // benchBudget bounds each attack cell: the paper used a 3 h timeout; the
 // scaled harness uses seconds with a DIP cap far below 2^skew, so the
@@ -147,14 +67,11 @@ func BenchmarkTableI(b *testing.B) {
 	for _, bm := range suiteByName("c7552-s", "max-s", "b14-s") {
 		for _, s := range benchSkews {
 			b.Run(fmt.Sprintf("%s/skew%g", bm.Name, s), func(b *testing.B) {
-				var solver sat.Stats
-				m0 := mallocCount()
 				for i := 0; i < b.N; i++ {
 					row, err := experiments.TableIEntry(context.Background(), bm, s, 1, benchBudget, nil)
 					if err != nil {
 						b.Skip(err) // e.g. too few inputs for the skew target
 					}
-					solver = solver.Add(row.SolverStats)
 					if i == 0 {
 						fmt.Fprintln(os.Stderr, row)
 						b.ReportMetric(float64(row.KeyBits), "keybits")
@@ -162,7 +79,6 @@ func BenchmarkTableI(b *testing.B) {
 						b.ReportMetric(row.LockTime.Seconds(), "lock-s")
 					}
 				}
-				recordBench(b, solver, mallocCount()-m0)
 			})
 		}
 	}
@@ -349,33 +265,47 @@ func BenchmarkTheoryLemma1(b *testing.B) {
 // BenchmarkFraigCEC compares the monolithic-miter equivalence check with
 // the swept (fraig) mode on an obfuscated/rewritten pair from the
 // experiment suite: the two sides share most of their logic, so sweeping
-// collapses the combined graph before the final solve. The recorded
-// speedup is the tentpole claim of the SAT-sweeping engine.
+// collapses the combined graph before the final solve — the tentpole
+// claim of the SAT-sweeping engine. TestSolverWorkPinned pins both
+// modes' solver work per op.
 func BenchmarkFraigCEC(b *testing.B) {
-	c := suiteByName("max-s")[0].Build()
-	rw := rewrite.Balance(rewrite.FunctionalRewrite(c, 5))
+	c, rw := fraigCECPair()
 	for _, mode := range []string{"monolithic", "swept"} {
 		b.Run(mode, func(b *testing.B) {
-			opt := cec.DefaultOptions()
-			if mode == "swept" {
-				opt = cec.SweepOptions()
-			}
-			opt.SimWords = 0 // no pre-filter: measure the SAT paths
+			b.ReportAllocs()
 			var solver sat.Stats
-			m0 := mallocCount()
 			for i := 0; i < b.N; i++ {
-				r, err := cec.Check(context.Background(), c, rw, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !r.Decided || !r.Equivalent {
-					b.Fatal("rewritten pair must be proven equivalent")
-				}
-				solver = solver.Add(r.SolverStats)
+				solver = solver.Add(runFraigCEC(b, c, rw, mode).SolverStats)
 			}
-			recordBench(b, solver, mallocCount()-m0)
+			reportSolverWork(b, solver)
 		})
 	}
+}
+
+// fraigCECPair is BenchmarkFraigCEC's instance: max-s against its
+// functionally rewritten and balanced self.
+func fraigCECPair() (c, rw *Circuit) {
+	c = suiteByName("max-s")[0].Build()
+	return c, rewrite.Balance(rewrite.FunctionalRewrite(c, 5))
+}
+
+// runFraigCEC runs one BenchmarkFraigCEC op in mode "monolithic" or
+// "swept", with the simulation pre-filter off so the SAT paths do the
+// whole proof.
+func runFraigCEC(tb testing.TB, c, rw *Circuit, mode string) cec.Result {
+	opt := cec.DefaultOptions()
+	if mode == "swept" {
+		opt = cec.SweepOptions()
+	}
+	opt.SimWords = 0
+	r, err := cec.Check(context.Background(), c, rw, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !r.Decided || !r.Equivalent {
+		tb.Fatal("rewritten pair must be proven equivalent")
+	}
+	return r
 }
 
 // BenchmarkSATAttackBatched measures the batched-DIP-pipeline tentpole
@@ -383,9 +313,10 @@ func BenchmarkFraigCEC(b *testing.B) {
 // default on the same SARLock cell. A 12-bit SARLock forces one DIP per
 // wrong key (~2^12 iterations) — the worst case the batching targets.
 // The protected width equals the input count, so no two patterns share
-// a wrong key and both modes need exactly the same DIP set: TestMain
-// asserts the speedup was measured at equal oracle work before writing
-// BENCH_attack.json; CI gates on speedup >= 1.7 with equal_queries true.
+// a wrong key and both modes need exactly the same DIP set; the queries
+// metric shows the equal oracle work. internal/attacks'
+// TestSATAttackBatchedEqualQueriesOnSARLock gates the same comparison on
+// an 8-bit instance.
 func BenchmarkSATAttackBatched(b *testing.B) {
 	orig := netlistgen.Multiplier(6)
 	l, err := lockbase.SARLock(orig, 12, 1)
@@ -397,9 +328,9 @@ func BenchmarkSATAttackBatched(b *testing.B) {
 		batch int
 	}{{"serial", 1}, {"batched", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var solver sat.Stats
-			var queries, iters int
-			m0 := mallocCount()
+			var queries int
 			for i := 0; i < b.N; i++ {
 				opt := attacks.DefaultIOOptions()
 				opt.MaxIterations = 8000 // > 2^12
@@ -410,19 +341,10 @@ func BenchmarkSATAttackBatched(b *testing.B) {
 					b.Fatalf("attack must finish the 12-bit SARLock: %+v", r)
 				}
 				solver = solver.Add(r.SolverStats)
-				queries, iters = r.Queries, r.Iterations
+				queries = r.Queries
 			}
-			mallocs := mallocCount() - m0
-			benchRecMu.Lock()
-			attackBenchRecs[mode.name] = bench.Record{
-				NsPerOp:     b.Elapsed().Nanoseconds() / int64(max(b.N, 1)),
-				AllocsPerOp: int64(mallocs) / int64(max(b.N, 1)),
-				Queries:     queries,
-				Iterations:  iters,
-				Solver:      solver,
-			}
-			benchRecMu.Unlock()
 			b.ReportMetric(float64(queries), "queries")
+			reportSolverWork(b, solver)
 		})
 	}
 }
@@ -431,38 +353,58 @@ func BenchmarkSATAttackBatched(b *testing.B) {
 // matters most: the incremental DIP loop of the SAT attack, whose miter
 // grows by two key cones per iteration. A 6-bit SARLock forces ~2^6
 // iterations, so one op is dominated by solver search rather than
-// construction; the on/off pair quantifies the win, and BENCH_sat.json
-// keeps the per-op solver counters for regression tracking.
+// construction. TestSolverWorkPinned pins the on/off solver work and
+// TestSATAttackSimpAllocCeiling the allocations per op; the wall-time
+// difference between the two modes is within run noise.
 func BenchmarkSATAttackSimp(b *testing.B) {
+	l, oracle := simpAttackInstance(b)
+	for _, mode := range []string{"on", "off"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			var solver sat.Stats
+			for i := 0; i < b.N; i++ {
+				solver = solver.Add(runSimpAttack(b, l, oracle, mode).SolverStats)
+			}
+			reportSolverWork(b, solver)
+		})
+	}
+}
+
+// simpAttackInstance is BenchmarkSATAttackSimp's instance: a 6-bit
+// SARLock on Multiplier(4) and its oracle.
+func simpAttackInstance(tb testing.TB) (*locking.Locked, *locking.Oracle) {
 	orig := netlistgen.Multiplier(4)
 	l, err := lockbase.SARLock(orig, 6, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	oracle := locking.NewOracle(orig)
-	for _, mode := range []string{"on", "off"} {
-		b.Run(mode, func(b *testing.B) {
-			var solver sat.Stats
-			m0 := mallocCount()
-			for i := 0; i < b.N; i++ {
-				opt := attacks.DefaultIOOptions()
-				opt.MaxIterations = 200 // > 2^6
-				// Pin the classic serial DIP loop: this benchmark isolates
-				// the simp on/off delta, and the protected width (6) is
-				// narrower than the input count (8), so batched enumeration
-				// would burn iterations on DIPs that collide on the
-				// protected bits.
-				opt.DIPBatch = 1
-				if mode == "off" {
-					opt.Simp = simp.Off()
-				}
-				r := attacks.SATAttack(context.Background(), l, oracle, opt)
-				if !r.Exact {
-					b.Fatalf("attack must finish the 6-bit SARLock: %+v", r)
-				}
-				solver = solver.Add(r.SolverStats)
-			}
-			recordBench(b, solver, mallocCount()-m0)
-		})
+	return l, locking.NewOracle(orig)
+}
+
+// runSimpAttack runs one BenchmarkSATAttackSimp op with preprocessing
+// "on" or "off".
+func runSimpAttack(tb testing.TB, l *locking.Locked, oracle *locking.Oracle, mode string) attacks.IOResult {
+	opt := attacks.DefaultIOOptions()
+	opt.MaxIterations = 200 // > 2^6
+	// Pin the classic serial DIP loop: this instance isolates the simp
+	// on/off delta, and the protected width (6) is narrower than the
+	// input count (8), so batched enumeration would burn iterations on
+	// DIPs that collide on the protected bits.
+	opt.DIPBatch = 1
+	if mode == "off" {
+		opt.Simp = simp.Off()
 	}
+	r := attacks.SATAttack(context.Background(), l, oracle, opt)
+	if !r.Exact {
+		tb.Fatalf("attack must finish the 6-bit SARLock: %+v", r)
+	}
+	return r
+}
+
+// reportSolverWork reports the per-op solver work behind a benchmark.
+func reportSolverWork(b *testing.B, st sat.Stats) {
+	n := float64(max(b.N, 1))
+	b.ReportMetric(float64(st.Decisions)/n, "decisions/op")
+	b.ReportMetric(float64(st.Propagations)/n, "props/op")
+	b.ReportMetric(float64(st.Conflicts)/n, "conflicts/op")
 }

@@ -40,13 +40,6 @@ func Read(r io.Reader) (*aig.AIG, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if len(inputs) == 0 && len(outputs) == 0 && len(gates) == 0 &&
-			(line[0] == '{' || line[0] == '[') {
-			// A stray BENCH_*.json benchmark-record artifact (they sit next
-			// to the netlists in scripted sweeps) — name the mixup instead
-			// of reporting a baffling parse error on every line.
-			return nil, fmt.Errorf("bench: line %d: input is JSON, not a .bench netlist (a BENCH_*.json benchmark record? use ReadRecords)", lineNo)
-		}
 		lower := strings.ToLower(line)
 		switch {
 		case strings.HasPrefix(lower, "input("):

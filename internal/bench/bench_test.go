@@ -115,6 +115,7 @@ func TestReadErrors(t *testing.T) {
 		{"dup input", "INPUT(a)\nINPUT(a)\nOUTPUT(f)\nf = BUF(a)\n"},
 		{"dup signal", "INPUT(a)\nOUTPUT(f)\nf = BUF(a)\nf = NOT(a)\n"},
 		{"maj arity", "INPUT(a)\nINPUT(b)\nOUTPUT(f)\nf = MAJ(a, b)\n"},
+		{"json document", "{\n  \"solver\": {\"Conflicts\": 3}\n}\n"},
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c.src)); err == nil {

@@ -28,7 +28,6 @@ import (
 	"obfuslock/internal/locking"
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/obs"
-	"obfuslock/internal/sat"
 	"obfuslock/internal/simp"
 	"obfuslock/internal/skew"
 	"obfuslock/internal/techmap"
@@ -64,7 +63,9 @@ type Budget struct {
 	Trace *obs.Tracer
 }
 
-// TableIRow is one row of Table I.
+// TableIRow is one row of Table I. It holds only what the table and
+// metrics.json print; each attack cell's solver conflicts are an end
+// field of its attack.* span when Budget.Trace is set.
 type TableIRow struct {
 	Bench    string
 	Nodes    int
@@ -78,9 +79,6 @@ type TableIRow struct {
 	// mode), or "TO" / "wrong" markers as in the paper; "undecided" when
 	// the returned key's verification did not finish.
 	SATSub, SATWhole, AppSATSub, AppSATWhole string
-	// SolverStats accumulates the four attack cells' SAT-solver work
-	// counters (not printed; surfaced by bench_test.go's BENCH_sat.json).
-	SolverStats sat.Stats
 }
 
 func (r TableIRow) String() string {
@@ -202,11 +200,7 @@ func TableIEntry(ctx context.Context, b netlistgen.Benchmark, skewBits float64, 
 	cell := func(name string, run func() attacks.IOResult, cl *locking.Locked, orig *aig.AIG) string {
 		csp := budget.Trace.Span("table1.cell",
 			obs.Str("bench", b.Name), obs.Float("skew", skewBits), obs.Str("attack", name))
-		out := attackCell(ctx, func() attacks.IOResult {
-			r := run()
-			row.SolverStats = row.SolverStats.Add(r.SolverStats)
-			return r
-		}, cl, orig, budget.Deterministic)
+		out := attackCell(ctx, run, cl, orig, budget.Deterministic)
 		csp.End(obs.Str("result", out))
 		return out
 	}

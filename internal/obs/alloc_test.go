@@ -6,20 +6,26 @@ import (
 )
 
 // hotLoop mimics the solver/attack hot-loop instrumentation pattern: a
-// span per unit of work with a guarded event.
+// span per unit of work with a guarded event, plus the unguarded
+// fielded calls the layers make (a child span, events, and span ends
+// carrying their counters).
 func hotLoop(tr *Tracer, n int) {
 	for i := 0; i < n; i++ {
-		sp := tr.Span("solve")
+		sp := tr.Span("solve", Int("round", int64(i)))
 		if sp.Enabled() {
 			sp.Event("conflict", Int("n", int64(i)), Float("rate", 0.5))
 		}
-		sp.End()
+		child := sp.Span("propagate", Str("phase", "bcp"))
+		child.Event("restart", Int("n", int64(i)))
+		child.End(Int("props", int64(i)))
+		tr.Event("tick", Int("n", int64(i)))
+		sp.End(Int("conflicts", int64(i)), Bool("sat", true))
 	}
 }
 
 // TestDisabledPathZeroAllocs pins the contract relied on by the solver
 // and attack loops: with tracing disabled, span and event calls
-// allocate nothing.
+// allocate nothing, with or without fields.
 func TestDisabledPathZeroAllocs(t *testing.T) {
 	var tr *Tracer
 	if allocs := testing.AllocsPerRun(1000, func() { hotLoop(tr, 1) }); allocs != 0 {

@@ -3,14 +3,15 @@
 // delivered to a pluggable Sink. It is stdlib-only and
 // built around one invariant: a disabled tracer (a nil *Tracer, or one
 // the caller never created) costs nothing on the hot paths — every
-// method is nil-safe and the guarded call pattern
+// method is nil-safe, and a call such as
 //
-//	if sp.Enabled() {
-//		sp.Event("dip", obs.Int("iter", n))
-//	}
+//	sp.End(obs.Int("conflicts", n), obs.Bool("sat", ok))
 //
-// performs zero allocations when tracing is off (proved by the package
-// benchmark). The lock pipeline (internal/core), the SAT solver's
+// performs zero allocations when tracing is off, fields included: the
+// tracer copies the fields for its sink only after the disabled check,
+// so the variadic slice stays on the caller's stack
+// (TestDisabledPathZeroAllocs). Guard with sp.Enabled() only where
+// building the fields themselves costs work. The lock pipeline (internal/core), the SAT solver's
 // progress callback (internal/sat), the attack suite (internal/attacks)
 // and the counting/sampling engines (internal/count, internal/sample)
 // all emit through this package; cmd/attack and cmd/obfuslock expose it
@@ -98,7 +99,8 @@ type SpanData struct {
 }
 
 // Sink receives the span/event stream. Implementations must be safe for
-// concurrent use.
+// concurrent use. The tracer hands each call a fields slice of its own,
+// which the sink may retain.
 type Sink interface {
 	SpanStart(sd SpanData)
 	SpanEnd(sd SpanData)
@@ -170,7 +172,7 @@ func (t *Tracer) startSpan(parent *Span, name string, fields []Field) *Span {
 		sp.ctx = pprof.WithLabels(context.Background(), pprof.Labels("obs_span", name))
 		pprof.SetGoroutineLabels(sp.ctx)
 	}
-	t.sink.SpanStart(SpanData{ID: sp.id, Parent: pid, Name: name, Start: sp.start, Fields: fields})
+	t.sink.SpanStart(SpanData{ID: sp.id, Parent: pid, Name: name, Start: sp.start, Fields: own(fields)})
 	return sp
 }
 
@@ -195,16 +197,21 @@ func (s *Span) End(fields ...Field) {
 	}
 	s.t.sink.SpanEnd(SpanData{
 		ID: s.id, Parent: pid, Name: s.name, Start: s.start,
-		Duration: time.Since(s.start), Fields: fields,
+		Duration: time.Since(s.start), Fields: own(fields),
 	})
 }
+
+// own copies a call's variadic fields for the sink. Every method copies
+// only after its disabled check, so the parameter never escapes and a
+// fielded call on a disabled tracer allocates nothing.
+func own(fields []Field) []Field { return append([]Field(nil), fields...) }
 
 // Event emits a point-in-time event under the span.
 func (s *Span) Event(name string, fields ...Field) {
 	if s == nil {
 		return
 	}
-	s.t.sink.Event(s.id, name, time.Now(), fields)
+	s.t.sink.Event(s.id, name, time.Now(), own(fields))
 }
 
 // Event emits a root-level event (span id 0).
@@ -212,5 +219,5 @@ func (t *Tracer) Event(name string, fields ...Field) {
 	if !t.Enabled() {
 		return
 	}
-	t.sink.Event(0, name, time.Now(), fields)
+	t.sink.Event(0, name, time.Now(), own(fields))
 }

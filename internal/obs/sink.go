@@ -185,7 +185,6 @@ func NewCollector() *Collector { return &Collector{} }
 // SpanStart implements Sink.
 func (c *Collector) SpanStart(sd SpanData) {
 	c.mu.Lock()
-	sd.Fields = append([]Field(nil), sd.Fields...)
 	c.started = append(c.started, sd)
 	c.mu.Unlock()
 }
@@ -193,7 +192,6 @@ func (c *Collector) SpanStart(sd SpanData) {
 // SpanEnd implements Sink.
 func (c *Collector) SpanEnd(sd SpanData) {
 	c.mu.Lock()
-	sd.Fields = append([]Field(nil), sd.Fields...)
 	c.ended = append(c.ended, sd)
 	c.mu.Unlock()
 }
