@@ -148,10 +148,6 @@ func (g *AIG) NumOutputs() int { return len(g.pos) }
 // Op returns the operation of variable v.
 func (g *AIG) Op(v uint32) Op { return g.nodes[v].op }
 
-// Fanin returns the i-th fanin literal of variable v.
-// And/Xor have fanins 0 and 1; Maj also has fanin 2.
-func (g *AIG) Fanin(v uint32, i int) Lit { return g.nodes[v].fan[i] }
-
 // Fanins returns the fanin literals of variable v (a view; do not modify).
 func (g *AIG) Fanins(v uint32) []Lit {
 	n := &g.nodes[v]
@@ -230,12 +226,6 @@ func (g *AIG) InputName(i int) string { return g.piNames[i] }
 
 // OutputName returns the name of the i-th primary output.
 func (g *AIG) OutputName(i int) string { return g.poNames[i] }
-
-// SetInputName renames the i-th primary input.
-func (g *AIG) SetInputName(i int, name string) { g.piNames[i] = name }
-
-// SetOutputName renames the i-th primary output.
-func (g *AIG) SetOutputName(i int, name string) { g.poNames[i] = name }
 
 func (g *AIG) newNode(op Op, f0, f1, f2 Lit) Lit {
 	v := uint32(len(g.nodes))
@@ -406,16 +396,6 @@ func (g *AIG) Mux(s, t, e Lit) Lit {
 	return g.And(g.And(s, t).Not(), g.And(s.Not(), e).Not()).Not()
 }
 
-// IsPureAnd reports whether the graph contains only AND logic nodes.
-func (g *AIG) IsPureAnd() bool {
-	for v := uint32(1); v <= g.MaxVar(); v++ {
-		if op := g.nodes[v].op; op == OpXor || op == OpMaj {
-			return false
-		}
-	}
-	return true
-}
-
 // Levels returns the logic level of every variable (inputs and the constant
 // are level 0) and the maximum level over the primary outputs.
 func (g *AIG) Levels() ([]int, int) {
@@ -483,21 +463,6 @@ func (g *AIG) Support(roots ...Lit) []int {
 		}
 	}
 	return sup
-}
-
-// FanoutCounts returns, for every variable, the number of fanout references
-// from logic nodes and primary outputs.
-func (g *AIG) FanoutCounts() []int {
-	cnt := make([]int, len(g.nodes))
-	for v := uint32(1); v <= g.MaxVar(); v++ {
-		for _, f := range g.Fanins(v) {
-			cnt[f.Var()]++
-		}
-	}
-	for _, po := range g.pos {
-		cnt[po.Var()]++
-	}
-	return cnt
 }
 
 // TFO returns the set of variables in the transitive fanout cone of the

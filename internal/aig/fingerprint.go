@@ -18,10 +18,6 @@ type Fingerprint [2]uint64
 // String renders the fingerprint as 32 hex digits.
 func (f Fingerprint) String() string { return fmt.Sprintf("%016x%016x", f[0], f[1]) }
 
-// IsZero reports whether the fingerprint is the zero value (never produced
-// for a real graph).
-func (f Fingerprint) IsZero() bool { return f == Fingerprint{} }
-
 // splitmix64 finalizer; the same mixer exec.DeriveSeed builds on.
 func fpMix(x uint64) uint64 {
 	x ^= x >> 30

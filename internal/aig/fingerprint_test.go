@@ -59,7 +59,7 @@ func TestFingerprintDistinguishes(t *testing.T) {
 			t.Fatalf("distinct functions share fingerprint %s", pair[0])
 		}
 	}
-	if fg.IsZero() || fg.String() == "" {
+	if fg == (Fingerprint{}) || fg.String() == "" {
 		t.Fatalf("bad fingerprint rendering")
 	}
 }

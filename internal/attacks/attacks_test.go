@@ -314,38 +314,6 @@ func TestValkyrieBreaksTTLock(t *testing.T) {
 	}
 }
 
-// The structural classifier puts SARLock's comparator cone near the top.
-func TestClassifierFlagsSARLock(t *testing.T) {
-	orig := smallCircuit()
-	l, err := lockbase.SARLock(orig, 8, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := StructuralClassifier(l, 10)
-	if len(res.Ranked) == 0 {
-		t.Fatal("no ranking")
-	}
-	// At least one of the top-10 anomalous nodes must have many key inputs
-	// in its fanin (the comparator).
-	found := false
-	for _, v := range res.Ranked {
-		tfi := l.Enc.TFI(aig.MkLit(v, false))
-		keys := 0
-		for i := 0; i < l.KeyBits; i++ {
-			if tfi[l.Enc.InputVar(l.NumInputs+i)] {
-				keys++
-			}
-		}
-		if keys >= l.KeyBits/2 {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("classifier did not flag the key comparator cone")
-	}
-}
-
 // Sensitization recovers RLL key bits that sit on isolated paths.
 func TestSensitizationOnRLL(t *testing.T) {
 	orig := smallCircuit()

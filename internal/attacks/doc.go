@@ -1,8 +1,7 @@
 // Package attacks implements the attack suite ObfusLock is evaluated
 // against: the oracle-guided SAT attack and AppSAT (I/O attacks), the
 // sensitization attack, and the structural attacks — SPS, removal,
-// bypass, Valkyrie-style perturb/restore search, a structural-feature
-// classifier standing in for the published ML attacks, and an SPI-style
+// bypass, Valkyrie-style perturb/restore search, and an SPI-style
 // synthesis attack.
 //
 // # The DIP loop

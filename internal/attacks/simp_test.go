@@ -45,7 +45,7 @@ func TestSATAttackSimpOnOffBothExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			orig := l.Unlocked()
+			orig := l.ApplyKey(l.Key)
 			for name, so := range configs {
 				for _, batch := range []int{1, 0} {
 					opt := DefaultIOOptions()

@@ -273,114 +273,6 @@ func Valkyrie(ctx context.Context, l *locking.Locked, orig *aig.AIG, shortlist i
 	return res
 }
 
-// ClassifierResult ranks nodes by structural anomaly.
-type ClassifierResult struct {
-	// Ranked lists node variables, most anomalous first.
-	Ranked []uint32
-	// Scores are the matching anomaly scores (z-score norms).
-	Scores []float64
-}
-
-// StructuralClassifier is the stand-in for the published learning-based
-// attacks (GNNUnlock, OMLA, SAIL): it extracts local structural features —
-// gate-type histogram of the 2-hop fanin neighbourhood, fanout count,
-// level, and key-input density of the cone — and ranks nodes by Mahalanobis
-// -like anomaly score. A locking scheme with deterministic local structure
-// places its critical nodes at the top.
-func StructuralClassifier(l *locking.Locked, topK int) ClassifierResult {
-	g := l.Enc
-	lv, _ := g.Levels()
-	fanout := g.FanoutCounts()
-	keyVar := make(map[uint32]bool, l.KeyBits)
-	for i := 0; i < l.KeyBits; i++ {
-		keyVar[g.InputVar(l.NumInputs+i)] = true
-	}
-	const nf = 8
-	var feats [][nf]float64
-	var vars []uint32
-	for v := uint32(1); v <= g.MaxVar(); v++ {
-		if g.Op(v) == aig.OpInput {
-			continue
-		}
-		var f [nf]float64
-		// 2-hop fanin gate-type histogram and inverter count.
-		visit := []aig.Lit{aig.MkLit(v, false)}
-		for hop := 0; hop < 2; hop++ {
-			var next []aig.Lit
-			for _, u := range visit {
-				for _, fi := range g.Fanins(u.Var()) {
-					switch g.Op(fi.Var()) {
-					case aig.OpAnd:
-						f[0]++
-					case aig.OpXor:
-						f[1]++
-					case aig.OpMaj:
-						f[2]++
-					case aig.OpInput:
-						f[3]++
-						if keyVar[fi.Var()] {
-							f[4]++
-						}
-					}
-					if fi.IsCompl() {
-						f[5]++
-					}
-					next = append(next, fi)
-				}
-			}
-			visit = next
-		}
-		f[6] = float64(fanout[v])
-		f[7] = float64(lv[v])
-		feats = append(feats, f)
-		vars = append(vars, v)
-	}
-	if len(feats) == 0 {
-		return ClassifierResult{}
-	}
-	var mean, std [nf]float64
-	for _, f := range feats {
-		for i := range f {
-			mean[i] += f[i]
-		}
-	}
-	for i := range mean {
-		mean[i] /= float64(len(feats))
-	}
-	for _, f := range feats {
-		for i := range f {
-			d := f[i] - mean[i]
-			std[i] += d * d
-		}
-	}
-	for i := range std {
-		std[i] = math.Sqrt(std[i]/float64(len(feats))) + 1e-9
-	}
-	type scored struct {
-		v uint32
-		s float64
-	}
-	sc := make([]scored, len(feats))
-	for i, f := range feats {
-		var norm float64
-		for j := range f {
-			z := (f[j] - mean[j]) / std[j]
-			norm += z * z
-		}
-		sc[i] = scored{vars[i], math.Sqrt(norm)}
-	}
-	sort.Slice(sc, func(i, j int) bool { return sc[i].s > sc[j].s })
-	if len(sc) > topK {
-		sc = sc[:topK]
-	}
-	res := ClassifierResult{}
-	for _, e := range sc {
-		res.Ranked = append(res.Ranked, e.v)
-		res.Scores = append(res.Scores, e.s)
-	}
-	return res
-}
-
 // CriticalNodeSurvives checks whether any node of enc (keys bound to a
 // wrong key, locking.Locked.WrongKeyBound) is functionally equivalent to
 // the given function of the original inputs — the paper's

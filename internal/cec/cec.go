@@ -60,9 +60,6 @@ type Options struct {
 	Trace *obs.Tracer
 }
 
-// sweepWords of 64 random patterns seed a sweep's equivalence classes.
-const sweepWords = 8
-
 // DefaultOptions uses a small simulation pre-filter and no SAT budget.
 func DefaultOptions() Options {
 	return Options{SimWords: 4, Seed: 1}
@@ -168,7 +165,6 @@ func checkSwept(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (
 		comb.AddOutput(o, "b:"+b.OutputName(i))
 	}
 	fr := fraig.Sweep(ctx, comb, fraig.Options{
-		Words:  sweepWords,
 		Seed:   opt.Seed,
 		Budget: opt.Budget,
 		Simp:   opt.Simp,
@@ -230,28 +226,6 @@ func solvePairs(ctx context.Context, g *aig.AIG, pairs [][2]aig.Lit, opt Options
 		return Result{Equivalent: false, Counterexample: cex, Decided: true, SolverStats: s.Stats()}
 	}
 	return Result{SolverStats: s.Stats()}
-}
-
-// LitsEquivalent decides whether two literals of the same graph compute the
-// same function of the primary inputs (up to the given conflict budget,
-// with <0 meaning unlimited; Unknown maps to decided=false).
-func LitsEquivalent(ctx context.Context, g *aig.AIG, x, y aig.Lit, budget int64) (equal, decided bool) {
-	s := sat.New()
-	e := cnf.NewEncoder(g, s)
-	lits := e.Encode(x, y)
-	if budget >= 0 {
-		s.SetBudget(budget)
-	}
-	s.SetContext(ctx)
-	d := cnf.XorLit(s, lits[0], lits[1])
-	s.AddClause(d)
-	switch s.Solve() {
-	case sat.Unsat:
-		return true, true
-	case sat.Sat:
-		return false, true
-	}
-	return false, false
 }
 
 // FindOptions configures FindNode and FindEquivalentNode.

@@ -138,28 +138,6 @@ func TestBudgetUndecided(t *testing.T) {
 	}
 }
 
-func TestLitsEquivalent(t *testing.T) {
-	g := aig.New()
-	a := g.AddInput("a")
-	b := g.AddInput("b")
-	x1 := g.Xor(a, b)
-	x2 := g.XorAnd(a, b)
-	o := g.Or(a, b)
-	g.AddOutput(x1, "")
-	eq, dec := LitsEquivalent(context.Background(), g, x1, x2, -1)
-	if !dec || !eq {
-		t.Fatal("xor forms should be equivalent")
-	}
-	eq, dec = LitsEquivalent(context.Background(), g, x1, o, -1)
-	if !dec || eq {
-		t.Fatal("xor and or should differ")
-	}
-	eq, dec = LitsEquivalent(context.Background(), g, x1, x2.Not(), -1)
-	if !dec || eq {
-		t.Fatal("literal and its complement cannot be equivalent")
-	}
-}
-
 func TestFindEquivalentNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// specG computes f = (a&b)^c ; g contains an equivalent node buried in

@@ -62,7 +62,6 @@ func NewPinned(ctx context.Context, spec, impl *aig.AIG, tie []bool, opt Options
 			g.AddOutput(lit[o.Var()].NotIf(o.IsCompl()), "b:"+impl.OutputName(i))
 		}
 		fr := fraig.Sweep(ctx, g, fraig.Options{
-			Words:  sweepWords,
 			Seed:   opt.Seed,
 			Budget: opt.Budget,
 			Simp:   opt.Simp,

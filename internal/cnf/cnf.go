@@ -228,24 +228,6 @@ func OrLit(s *sat.Solver, lits ...sat.Lit) sat.Lit {
 	return out
 }
 
-// AndLit adds clauses defining a fresh literal out <-> (l1 & l2 & ...).
-func AndLit(s *sat.Solver, lits ...sat.Lit) sat.Lit {
-	out := sat.MkLit(s.NewVar(), false)
-	big := make([]sat.Lit, 0, len(lits)+1)
-	big = append(big, out)
-	for _, l := range lits {
-		s.AddClause(out.Not(), l)
-		big = append(big, l.Not())
-	}
-	s.AddClause(big...)
-	return out
-}
-
-// EqualLit adds clauses defining out <-> (a == b).
-func EqualLit(s *sat.Solver, a, b sat.Lit) sat.Lit {
-	return XorLit(s, a, b).Not()
-}
-
 // AddXorConstraint adds the parity constraint lits[0] ^ ... ^ lits[n-1] = rhs
 // by chaining fresh variables (3-literal XOR steps). Used by the XOR-hashing
 // model counter.

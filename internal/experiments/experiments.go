@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"time"
 
 	"obfuslock/internal/aig"
@@ -98,29 +99,10 @@ const TableIHeader = "bench       nodes    skew  keys  lock-time     SAT-sub  SA
 // output — the attacker's "target only the sub-circuit" strategy (the
 // paper notes the resulting numbers lower-bound the attacker's real cost).
 func singleOutput(l *locking.Locked, orig *aig.AIG, po int) (*locking.Locked, *aig.AIG) {
-	encOne := l.Enc.Copy()
-	keep := encOne.Output(po)
-	name := encOne.OutputName(po)
-	encTrim := aig.New()
-	piMap := make([]aig.Lit, encOne.NumInputs())
-	for i := range piMap {
-		piMap[i] = encTrim.AddInput(encOne.InputName(i))
-	}
-	out := encTrim.ImportCone(encOne, piMap, []aig.Lit{keep})
-	encTrim.AddOutput(out[0], name)
-
-	origTrim := aig.New()
-	piMap2 := make([]aig.Lit, orig.NumInputs())
-	for i := range piMap2 {
-		piMap2[i] = origTrim.AddInput(orig.InputName(i))
-	}
-	o2 := origTrim.ImportCone(orig, piMap2, []aig.Lit{orig.Output(po)})
-	origTrim.AddOutput(o2[0], name)
-
 	return &locking.Locked{
-		Scheme: l.Scheme, Enc: encTrim,
+		Scheme: l.Scheme, Enc: cec.ConeGraph(l.Enc, l.Enc.Output(po)),
 		NumInputs: l.NumInputs, KeyBits: l.KeyBits, Key: l.Key,
-	}, origTrim
+	}, cec.ConeGraph(orig, orig.Output(po))
 }
 
 // attackCell runs one attack and renders the paper's cell convention:
@@ -392,11 +374,10 @@ func fig4Hist(l *locking.Locked) Fig4Stats {
 	for i := range keyVars {
 		keyVars[i] = g.InputVar(l.NumInputs + i)
 	}
-	// For key counting, walk TFO of keys once and count keys per node via
-	// TFI on sampled nodes would be expensive; do one pass: keysIn[v] =
-	// union cardinality approximated by bitset when KeyBits <= 64, else
-	// sampled.
-	keysIn := countKeysInTFI(g, keyVars)
+	// One bitset pass counts the keys in every node's TFI: all of them
+	// up to 64 keys, else a 64-key sample, so the buckets are fractions
+	// of the keys counted.
+	keysIn, counted := countKeysInTFI(g, keyVars)
 	for v := uint32(1); v <= g.MaxVar(); v++ {
 		if g.Op(v) == aig.OpInput {
 			continue
@@ -417,7 +398,7 @@ func fig4Hist(l *locking.Locked) Fig4Stats {
 		if !math.IsInf(b, 1) && b > st.MaxSkewBits {
 			st.MaxSkewBits = b
 		}
-		kfrac := float64(keysIn[v]) / float64(max(1, l.KeyBits))
+		kfrac := float64(keysIn[v]) / float64(max(1, counted))
 		switch {
 		case keysIn[v] == 0:
 			st.KeyHist[0]++
@@ -425,7 +406,7 @@ func fig4Hist(l *locking.Locked) Fig4Stats {
 			st.KeyHist[1]++
 		case kfrac < 0.75:
 			st.KeyHist[2]++
-		case keysIn[v] < l.KeyBits:
+		case keysIn[v] < counted:
 			st.KeyHist[3]++
 		default:
 			st.KeyHist[4]++
@@ -435,27 +416,20 @@ func fig4Hist(l *locking.Locked) Fig4Stats {
 }
 
 // countKeysInTFI counts, for each variable, how many of the key variables
-// are in its transitive fanin (exact for <= 64 keys via bitsets, otherwise
-// a 64-key sample).
-func countKeysInTFI(g *aig.AIG, keyVars []uint32) []int {
-	words := (len(keyVars) + 63) / 64
-	if words == 0 {
-		return make([]int, g.MaxVar()+1)
-	}
-	if words > 1 {
+// are in its transitive fanin, and returns how many keys it counted: all
+// of them up to 64 (one bitset word), otherwise the first 64.
+func countKeysInTFI(g *aig.AIG, keyVars []uint32) ([]int, int) {
+	if len(keyVars) > 64 {
 		keyVars = keyVars[:64]
-		words = 1
 	}
 	sets := make([]uint64, g.MaxVar()+1)
-	idx := make(map[uint32]int, len(keyVars))
 	for i, v := range keyVars {
-		idx[v] = i
 		sets[v] = 1 << uint(i)
 	}
 	counts := make([]int, g.MaxVar()+1)
 	for v := uint32(1); v <= g.MaxVar(); v++ {
 		if g.Op(v) == aig.OpInput {
-			counts[v] = popcount(sets[v])
+			counts[v] = bits.OnesCount64(sets[v])
 			continue
 		}
 		var s uint64
@@ -463,24 +437,9 @@ func countKeysInTFI(g *aig.AIG, keyVars []uint32) []int {
 			s |= sets[f.Var()]
 		}
 		sets[v] = s
-		counts[v] = popcount(s)
+		counts[v] = bits.OnesCount64(s)
 	}
-	return counts
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return counts, len(keyVars)
 }
 
 // Fig5Row is one benchmark's PPA overhead at one skewness level.

@@ -92,6 +92,29 @@ func TestFig4BeforeAfter(t *testing.T) {
 	}
 }
 
+// Fig. 4's key histogram buckets a node by the fraction of the counted
+// keys in its TFI. Past 64 key bits only a 64-key sample is counted, so a
+// node over every key must still land in the "all" bucket.
+func TestFig4KeyHistOver64Keys(t *testing.T) {
+	const dataBits, keyBits = 2, 80
+	g := aig.New()
+	x := g.AddInputs(dataBits)
+	keys := make([]aig.Lit, keyBits)
+	for i := range keys {
+		keys[i] = g.AddInput(locking.KeyName(i))
+	}
+	g.AddOutput(g.Xor(x[0], g.AndN(keys...)), "f")
+	g.AddOutput(g.And(x[1], keys[0]), "g")
+	l := &locking.Locked{Scheme: "none", Enc: g, NumInputs: dataBits, KeyBits: keyBits}
+	st := fig4Hist(l)
+	if st.KeyHist[4] == 0 {
+		t.Fatalf("no node counts every key: KeyHist = %v", st.KeyHist)
+	}
+	if st.KeyHist[1] == 0 {
+		t.Fatalf("the one-key node is missing from 1..25%%: KeyHist = %v", st.KeyHist)
+	}
+}
+
 func TestFig5Overheads(t *testing.T) {
 	var out bytes.Buffer
 	rows, err := Fig5(context.Background(), netlistgen.SmallSuite()[1:3], []float64{8}, 1, 0, &out)
@@ -191,8 +214,15 @@ func TestStructuralSearchUndecidedIsNotAPass(t *testing.T) {
 	c := netlistgen.Multiplier(8)
 	enc := c.LowerToAnd()
 	dangling := enc.And(enc.Input(0), enc.Input(1).Not()).Var()
-	if enc.FanoutCounts()[dangling] != 0 || dangling != enc.MaxVar() {
-		t.Fatal("fixture node is not a fresh, dangling node")
+	// The newest node can be no other node's fanin; it must drive no
+	// output either.
+	if dangling != enc.MaxVar() {
+		t.Fatal("fixture node is not a fresh node")
+	}
+	for _, po := range enc.Outputs() {
+		if po.Var() == dangling {
+			t.Fatal("fixture node drives an output")
+		}
 	}
 	l := &locking.Locked{Scheme: "none", Enc: enc, NumInputs: c.NumInputs()}
 	ctx := context.Background()
@@ -240,7 +270,10 @@ func TestCountKeysInTFI(t *testing.T) {
 	// Fake "keys": the last two inputs.
 	n := c.NumInputs()
 	keyVars := []uint32{c.InputVar(n - 2), c.InputVar(n - 1)}
-	counts := countKeysInTFI(c, keyVars)
+	counts, counted := countKeysInTFI(c, keyVars)
+	if counted != 2 {
+		t.Fatalf("counted %d keys, want 2", counted)
+	}
 	if counts[keyVars[0]] != 1 || counts[keyVars[1]] != 1 {
 		t.Fatal("key inputs must count themselves")
 	}

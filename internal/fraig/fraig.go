@@ -36,9 +36,6 @@ import (
 
 // Options configures a sweep.
 type Options struct {
-	// Words of 64 random simulation patterns seeding the candidate
-	// equivalence classes (0: 8).
-	Words int
 	// Seed drives the random patterns; equal seeds give identical sweeps.
 	Seed int64
 	// Budget bounds each SAT query (Conflicts is a per-query cap; the
@@ -55,11 +52,15 @@ type Options struct {
 	Trace *obs.Tracer
 }
 
-// DefaultOptions returns the standard sweep configuration: 8 signature
-// words and a 10k-conflict cap per query.
+// DefaultOptions returns the standard sweep configuration: a 10k-conflict
+// cap per query.
 func DefaultOptions() Options {
-	return Options{Words: 8, Seed: 1, Budget: exec.WithConflicts(10000)}
+	return Options{Seed: 1, Budget: exec.WithConflicts(10000)}
 }
+
+// sigWords of 64 random simulation patterns seed the candidate
+// equivalence classes.
+const sigWords = 8
 
 // Stats counts the work of one sweep.
 type Stats struct {
@@ -128,13 +129,10 @@ type sweeper struct {
 // graph is not modified. Cancelling ctx stops proving (the remaining
 // logic is copied unmerged) and marks the result undecided.
 func Sweep(ctx context.Context, g *aig.AIG, opt Options) *Result {
-	if opt.Words <= 0 {
-		opt.Words = 8
-	}
 	tr := opt.Trace
 	sp := tr.Span("fraig.sweep",
 		obs.Int("nodes", int64(g.NumNodes())),
-		obs.Int("words", int64(opt.Words)))
+		obs.Int("words", sigWords))
 
 	sw := &sweeper{g: g, ng: aig.New()}
 	sw.ng.Name = g.Name
@@ -216,7 +214,7 @@ func Sweep(ctx context.Context, g *aig.AIG, opt Options) *Result {
 // constant-valued nodes become candidates against the constant.
 func (sw *sweeper) buildClasses(opt Options) {
 	g := sw.g
-	vec := sim.RunRandom(g, opt.Words, opt.Seed)
+	vec := sim.RunRandom(g, sigWords, opt.Seed)
 	sw.nf = make([]bool, g.MaxVar()+1)
 	sw.classOf = make([]int32, g.MaxVar()+1)
 	buckets := make(map[string]int32)

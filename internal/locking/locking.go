@@ -62,9 +62,6 @@ func (l *Locked) ApplyKey(key []bool) *aig.AIG {
 	return ng
 }
 
-// Unlocked applies the correct key.
-func (l *Locked) Unlocked() *aig.AIG { return l.ApplyKey(l.Key) }
-
 // WrongKeyBound binds the key inputs to a fixed wrong key: all zeros, or,
 // when all zeros is the correct key, all zeros but the first bit. The
 // critical-node scans search this netlist; binding the correct key would
@@ -334,15 +331,6 @@ func (o *Oracle) NumInputs() int { return o.g.NumInputs() }
 
 // NumOutputs returns the oracle output width.
 func (o *Oracle) NumOutputs() int { return o.g.NumOutputs() }
-
-// KeyInputLits returns the Enc literals of the key inputs.
-func (l *Locked) KeyInputLits() []aig.Lit {
-	lits := make([]aig.Lit, l.KeyBits)
-	for i := range lits {
-		lits[i] = l.Enc.Input(l.NumInputs + i)
-	}
-	return lits
-}
 
 // KeyName returns the conventional name of key input i.
 func KeyName(i int) string { return fmt.Sprintf("k%d", i) }

@@ -61,12 +61,12 @@ func TestApplyKeyAndVerify(t *testing.T) {
 	if !broke {
 		t.Fatal("wrong key not flagged")
 	}
-	// Unlocked is functionally the original.
-	u := l.Unlocked()
+	// The correct key gives back the original.
+	u := l.ApplyKey(l.Key)
 	for m := 0; m < 4; m++ {
 		pat := []bool{m&1 == 1, m>>1&1 == 1}
 		if u.Eval(pat)[0] != orig.Eval(pat)[0] {
-			t.Fatal("Unlocked differs from original")
+			t.Fatal("correct key differs from original")
 		}
 	}
 }
@@ -96,19 +96,6 @@ func TestBindInputs(t *testing.T) {
 		want := !pat[0] && !pat[1]
 		if spec.Eval(pat)[0] != want {
 			t.Fatalf("BindInputs wrong at %v", pat)
-		}
-	}
-}
-
-func TestKeyInputLits(t *testing.T) {
-	_, l := toy()
-	lits := l.KeyInputLits()
-	if len(lits) != 2 {
-		t.Fatal("wrong key literal count")
-	}
-	for i, kl := range lits {
-		if l.Enc.InputName(l.NumInputs+i) != KeyName(i) || kl.IsCompl() {
-			t.Fatal("key literal convention broken")
 		}
 	}
 }

@@ -268,13 +268,6 @@ func Control(spec ControlSpec) *aig.AIG {
 	return g
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Benchmark identifies one circuit of the evaluation suite.
 type Benchmark struct {
 	Name       string

@@ -49,15 +49,3 @@ func TestBalanceRandomEquivalent(t *testing.T) {
 		}
 	}
 }
-
-func TestBalanceRoundTripWithUnbalance(t *testing.T) {
-	g := aig.New()
-	in := g.AddInputs(16)
-	g.AddOutput(g.AndN(in...), "f")
-	ub := Unbalance(g)
-	rb := Balance(ub)
-	mustEquivalent(t, g, rb, "unbalance+balance")
-	if rb.Depth() >= ub.Depth() {
-		t.Fatalf("balance after unbalance: %d -> %d", ub.Depth(), rb.Depth())
-	}
-}

@@ -93,93 +93,10 @@ func FunctionalRewrite(g *aig.AIG, seed int64) *aig.AIG {
 	return ng.Cleanup()
 }
 
-// Unbalance rebuilds the graph with AND and XOR trees flattened into
-// left-deep chains (shallow operands first). This maximizes logic depth —
-// the reshaping step that precedes Boolean multi-level splitting ("reversely
-// applying depth-oriented optimizations").
-func Unbalance(g *aig.AIG) *aig.AIG {
-	ng := aig.New()
-	ng.Name = g.Name
-	m := make([]aig.Lit, g.MaxVar()+1)
-	m[0] = aig.ConstFalse
-	for i := 0; i < g.NumInputs(); i++ {
-		m[g.InputVar(i)] = ng.AddInput(g.InputName(i))
-	}
-	mapped := func(l aig.Lit) aig.Lit { return m[l.Var()].NotIf(l.IsCompl()) }
-
-	const maxFlat = 24
-	// collectAnd flattens the AND tree rooted at literal l (old graph);
-	// complemented or non-AND fanins stop the expansion.
-	var collectAnd func(l aig.Lit, out []aig.Lit) []aig.Lit
-	collectAnd = func(l aig.Lit, out []aig.Lit) []aig.Lit {
-		if !l.IsCompl() && g.Op(l.Var()) == aig.OpAnd && len(out) < maxFlat {
-			fan := g.Fanins(l.Var())
-			out = collectAnd(fan[0], out)
-			out = collectAnd(fan[1], out)
-			return out
-		}
-		return append(out, l)
-	}
-	var collectXor func(l aig.Lit, out []aig.Lit, compl *bool) []aig.Lit
-	collectXor = func(l aig.Lit, out []aig.Lit, compl *bool) []aig.Lit {
-		if l.IsCompl() {
-			*compl = !*compl
-			l = l.Regular()
-		}
-		if g.Op(l.Var()) == aig.OpXor && len(out) < maxFlat {
-			fan := g.Fanins(l.Var())
-			out = collectXor(fan[0], out, compl)
-			out = collectXor(fan[1], out, compl)
-			return out
-		}
-		return append(out, l)
-	}
-
-	for v := uint32(1); v <= g.MaxVar(); v++ {
-		if g.Op(v) == aig.OpInput {
-			continue
-		}
-		fan := g.Fanins(v)
-		switch g.Op(v) {
-		case aig.OpAnd:
-			leaves := collectAnd(aig.MkLit(v, false), nil)
-			lits := make([]aig.Lit, len(leaves))
-			for i, l := range leaves {
-				lits[i] = mapped(l)
-			}
-			sortByLevel(ng, lits)
-			acc := lits[0]
-			for _, l := range lits[1:] {
-				acc = ng.And(acc, l)
-			}
-			m[v] = acc
-		case aig.OpXor:
-			compl := false
-			leaves := collectXor(aig.MkLit(v, false), nil, &compl)
-			lits := make([]aig.Lit, len(leaves))
-			for i, l := range leaves {
-				lits[i] = mapped(l)
-			}
-			sortByLevel(ng, lits)
-			acc := lits[0]
-			for _, l := range lits[1:] {
-				acc = ng.Xor(acc, l)
-			}
-			m[v] = acc.NotIf(compl)
-		case aig.OpMaj:
-			m[v] = ng.Maj(mapped(fan[0]), mapped(fan[1]), mapped(fan[2]))
-		}
-	}
-	for i := 0; i < g.NumOutputs(); i++ {
-		ng.AddOutput(mapped(g.Output(i)), g.OutputName(i))
-	}
-	return ng.Cleanup()
-}
-
 // Balance rebuilds the graph with AND and XOR trees rebalanced to minimize
 // depth: flattened operand lists are combined smallest-level-first
-// (Huffman style). The inverse of Unbalance; used after locking to keep
-// the delay overhead negligible.
+// (Huffman style). Used after locking to keep the delay overhead
+// negligible.
 func Balance(g *aig.AIG) *aig.AIG {
 	ng := aig.New()
 	ng.Name = g.Name
@@ -291,17 +208,6 @@ func Balance(g *aig.AIG) *aig.AIG {
 		ng.AddOutput(mapped(g.Output(i)), g.OutputName(i))
 	}
 	return ng.Cleanup()
-}
-
-// sortByLevel orders literals by their level in g, shallow first, so that
-// chained construction yields maximal depth on the last operand.
-func sortByLevel(g *aig.AIG, lits []aig.Lit) {
-	lv, _ := g.Levels()
-	for i := 1; i < len(lits); i++ {
-		for j := i; j > 0 && lv[lits[j].Var()] < lv[lits[j-1].Var()]; j-- {
-			lits[j], lits[j-1] = lits[j-1], lits[j]
-		}
-	}
 }
 
 // InsertBubbles returns a circuit computing g(x XOR b) for a random bubble

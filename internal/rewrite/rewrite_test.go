@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -74,10 +75,8 @@ func TestCutEnumerationSound(t *testing.T) {
 				leafLits[i] = aig.MkLit(lf, false)
 			}
 			rebuilt := BuildFromTruth(probe, tt, leafLits)
-			eq, dec := cec.LitsEquivalent(context.Background(), probe, aig.MkLit(v, false), rebuilt, -1)
-			if !dec || !eq {
-				t.Fatalf("cut truth of node %d over %v mismatches", v, cut.Leaves)
-			}
+			mustEquivalent(t, cec.ConeGraph(probe, aig.MkLit(v, false)), cec.ConeGraph(probe, rebuilt),
+				fmt.Sprintf("cut truth of node %d over %v", v, cut.Leaves))
 		}
 	}
 }
@@ -140,39 +139,6 @@ func TestFunctionalRewriteReducesRedundancy(t *testing.T) {
 		if rw.NumNodes() > g.NumNodes() {
 			t.Fatalf("seed %d: rewrite grew: %d -> %d", seed, g.NumNodes(), rw.NumNodes())
 		}
-	}
-}
-
-func TestUnbalanceEquivalentAndDeeper(t *testing.T) {
-	// Balanced AND tree over 16 inputs: depth 4; unbalanced chain: 15.
-	g := aig.New()
-	in := g.AddInputs(16)
-	g.AddOutput(g.AndN(in...), "f")
-	ub := Unbalance(g)
-	mustEquivalent(t, g, ub, "unbalance")
-	if ub.Depth() <= g.Depth() {
-		t.Fatalf("depth did not increase: %d -> %d", g.Depth(), ub.Depth())
-	}
-	if ub.Depth() != 15 {
-		t.Fatalf("chain depth = %d, want 15", ub.Depth())
-	}
-}
-
-func TestUnbalanceXorAndRandom(t *testing.T) {
-	g := aig.New()
-	in := g.AddInputs(8)
-	acc := in[0]
-	for _, l := range in[1:] {
-		acc = g.Xor(acc, l)
-	}
-	g.AddOutput(acc.Not(), "parity")
-	ub := Unbalance(g)
-	mustEquivalent(t, g, ub, "unbalance parity")
-
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 5; trial++ {
-		rg := randomGraph(rng, 6, 50)
-		mustEquivalent(t, rg, Unbalance(rg), "unbalance random")
 	}
 }
 

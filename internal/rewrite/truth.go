@@ -1,8 +1,7 @@
 // Package rewrite provides the logic-synthesis transformations ObfusLock
 // builds on: k-feasible cut enumeration with truth tables, ISOP-based
 // functional rewriting (the DAG-aware rewriting step of the paper),
-// depth-maximizing unbalancing (the reshaping used before Boolean
-// multi-level splitting), and key-polarity bubble insertion/hiding.
+// depth-minimizing balancing, and key-polarity bubble insertion/hiding.
 package rewrite
 
 import "math/bits"

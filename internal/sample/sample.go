@@ -26,10 +26,6 @@ type CubeSampler struct {
 	g    *aig.AIG
 	cond aig.Lit
 	rng  *rand.Rand
-	// PinFraction is the initial fraction of inputs pinned per attempt.
-	PinFraction float64
-	// Attempts bounds SAT calls per requested sample.
-	Attempts int
 	// Budget bounds each solver call (zero value: unlimited).
 	Budget exec.Budget
 	// Ctx, when non-nil, cancels in-flight solves; Sample then returns
@@ -45,14 +41,19 @@ type CubeSampler struct {
 // NewCubeSampler returns a sampler of witnesses of cond in g.
 func NewCubeSampler(g *aig.AIG, cond aig.Lit, seed int64) *CubeSampler {
 	return &CubeSampler{
-		g:           g,
-		cond:        cond,
-		rng:         rand.New(rand.NewSource(seed)),
-		PinFraction: 0.5,
-		Attempts:    8,
-		Budget:      exec.WithConflicts(200000),
+		g:      g,
+		cond:   cond,
+		rng:    rand.New(rand.NewSource(seed)),
+		Budget: exec.WithConflicts(200000),
 	}
 }
+
+const (
+	// pinFraction is the initial fraction of inputs pinned per attempt.
+	pinFraction = 0.5
+	// attempts bounds SAT calls per requested sample.
+	attempts = 8
+)
 
 // Sample returns up to n witnesses; fewer (possibly zero) when the
 // witness set is small or the budget runs out.
@@ -82,10 +83,10 @@ func (cs *CubeSampler) sample(n int) [][]bool {
 	s.SetRandomPolarity(cs.rng.Int63())
 	nin := len(ins)
 	var out [][]bool
-	pin := cs.PinFraction
+	pin := pinFraction
 	for len(out) < n {
 		got := false
-		for attempt := 0; attempt < cs.Attempts; attempt++ {
+		for attempt := 0; attempt < attempts; attempt++ {
 			k := int(pin * float64(nin))
 			perm := cs.rng.Perm(nin)[:k]
 			assumps := make([]sat.Lit, 0, k)

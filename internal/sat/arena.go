@@ -99,7 +99,6 @@ func (a *arena) alloc(lits []Lit, learnt bool, lbd int) cref {
 func (a *arena) size(c cref) int     { return int(a.data[c] >> hdrSizeShift) }
 func (a *arena) learnt(c cref) bool  { return a.data[c]&hdrLearnt != 0 }
 func (a *arena) deleted(c cref) bool { return a.data[c]&hdrDeleted != 0 }
-func (a *arena) reloc(c cref) bool   { return a.data[c]&hdrReloc != 0 }
 
 // words is the clause's total footprint including header and extras.
 func (a *arena) words(c cref) int {

@@ -104,7 +104,7 @@ func FuzzSolverVsReference(f *testing.F) {
 			return
 		}
 		ss := build()
-		ss.Simplify(DefaultSimpOptions())
+		ss.Simplify(true)
 		if got := ss.Solve(); (got == Sat) != want {
 			t.Fatalf("simplified: solver %v, brute-force %v (vars=%d cnf=%v)", got, want, numVars, cnf)
 		} else if got == Sat {

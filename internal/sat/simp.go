@@ -19,7 +19,7 @@ package sat
 // The simplifier works on the live incremental solver, so it must honor
 // two contracts the preprocessing literature can take for granted:
 //
-//   - Frozen variables (Freeze/FreezeLit) are exempt from elimination.
+//   - Frozen variables (FreezeLit) are exempt from elimination.
 //     Any variable later used in an assumption, read through ModelValue,
 //     or mentioned by a clause added after Simplify must be frozen
 //     first; violating this panics rather than corrupting the answer.
@@ -35,52 +35,26 @@ package sat
 
 import "sort"
 
-// SimpOptions tunes Simplify. The zero value disables every technique;
-// use DefaultSimpOptions for the standard configuration.
-type SimpOptions struct {
-	// VarElim enables bounded variable elimination by resolution.
-	// Eliminating a variable is only sound for equisatisfiability:
-	// enable it when every literal the caller will assume, read or
-	// constrain later is frozen.
-	VarElim bool
-	// Subsume enables backward subsumption and self-subsuming
-	// resolution. These are equivalence-preserving.
-	Subsume bool
-	// Vivify enables clause vivification by unit propagation
-	// (equivalence-preserving: it only removes redundant literals).
-	Vivify bool
-	// MaxOccur skips elimination of variables occurring in more than
-	// this many clauses (SatELite's "don't touch heavily shared
+// Simplify's tuning, the same for every caller.
+const (
+	// simpMaxOccur skips elimination of variables occurring in more
+	// than this many clauses (SatELite's "don't touch heavily shared
 	// variables" guard).
-	MaxOccur int
-	// MaxGrowth bounds the clause-count growth per eliminated
+	simpMaxOccur = 30
+	// simpMaxGrowth bounds the clause-count growth per eliminated
 	// variable: resolvents kept must number at most
-	// removed_clauses + MaxGrowth.
-	MaxGrowth int
-	// MaxResolventLen aborts an elimination producing a resolvent
+	// removed_clauses + simpMaxGrowth.
+	simpMaxGrowth = 0
+	// simpMaxResolventLen aborts an elimination producing a resolvent
 	// longer than this, and caps the length of clauses considered for
 	// vivification.
-	MaxResolventLen int
-	// VivifyMaxProps bounds the unit propagations spent by one
+	simpMaxResolventLen = 24
+	// simpVivifyMaxProps bounds the unit propagations spent by one
 	// vivification pass.
-	VivifyMaxProps int64
-	// MaxRounds bounds the subsume/eliminate fixpoint iterations.
-	MaxRounds int
-}
-
-// DefaultSimpOptions returns the standard simplification configuration.
-func DefaultSimpOptions() SimpOptions {
-	return SimpOptions{
-		VarElim:         true,
-		Subsume:         true,
-		Vivify:          true,
-		MaxOccur:        30,
-		MaxGrowth:       0,
-		MaxResolventLen: 24,
-		VivifyMaxProps:  300000,
-		MaxRounds:       3,
-	}
-}
+	simpVivifyMaxProps = 300000
+	// simpMaxRounds bounds the subsume/eliminate fixpoint iterations.
+	simpMaxRounds = 3
+)
 
 // SimpStats counts simplification work, cumulative across Simplify calls.
 type SimpStats struct {
@@ -136,16 +110,10 @@ type elimRecord struct {
 	endLo, endHi int32
 }
 
-// Freeze exempts a variable from elimination. Freeze every variable
-// that will later appear in an assumption, a ModelValue read, or a
-// clause added after Simplify.
-func (s *Solver) Freeze(v int) { s.frozen[v] = true }
-
-// FreezeLit is Freeze on the literal's variable.
+// FreezeLit exempts the literal's variable from elimination. Freeze
+// every variable that will later appear in an assumption, a ModelValue
+// read, or a clause added after Simplify.
 func (s *Solver) FreezeLit(l Lit) { s.frozen[l.Var()] = true }
-
-// Frozen reports whether the variable is exempt from elimination.
-func (s *Solver) Frozen(v int) bool { return s.frozen[v] }
 
 // Eliminated reports whether the variable has been eliminated by a
 // Simplify call. Its model value is reconstructed after each Sat
@@ -158,12 +126,14 @@ func (s *Solver) SimpStats() SimpStats { return s.simpStats }
 
 // Simplify reduces the clause database in place: top-level
 // unit/pure-literal reduction, backward subsumption, self-subsuming
-// resolution, bounded variable elimination, and clause vivification,
-// per opt. It returns false when simplification proves the formula
-// unsatisfiable (like AddClause). Solving continues to work afterwards:
-// frozen variables keep their meaning, eliminated variables are
-// reconstructed into the model.
-func (s *Solver) Simplify(opt SimpOptions) bool {
+// resolution, clause vivification and, when varElim is set, bounded
+// variable elimination. Eliminating a variable is only sound for
+// equisatisfiability: set varElim only when every literal the caller
+// will assume, read or constrain later is frozen. It returns false when
+// simplification proves the formula unsatisfiable (like AddClause).
+// Solving continues to work afterwards: frozen variables keep their
+// meaning, eliminated variables are reconstructed into the model.
+func (s *Solver) Simplify(varElim bool) bool {
 	if !s.ok {
 		return false
 	}
@@ -177,9 +147,9 @@ func (s *Solver) Simplify(opt SimpOptions) bool {
 		s.sp = &simplifier{s: s}
 	}
 	sp := s.sp
-	sp.opt = opt
+	sp.varElim = varElim
 	ok := sp.run()
-	if ok && opt.Vivify {
+	if ok {
 		ok = sp.vivifyAll()
 	}
 	s.simpStats.Rounds++
@@ -198,8 +168,8 @@ func (s *Solver) Simplify(opt SimpOptions) bool {
 // simplifier is the Simplify working state, pooled on the Solver so
 // repeated inprocessing passes reuse every slice.
 type simplifier struct {
-	s   *Solver
-	opt SimpOptions
+	s       *Solver
+	varElim bool
 
 	// refs maps dense clause ids to arena references for this pass
 	// (problem clauses first, then learnts, then resolvents as they are
@@ -326,27 +296,19 @@ func (sp *simplifier) run() bool {
 			}
 		}
 	}
-	rounds := sp.opt.MaxRounds
-	if rounds <= 0 {
-		rounds = 1
-	}
-	for r := 0; r < rounds; r++ {
-		changed := 0
-		if sp.opt.Subsume {
-			if sp.full {
-				sp.queueAll()
-			} else if r == 0 {
-				sp.queueNew()
-			}
-			// Incremental rounds > 0 drain whatever the previous round
-			// strengthened or resolved (enqueueSub keeps the queue fed).
-			n, ok := sp.subsumeAll()
-			if !ok {
-				return false
-			}
-			changed += n
+	for r := 0; r < simpMaxRounds; r++ {
+		if sp.full {
+			sp.queueAll()
+		} else if r == 0 {
+			sp.queueNew()
 		}
-		if sp.opt.VarElim {
+		// Incremental rounds > 0 drain whatever the previous round
+		// strengthened or resolved (enqueueSub keeps the queue fed).
+		changed, ok := sp.subsumeAll()
+		if !ok {
+			return false
+		}
+		if sp.varElim {
 			n, ok := sp.eliminateVars()
 			if !ok {
 				return false
@@ -703,7 +665,7 @@ func (sp *simplifier) eliminateVars() (int, bool) {
 			return
 		}
 		n := int(sp.occCnt[v])
-		if n == 0 || n > sp.opt.MaxOccur {
+		if n == 0 || n > simpMaxOccur {
 			return
 		}
 		cands = append(cands, v)
@@ -805,14 +767,14 @@ func (sp *simplifier) tryEliminate(v int) (ok, did bool) {
 	sp.resBuf = sp.resBuf[:0]
 	sp.resEnds = sp.resEnds[:0]
 	if !pure {
-		limit := len(pos) + len(neg) + sp.opt.MaxGrowth
+		limit := len(pos) + len(neg) + simpMaxGrowth
 		for _, pc := range pos {
 			for _, nc := range neg {
 				n, keep := sp.resolve(pc, nc, v)
 				if !keep {
 					continue
 				}
-				if sp.opt.MaxResolventLen > 0 && n > sp.opt.MaxResolventLen {
+				if n > simpMaxResolventLen {
 					return true, false
 				}
 				sp.resEnds = append(sp.resEnds, int32(len(sp.resBuf)))
@@ -1017,20 +979,13 @@ func (sp *simplifier) finish() bool {
 // ¬l1, ¬l2, … one temporary decision level at a time and propagate. A
 // conflict or an implied-true literal proves the prefix subsumes the
 // clause; an implied-false literal is redundant and dropped. The pass
-// is bounded by VivifyMaxProps unit propagations.
+// is bounded by simpVivifyMaxProps unit propagations.
 func (sp *simplifier) vivifyAll() bool {
 	s := sp.s
 	if !s.ok {
 		return false
 	}
-	budget := sp.opt.VivifyMaxProps
-	if budget <= 0 {
-		return true
-	}
-	maxLen := sp.opt.MaxResolventLen
-	if maxLen <= 0 {
-		maxLen = 24
-	}
+	const budget, maxLen = simpVivifyMaxProps, simpMaxResolventLen
 	start := s.stats.Propagations
 	// An incremental pass only vivifies clauses added since the last
 	// pass (earlier clauses already had their turn; strengthened forms

@@ -1,7 +1,6 @@
 package sat
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -83,7 +82,7 @@ func TestSimplifyCrossCheck(t *testing.T) {
 		want := plain.Solve()
 
 		simped := loadInstance(cls, nVars)
-		simped.Simplify(DefaultSimpOptions())
+		simped.Simplify(true)
 		got := simped.Solve()
 
 		if got != want {
@@ -108,9 +107,9 @@ func TestSimplifyAssumptionsAfterElimination(t *testing.T) {
 		plain := loadInstance(cls, nVars)
 		simped := loadInstance(cls, nVars)
 		for v := 0; v < nIface; v++ {
-			simped.Freeze(v)
+			simped.FreezeLit(MkLit(v, false))
 		}
-		simped.Simplify(DefaultSimpOptions())
+		simped.Simplify(true)
 
 		for pat := 0; pat < 1<<nIface; pat++ {
 			assumps := make([]Lit, nIface)
@@ -147,9 +146,9 @@ func TestSimplifyIncrementalClausesOnFrozen(t *testing.T) {
 		plain := loadInstance(cls, nVars)
 		simped := loadInstance(cls, nVars)
 		for v := 0; v < 5; v++ {
-			simped.Freeze(v)
+			simped.FreezeLit(MkLit(v, false))
 		}
-		simped.Simplify(DefaultSimpOptions())
+		simped.Simplify(true)
 
 		extra := [][]Lit{
 			{MkLit(0, false), MkLit(1, true)},
@@ -184,7 +183,7 @@ func TestSimplifyPanicsOnEliminatedUse(t *testing.T) {
 	for i := 0; i+1 < 8; i++ {
 		s.AddClause(MkLit(i, true), MkLit(i+1, false))
 	}
-	s.Simplify(DefaultSimpOptions())
+	s.Simplify(true)
 	victim := -1
 	for v := 0; v < 8; v++ {
 		if s.Eliminated(v) {
@@ -207,32 +206,6 @@ func TestSimplifyPanicsOnEliminatedUse(t *testing.T) {
 	assertPanics("Solve assumption", func() { s.Solve(MkLit(victim, false)) })
 }
 
-// TestWriteDimacsAfterSimplify round-trips the simplified clause
-// database through DIMACS and demands the same status as the original.
-func TestWriteDimacsAfterSimplify(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for i := 0; i < 20; i++ {
-		nVars := 10 + rng.Intn(20)
-		cls := randomInstance(rng, nVars, 3*nVars)
-		plain := loadInstance(cls, nVars)
-		want := plain.Solve()
-
-		simped := loadInstance(cls, nVars)
-		simped.Simplify(DefaultSimpOptions())
-		var buf bytes.Buffer
-		if err := simped.WriteDimacs(&buf); err != nil {
-			t.Fatal(err)
-		}
-		re, err := ReadDimacs(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := re.Solve(); got != want {
-			t.Fatalf("instance %d: dimacs round-trip: plain=%v reread=%v", i, want, got)
-		}
-	}
-}
-
 // TestSimplifyUnsatDetected checks that Simplify itself reports
 // unsatisfiability discovered during preprocessing.
 func TestSimplifyUnsatDetected(t *testing.T) {
@@ -242,7 +215,7 @@ func TestSimplifyUnsatDetected(t *testing.T) {
 	s.AddClause(MkLit(a, false), MkLit(b, true))
 	s.AddClause(MkLit(a, true), MkLit(b, false))
 	s.AddClause(MkLit(a, true), MkLit(b, true))
-	if s.Simplify(DefaultSimpOptions()) {
+	if s.Simplify(true) {
 		t.Fatal("expected Simplify to refute the formula")
 	}
 	if s.Solve() != Unsat {
@@ -265,7 +238,7 @@ func TestSimplifyStats(t *testing.T) {
 	for i := 3; i+1 < n; i++ {
 		s.AddClause(MkLit(i, true), MkLit(i+1, false))
 	}
-	if !s.Simplify(DefaultSimpOptions()) {
+	if !s.Simplify(true) {
 		t.Fatal("unexpected UNSAT")
 	}
 	st := s.SimpStats()

@@ -178,7 +178,6 @@ type Solver struct {
 	limited   bool
 	budget    int64 // remaining conflicts when limited
 	exhausted bool
-	stopFn    func() bool
 	stopTick  int
 	ctxDone   <-chan struct{}
 
@@ -265,12 +264,8 @@ func (s *Solver) SetBudget(conflicts int64) {
 	s.exhausted = false
 }
 
-// SetStop installs a callback polled periodically during search; when it
-// returns true, Solve returns Unknown.
-func (s *Solver) SetStop(f func() bool) { s.stopFn = f }
-
 // SetContext installs a cancellation context. Its Done channel is polled
-// at the same cadence as the SetStop callback; once the context is
+// every 64 stop checks of the search; once the context is
 // cancelled, Solve returns Unknown. A nil context removes the hook.
 func (s *Solver) SetContext(ctx context.Context) {
 	if ctx == nil {
@@ -705,17 +700,14 @@ func luby(i int64) int64 {
 }
 
 func (s *Solver) stopped() bool {
-	if s.stopFn == nil && s.ctxDone == nil {
+	if s.ctxDone == nil {
 		return false
 	}
 	s.stopTick++
 	if s.stopTick&63 != 0 {
 		return false
 	}
-	if s.cancelled() {
-		return true
-	}
-	return s.stopFn != nil && s.stopFn()
+	return s.cancelled()
 }
 
 // search runs CDCL until a model is found, a conflict at root level proves

@@ -158,16 +158,6 @@ func TestBudgetReturnsUnknown(t *testing.T) {
 	}
 }
 
-func TestStopCallback(t *testing.T) {
-	s := New()
-	pigeonhole(s, 10, 9)
-	calls := 0
-	s.SetStop(func() bool { calls++; return calls > 2 })
-	if st := s.Solve(); st != Unknown {
-		t.Fatalf("stopped solve: got %v", st)
-	}
-}
-
 func TestContextCancellation(t *testing.T) {
 	// An already-cancelled context aborts before any search.
 	s := New()
@@ -526,7 +516,7 @@ func BenchmarkPigeonhole8Simp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := New()
 		pigeonhole(s, 8, 7)
-		if !s.Simplify(DefaultSimpOptions()) {
+		if !s.Simplify(true) {
 			continue // refuted during preprocessing: also a win
 		}
 		if s.Solve() != Unsat {

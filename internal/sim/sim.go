@@ -181,21 +181,6 @@ func (v *Vectors) ToggleFraction(n uint32) float64 {
 	return float64(toggles) / float64(total)
 }
 
-// Signature returns a 64-bit hash of a literal's simulation words, with the
-// complement folded in so that functionally complementary literals get
-// complementary signatures on the same patterns.
-func (v *Vectors) Signature(l aig.Lit) uint64 {
-	var h uint64 = 1469598103934665603 // FNV offset
-	for _, w := range v.vals[l.Var()] {
-		if l.IsCompl() {
-			w = ^w
-		}
-		h ^= w
-		h *= 1099511628211
-	}
-	return h
-}
-
 // Distinguishes reports whether two literals differ on any simulated
 // pattern, and if so returns the index of one distinguishing pattern.
 func (v *Vectors) Distinguishes(a, b aig.Lit) (int, bool) {
@@ -246,15 +231,6 @@ func Pattern(inputs [][]uint64, idx int) []bool {
 		p[i] = inputs[i][idx/64]>>(idx%64)&1 == 1
 	}
 	return p
-}
-
-// CountOnes counts set bits across a word slice.
-func CountOnes(words []uint64) int {
-	n := 0
-	for _, w := range words {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // EvalAll evaluates the graph on a single input pattern and returns the

@@ -16,7 +16,7 @@ import (
 )
 
 // Options selects which simplification techniques run. The zero value
-// enables everything with sat.DefaultSimpOptions tuning.
+// enables everything.
 type Options struct {
 	// Disable turns simplification off entirely.
 	Disable bool
@@ -24,7 +24,8 @@ type Options struct {
 	// the equivalence-preserving techniques (subsumption,
 	// strengthening, vivification, top-level units). Required when a
 	// caller later adds clauses over arbitrary internal variables it
-	// did not freeze — see Equivalence.
+	// did not freeze (fraig's rolling equivalence proofs, cec's
+	// candidate scan).
 	NoVarElim bool
 }
 
@@ -33,13 +34,6 @@ func Default() Options { return Options{} }
 
 // Off returns the opt-out configuration (the CLIs' -simp=false).
 func Off() Options { return Options{Disable: true} }
-
-// Equivalence returns a configuration safe for consumers that keep
-// adding clauses over arbitrary internal variables after simplifying
-// (e.g. fraig's rolling equivalence proofs): variable elimination is
-// equisatisfiability-only, so it stays off; the equivalence-preserving
-// techniques remain.
-func Equivalence() Options { return Options{NoVarElim: true} }
 
 // Enabled reports whether Apply would do anything.
 func (o Options) Enabled() bool {
@@ -58,13 +52,6 @@ func (o Options) InprocessDue(round int) bool {
 	return o.Enabled() && round > 0 && round%inprocessEvery == 0
 }
 
-// solverOptions maps the policy flags onto the mechanism's tuning.
-func (o Options) solverOptions() sat.SimpOptions {
-	so := sat.DefaultSimpOptions()
-	so.VarElim = so.VarElim && !o.NoVarElim
-	return so
-}
-
 // Apply runs one simplification pass on the solver under a
 // "sat.simplify" span whose end fields carry the pass's deltas. It
 // returns false when simplification refutes the formula
@@ -78,7 +65,7 @@ func Apply(s *sat.Solver, o Options, tr *obs.Tracer) bool {
 		obs.Int("vars", int64(s.NumVars())),
 		obs.Int("clauses", int64(s.NumClauses())))
 	before := s.SimpStats()
-	ok := s.Simplify(o.solverOptions())
+	ok := s.Simplify(!o.NoVarElim)
 	d := s.SimpStats().Sub(before)
 	sp.End(
 		obs.Int("eliminated_vars", d.ElimVars),

@@ -13,7 +13,7 @@ func TestEnabled(t *testing.T) {
 		{"zero", Options{}, true},
 		{"default", Default(), true},
 		{"off", Off(), false},
-		{"equivalence", Equivalence(), true},
+		{"no var elim", Options{NoVarElim: true}, true},
 	}
 	for _, c := range cases {
 		if got := c.o.Enabled(); got != c.want {
@@ -31,7 +31,7 @@ func TestInprocessDue(t *testing.T) {
 		}
 	}
 	// The cadence ignores NoVarElim; a disabled config never inprocesses.
-	if !Equivalence().InprocessDue(16) {
+	if !(Options{NoVarElim: true}).InprocessDue(16) {
 		t.Error("equivalence-only options must inprocess on the cadence")
 	}
 	if Off().InprocessDue(16) {

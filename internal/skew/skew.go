@@ -88,11 +88,6 @@ func MonteCarlo(g *aig.AIG, lit aig.Lit, words int, seed int64) float64 {
 type SplittingOptions struct {
 	// SamplesPerStage witnesses drawn per conditional estimate.
 	SamplesPerStage int
-	// MCWords of direct simulation for the first (common) stage.
-	MCWords int
-	// MaxStageGap bounds the algebraic-skewness spacing between
-	// consecutive stage nodes, in bits.
-	MaxStageGap float64
 	// Seed drives sampling.
 	Seed int64
 	// Simp controls CNF preprocessing inside the witness samplers (zero
@@ -104,17 +99,23 @@ type SplittingOptions struct {
 func DefaultSplittingOptions() SplittingOptions {
 	return SplittingOptions{
 		SamplesPerStage: 160,
-		MCWords:         64,
-		MaxStageGap:     4,
 		Seed:            1,
 	}
 }
 
+const (
+	// mcWords of direct simulation estimate the first (common) stage.
+	mcWords = 64
+	// maxStageGap is the algebraic-skewness spacing between consecutive
+	// stage nodes, in bits.
+	maxStageGap = 4
+)
+
 // Stages selects the staged path p_1..p_n for the splitting estimator:
 // a chain of nodes from shallow to deep ending at root, following the
-// higher-level fanin at each step, thinned so that consecutive algebraic
-// skewness values differ by at most MaxStageGap bits.
-func Stages(g *aig.AIG, root aig.Lit, maxGap float64) []aig.Lit {
+// higher-level fanin at each step, thinned so that a node becomes the next
+// stage once its algebraic skewness is maxStageGap bits above the last.
+func Stages(g *aig.AIG, root aig.Lit) []aig.Lit {
 	probs := Algebraic(g)
 	lv, _ := g.Levels()
 	// Walk from the root down the deeper fanin.
@@ -150,7 +151,7 @@ func Stages(g *aig.AIG, root aig.Lit, maxGap float64) []aig.Lit {
 		if math.IsInf(b, 1) {
 			continue // constant-looking node, not a useful stage
 		}
-		if len(stages) == 0 || b-lastBits >= maxGap || i == len(path)-1 {
+		if len(stages) == 0 || b-lastBits >= maxStageGap || i == len(path)-1 {
 			// Orient the stage literal toward its rare phase so each
 			// conditional event is "stage = rare value".
 			if AlgebraicLit(probs, l) > 0.5 {
@@ -181,13 +182,13 @@ func Stages(g *aig.AIG, root aig.Lit, maxGap float64) []aig.Lit {
 // the probability estimate; combine with Bits for bit-skewness.
 func Splitting(g *aig.AIG, root aig.Lit, stages []aig.Lit, opt SplittingOptions) float64 {
 	if len(stages) == 0 {
-		stages = Stages(g, root, opt.MaxStageGap)
+		stages = Stages(g, root)
 	}
 	if stages[len(stages)-1] != root {
 		stages = append(stages, root)
 	}
 	// Stage 1: direct Monte Carlo (the first stage is a common event).
-	sk := MonteCarlo(g, stages[0], opt.MCWords, opt.Seed)
+	sk := MonteCarlo(g, stages[0], mcWords, opt.Seed)
 	if len(stages) == 1 {
 		return sk
 	}
@@ -204,7 +205,7 @@ func Splitting(g *aig.AIG, root aig.Lit, stages []aig.Lit, opt SplittingOptions)
 		if n1 == 0 {
 			// prev unsatisfiable: the whole chain has probability 0 along
 			// this path; fall back to direct MC of the root.
-			return MonteCarlo(g, root, opt.MCWords, opt.Seed+999)
+			return MonteCarlo(g, root, mcWords, opt.Seed+999)
 		}
 		if pGivenPrev == 0 {
 			// The stage gap was wider than planned; try harder before

@@ -81,7 +81,7 @@ func TestMonteCarloChain(t *testing.T) {
 
 func TestStagesChain(t *testing.T) {
 	g, root := andChain(24, 20)
-	st := Stages(g, root, 4)
+	st := Stages(g, root)
 	if len(st) < 3 {
 		t.Fatalf("expected several stages, got %d", len(st))
 	}
