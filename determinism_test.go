@@ -9,6 +9,7 @@ import (
 
 	"obfuslock/internal/aig"
 	"obfuslock/internal/attacks"
+	"obfuslock/internal/core"
 	"obfuslock/internal/count"
 	"obfuslock/internal/exec"
 	"obfuslock/internal/experiments"
@@ -17,6 +18,7 @@ import (
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/rewrite"
 	"obfuslock/internal/sample"
+	"obfuslock/internal/simp"
 	"obfuslock/internal/skew"
 	"obfuslock/internal/techmap"
 )
@@ -284,7 +286,7 @@ func renderQuerySuite(t *testing.T, workers int) []byte {
 		fmt.Fprintf(&sb, "%s reach log2=%.6f decided=%v\n", b.Name, rr.Log2Count, rr.Decided)
 
 		// Witnesses: one cube-sampler pool draw.
-		wit := sample.NewCubeSampler(c, c.Output(0), 11).Sample(4)
+		wit := sample.NewPool(c, simp.Options{}).Sampler(c.Output(0), 11).Sample(4)
 		fmt.Fprintf(&sb, "%s pool n=%d", b.Name, len(wit))
 		for _, w := range wit {
 			sb.WriteByte(' ')
@@ -327,5 +329,46 @@ func TestQuerySuiteWorkersByteIdentical(t *testing.T) {
 	w4 := renderQuerySuite(t, 4)
 	if !bytes.Equal(w1, w4) {
 		t.Fatalf("output differs between 1 and 4 workers:\n--- w1\n%s--- w4\n%s", w1, w4)
+	}
+}
+
+// TestLockFingerprintPinned pins lock identity: four SmallSuite circuits
+// locked at 8 bits the way the pipeline benchmark locks them (its seed
+// exec.DeriveSeed(1, suite index), AllowDirect off) must keep their
+// locked netlist's fingerprint and reported skew. A change that moves a
+// lock on purpose states the new values; one that does so by accident,
+// such as a witness sampler whose solver state leaks between estimates,
+// fails here.
+func TestLockFingerprintPinned(t *testing.T) {
+	want := map[string]struct {
+		fp   string
+		skew float64
+	}{
+		"c7552-s":  {"8749b3f8c304a29eae6cc065673f0b75", 8.219529858069443},
+		"c6288-s":  {"5e91b3669819542b7a7e7fd57fbb3e2f", 10.889068878245755},
+		"max-s":    {"43b18923c8907af0413d5188ca0d685c", 8.490123034577753},
+		"square-s": {"52777283af95f50bd8d8f1f9609c0c50", 8.32560021491411},
+	}
+	seen := 0
+	for i, b := range netlistgen.SmallSuite() {
+		w, ok := want[b.Name]
+		if !ok {
+			continue
+		}
+		seen++
+		opt := core.DefaultOptions()
+		opt.TargetSkewBits = 8
+		opt.Seed = exec.DeriveSeed(1, i)
+		opt.AllowDirect = false
+		res, err := core.Lock(context.Background(), b.Build(), opt)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if fp := res.Locked.Enc.Fingerprint().String(); fp != w.fp || res.Report.SkewBits != w.skew {
+			t.Errorf("%s: fingerprint %s, skew %v bits; want %s, %v", b.Name, fp, res.Report.SkewBits, w.fp, w.skew)
+		}
+	}
+	if seen != len(want) {
+		t.Fatalf("found %d of the %d pinned circuits in the suite", seen, len(want))
 	}
 }

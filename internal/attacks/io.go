@@ -289,6 +289,21 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 	rng := newSplitMix(opt.Seed)
 	res := IOResult{}
 	reinforced := 0
+	// A traced span splits its time into the DIP and key solves, the
+	// encoding of the round and its I/O constraints, and the oracle;
+	// untraced runs read no clock.
+	var solveT, encodeT, oracleT time.Duration
+	var t0 time.Time
+	mark := func() {
+		if sp.Enabled() {
+			t0 = time.Now()
+		}
+	}
+	lap := func(d *time.Duration) {
+		if sp.Enabled() {
+			*d += time.Since(t0)
+		}
+	}
 	for round := 0; ; round++ {
 		if opt.MaxIterations > 0 && res.Iterations >= opt.MaxIterations {
 			// The cap is SATAttack's budget but AppSAT's normal end.
@@ -299,21 +314,30 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 		if opt.MaxIterations > 0 && res.Iterations+width > opt.MaxIterations {
 			width = opt.MaxIterations - res.Iterations
 		}
+		mark()
 		st.beginRound()
+		lap(&encodeT)
 		prev := st.s.Stats()
+		mark()
 		status, dips := st.dipRound(width)
+		lap(&solveT)
 		if status == sat.Unknown {
 			res.TimedOut = true
 			break
 		}
 		if status == sat.Unsat {
 			// No DIP remains: extract the canonical correct key.
+			mark()
 			res.Key = st.extractKey()
+			lap(&solveT)
 			res.Exact = res.Key != nil
 			break
 		}
+		mark()
 		ys := st.oracle.QueryBatch(dips)
+		lap(&oracleT)
 		d := st.s.Stats().Sub(prev)
+		mark()
 		st.addIOConstraints(dips, ys, func(j int) {
 			res.Iterations++
 			if sp.Enabled() {
@@ -327,6 +351,7 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 					obs.Int("decisions_delta", d.Decisions))
 			}
 		})
+		lap(&encodeT)
 		// AppSAT runs the reinforcement rounds the batch's iterations
 		// owe, drawing random patterns in the same order as the serial
 		// loop and answering each round with one bit-parallel oracle pass.
@@ -340,7 +365,12 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 					}
 					xs[q] = x
 				}
-				st.addIOConstraints(xs, oracle.QueryBatch(xs), nil)
+				mark()
+				ys := oracle.QueryBatch(xs)
+				lap(&oracleT)
+				mark()
+				st.addIOConstraints(xs, ys, nil)
+				lap(&encodeT)
 				if sp.Enabled() {
 					sp.Event("reinforce",
 						obs.Int("round", int64(reinforced+1)),
@@ -360,7 +390,9 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 	// SATAttack extracts a best-effort key only when it ran out of
 	// budget; AppSAT returns a key however its loop ended.
 	if res.Key == nil && (appsat || res.TimedOut) {
+		mark()
 		res.Key = st.extractKey()
+		lap(&solveT)
 	}
 	res.Queries = oracle.Queries
 	res.Runtime = time.Since(start)
@@ -373,7 +405,10 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 		obs.Bool("key_found", res.Key != nil),
 		obs.Int("conflicts", res.SolverStats.Conflicts),
 		obs.Int("key_nodes", st.keyNodes),
-		obs.Int("vars", int64(st.s.NumVars())))
+		obs.Int("vars", int64(st.s.NumVars())),
+		obs.Int("solve_us", solveT.Microseconds()),
+		obs.Int("encode_us", encodeT.Microseconds()),
+		obs.Int("oracle_us", oracleT.Microseconds()))
 	return res
 }
 

@@ -13,10 +13,11 @@ import (
 	"obfuslock/internal/obs"
 )
 
-// spanEnds records the end fields of every span by name.
+// spanEnds records the end fields and duration of every span by name.
 type spanEnds struct {
 	mu   sync.Mutex
 	ends map[string]map[string]any
+	durs map[string]time.Duration
 }
 
 func (s *spanEnds) SpanStart(obs.SpanData) {}
@@ -28,6 +29,7 @@ func (s *spanEnds) SpanEnd(sd obs.SpanData) {
 		fields[f.Key] = f.Value()
 	}
 	s.ends[sd.Name] = fields
+	s.durs[sd.Name] = sd.Duration
 }
 func (s *spanEnds) Event(uint64, string, time.Time, []obs.Field) {}
 
@@ -47,7 +49,7 @@ func TestAttackSpanReportsFormulaSize(t *testing.T) {
 		opt := DefaultIOOptions()
 		opt.MaxIterations = 40
 		plain := run(context.Background(), l, locking.NewOracle(orig), opt)
-		sink := &spanEnds{ends: map[string]map[string]any{}}
+		sink := &spanEnds{ends: map[string]map[string]any{}, durs: map[string]time.Duration{}}
 		opt.Trace = obs.New(sink)
 		traced := run(context.Background(), l, locking.NewOracle(orig), opt)
 		plain.Runtime, traced.Runtime = 0, 0
@@ -59,6 +61,39 @@ func TestAttackSpanReportsFormulaSize(t *testing.T) {
 			if v, ok := end[k].(int64); !ok || v <= 0 {
 				t.Errorf("%s: span end %s = %v, want a positive count", name, k, end[k])
 			}
+		}
+	}
+}
+
+// The attack spans split their time into the solves (DIPs and key
+// extraction), the encoding of each round's I/O constraints and the
+// oracle queries; the three parts are disjoint stretches of the span.
+func TestAttackSpanSplitsTime(t *testing.T) {
+	orig := netlistgen.Multiplier(4)
+	l, err := lockbase.RLL(orig, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(context.Context, *locking.Locked, *locking.Oracle, IOOptions) IOResult{
+		"attack.sat":    SATAttack,
+		"attack.appsat": AppSAT,
+	} {
+		opt := DefaultIOOptions()
+		opt.MaxIterations = 40
+		sink := &spanEnds{ends: map[string]map[string]any{}, durs: map[string]time.Duration{}}
+		opt.Trace = obs.New(sink)
+		run(context.Background(), l, locking.NewOracle(orig), opt)
+		end := sink.ends[name]
+		var sum int64
+		for _, k := range []string{"solve_us", "encode_us", "oracle_us"} {
+			v, ok := end[k].(int64)
+			if !ok || v < 0 {
+				t.Fatalf("%s: span end %s = %v, want a duration in µs", name, k, end[k])
+			}
+			sum += v
+		}
+		if dur := sink.durs[name].Microseconds(); sum > dur {
+			t.Errorf("%s: solve+encode+oracle = %d µs, more than the span's %d µs", name, sum, dur)
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"obfuslock/internal/locking"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/rewrite"
+	"obfuslock/internal/sample"
 	"obfuslock/internal/simp"
 	"obfuslock/internal/skew"
 )
@@ -400,27 +401,37 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 		err  error
 	)
 	bsp := sp.Span("lock.build_l", obs.Int("protected_output", int64(po)))
+	// samplers and samplerBuilds sum the witness pools of every attempt:
+	// the solvers handed out and the conditions prepared for them.
+	var samplers, samplerBuilds int
 	for attempt := int64(0); attempt < 3; attempt++ {
 		work = c.Copy()
-		lc, err = buildLockingCircuit(work, buildOptions{
+		pool := sample.NewPool(work, opt.Simp)
+		lc, err = buildLockingCircuit(work, pool, buildOptions{
 			TargetBits: opt.TargetSkewBits,
 			Seed:       opt.Seed + 7919*attempt,
 			Span:       bsp,
 			Simp:       opt.Simp,
 		})
+		samplers += pool.Samplers
+		samplerBuilds += pool.Builds
 		if err == nil {
 			break
 		}
 		bsp.Event("retry", obs.Int("attempt", attempt+1), obs.Str("error", err.Error()))
 	}
 	if err != nil {
-		bsp.End(obs.Str("error", err.Error()))
+		bsp.End(obs.Str("error", err.Error()),
+			obs.Int("samplers", int64(samplers)),
+			obs.Int("sampler_builds", int64(samplerBuilds)))
 		return nil, err
 	}
 	bsp.End(
 		obs.Float("skew_bits", lc.SkewBits),
 		obs.Int("attachments", int64(lc.Attachments)),
-		obs.Int("support", int64(len(lc.Support))))
+		obs.Int("support", int64(len(lc.Support))),
+		obs.Int("samplers", int64(samplers)),
+		obs.Int("sampler_builds", int64(samplerBuilds)))
 
 	// Extract the restoring unit BEFORE blending mutates the cone.
 	psp := sp.Span("lock.permute")

@@ -55,17 +55,16 @@ type buildOptions struct {
 	Seed       int64
 	// Span, when non-nil, receives per-attachment gain events.
 	Span *obs.Span
-	// Simp controls CNF preprocessing inside the witness samplers (zero
-	// value: enabled).
+	// Simp controls CNF preprocessing inside the splitting estimator's
+	// witness samplers (zero value: enabled); the caller's sample.Pool
+	// carries the same options.
 	Simp simp.Options
 }
 
 // condProb estimates P(target=1 | cond) with n witnesses of cond; false
 // when cond yields no witness.
-func condProb(g *aig.AIG, target, cond aig.Lit, n int, seed int64, so simp.Options) (float64, bool) {
-	s := sample.NewCubeSampler(g, cond, seed)
-	s.Simp = so
-	p, got := sample.ConditionalProbability(g, target, cond, s, n)
+func condProb(pool *sample.Pool, target, cond aig.Lit, n int, seed int64) (float64, bool) {
+	p, got := sample.ConditionalProbability(pool.Sampler(cond, seed), target, n)
 	return p, got > 0
 }
 
@@ -74,8 +73,9 @@ func condProb(g *aig.AIG, target, cond aig.Lit, n int, seed int64, so simp.Optio
 // operator over candidate nodes to the head of the chain, estimates the
 // skewness gain by conditional sampling (Boolean multi-level splitting
 // along the chain prefixes), and accepts the attachment when the gain
-// clears the current level; otherwise the level decays.
-func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, error) {
+// clears the current level; otherwise the level decays. Every witness
+// sampler comes from samplers, a pool over work owned by this call.
+func buildLockingCircuit(work *aig.AIG, samplers *sample.Pool, opt buildOptions) (*lockingCircuit, error) {
 	m := work.NumInputs()
 	if float64(m) < opt.TargetBits {
 		return nil, fmt.Errorf("core: circuit has %d inputs, fewer than the %g-bit skewness target",
@@ -176,9 +176,7 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 		if work.EvalLits(ones, lc.Root)[0] {
 			return false
 		}
-		cs := sample.NewCubeSampler(work, lc.Root, opt.Seed^0x9e3779b9)
-		cs.Simp = opt.Simp
-		wit := cs.Sample(6)
+		wit := samplers.Sampler(lc.Root, opt.Seed^0x9e3779b9).Sample(6)
 		if len(wit) < 3 {
 			return true // cannot test; construction estimates vouch for satisfiability
 		}
@@ -291,7 +289,7 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 			if tentative == lc.Root || tentative.IsConst() {
 				continue
 			}
-			newProb, ok := chainProb(work, tentative, lc.Root, curProb, quickSamples, opt.Seed+int64(lc.Attachments)*31+int64(try), opt.Simp)
+			newProb, ok := chainProb(work, samplers, tentative, lc.Root, curProb, quickSamples, opt.Seed+int64(lc.Attachments)*31+int64(try))
 			if !ok || newProb <= 0 {
 				continue
 			}
@@ -308,7 +306,7 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 			}
 			if g >= need {
 				// Accept; refine the estimate with a larger budget.
-				refined, ok2 := chainProb(work, tentative, lc.Root, curProb, refineSamples, opt.Seed^0x5bd1e995+int64(lc.Attachments), opt.Simp)
+				refined, ok2 := chainProb(work, samplers, tentative, lc.Root, curProb, refineSamples, opt.Seed^0x5bd1e995+int64(lc.Attachments))
 				if ok2 && refined > 0 {
 					newProb = refined
 				}
@@ -356,9 +354,10 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 }
 
 // chainProb estimates P(next=1) from P(cur=1) and sampled conditionals —
-// one splitting step along the chain.
-func chainProb(g *aig.AIG, next, cur aig.Lit, curProb float64, samples int, seed int64, so simp.Options) (float64, bool) {
-	pGiven, ok := condProb(g, next, cur, samples, seed, so)
+// one splitting step along the chain. Its witnesses come from pool, a pool
+// over g, which keeps cur's solver prepared across the tries of a level.
+func chainProb(g *aig.AIG, pool *sample.Pool, next, cur aig.Lit, curProb float64, samples int, seed int64) (float64, bool) {
+	pGiven, ok := condProb(pool, next, cur, samples, seed)
 	if !ok {
 		return 0, false
 	}
@@ -367,7 +366,7 @@ func chainProb(g *aig.AIG, next, cur aig.Lit, curProb float64, samples int, seed
 	// to the SAT sampler only when rejection fails.
 	pGivenNot, ok2 := condProbRejection(g, next, cur.Not(), samples, seed+1)
 	if !ok2 {
-		pGivenNot, _ = condProb(g, next, cur.Not(), samples/2, seed+2, so)
+		pGivenNot, _ = condProb(pool, next, cur.Not(), samples/2, seed+2)
 	}
 	return pGiven*curProb + pGivenNot*(1-curProb), true
 }
@@ -376,23 +375,18 @@ func chainProb(g *aig.AIG, next, cur aig.Lit, curProb float64, samples int, seed
 // patterns; works when cond is common.
 func condProbRejection(g *aig.AIG, target, cond aig.Lit, want int, seed int64) (float64, bool) {
 	rng := rand.New(rand.NewSource(seed))
-	probe := g.Copy()
-	probe.AddOutput(cond, "cond")
-	probe.AddOutput(target, "target")
-	nc := probe.NumOutputs() - 2
-	nt := probe.NumOutputs() - 1
 	pat := make([]bool, g.NumInputs())
 	hits, accepted := 0, 0
 	for trial := 0; trial < want*8 && accepted < want; trial++ {
 		for i := range pat {
 			pat[i] = rng.Intn(2) == 1
 		}
-		out := probe.Eval(pat)
-		if !out[nc] {
+		out := g.EvalLits(pat, cond, target)
+		if !out[0] {
 			continue
 		}
 		accepted++
-		if out[nt] {
+		if out[1] {
 			hits++
 		}
 	}

@@ -53,6 +53,21 @@ func TestLockTraceSpans(t *testing.T) {
 	if got := attach[len(attach)-1].Fields["n"].(int64); got != int64(res.Report.Attachments) {
 		t.Fatalf("last attach n=%d, report counts %d", got, res.Report.Attachments)
 	}
+	// The tries of one attachment level sample the same condition, so
+	// its witness solver is prepared once and cloned for the others.
+	if res.Report.Attachments < 2 {
+		t.Fatalf("lock made %d attachments; the sampler check needs several", res.Report.Attachments)
+	}
+	bl, _ := col.SpanNamed("lock.build_l")
+	ends := map[string]any{}
+	for _, f := range bl.Fields {
+		ends[f.Key] = f.Value()
+	}
+	samplers, _ := ends["samplers"].(int64)
+	builds, _ := ends["sampler_builds"].(int64)
+	if builds <= 0 || builds >= samplers {
+		t.Fatalf("lock.build_l: %d sampler builds for %d samplers, want 0 < builds < samplers", builds, samplers)
+	}
 }
 
 // TestLockSubCircuitTraceSpans asserts the sub-circuit path adds the cut

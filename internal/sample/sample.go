@@ -6,7 +6,8 @@
 //
 // CubeSampler pins a random subset of inputs to random values and asks a
 // SAT solver for a completion; it is fast and spreads samples well when
-// the witness set is not too small.
+// the witness set is not too small. A Pool prepares each condition's
+// solver once and gives every sampler its own copy.
 package sample
 
 import (
@@ -15,37 +16,74 @@ import (
 
 	"obfuslock/internal/aig"
 	"obfuslock/internal/cnf"
-	"obfuslock/internal/exec"
-	"obfuslock/internal/obs"
 	"obfuslock/internal/sat"
 	"obfuslock/internal/simp"
 )
 
+// Pool prepares the solver of a sampling condition once and hands every
+// sampler of that condition a Clone of it, so that drawing witnesses no
+// longer pays for encoding the condition's cone and preprocessing the
+// CNF each time. A clone answers exactly as a freshly prepared solver
+// would, so pooled samplers draw the same witnesses. A Pool belongs to
+// one caller and is not safe for concurrent use. It keeps only the last
+// condition's solver, which suits callers that draw many samplers of one
+// condition in a row.
+type Pool struct {
+	g    *aig.AIG
+	simp simp.Options
+	cond aig.Lit
+	base *sat.Solver
+	ins  []sat.Lit
+	// Samplers counts the solvers handed out, one per Sample call, and
+	// Builds the conditions prepared for them.
+	Samplers, Builds int
+}
+
+// NewPool returns an empty pool of witness solvers over g, preprocessed
+// under so (zero value: enabled; simp.Off() disables). The graph may grow
+// while the pool is in use: a condition's cone never changes.
+func NewPool(g *aig.AIG, so simp.Options) *Pool {
+	return &Pool{g: g, simp: so}
+}
+
+// conflictBudget bounds the conflicts of each Sample call's solver.
+const conflictBudget = 200000
+
+// solver returns a fresh copy of the prepared solver asserting cond, and
+// the solver literals of g's inputs (shared; read only).
+func (p *Pool) solver(cond aig.Lit) (*sat.Solver, []sat.Lit) {
+	if p.base == nil || p.cond != cond {
+		// The encoder freezes the inputs (the sampler assumes and reads
+		// them), so preprocessing may eliminate anything internal.
+		s := sat.New()
+		e := cnf.NewEncoder(p.g, s)
+		ins := make([]sat.Lit, p.g.NumInputs())
+		for i := range ins {
+			ins[i] = e.InputLit(i)
+		}
+		s.AddClause(e.Encode(cond)[0])
+		s.SetBudget(conflictBudget)
+		simp.Apply(s, p.simp, nil)
+		p.base, p.cond, p.ins = s, cond, ins
+		p.Builds++
+	}
+	p.Samplers++
+	return p.base.Clone(), p.ins
+}
+
 // CubeSampler samples witnesses by pinning random input cubes.
 type CubeSampler struct {
-	g    *aig.AIG
+	pool *Pool
 	cond aig.Lit
 	rng  *rand.Rand
-	// Budget bounds each solver call (zero value: unlimited).
-	Budget exec.Budget
 	// Ctx, when non-nil, cancels in-flight solves; Sample then returns
 	// the witnesses drawn so far.
 	Ctx context.Context
-	// Simp controls CNF preprocessing of each Sample call's solver
-	// (zero value: enabled; simp.Off() disables).
-	Simp simp.Options
-	// Trace receives one sample.cube event per Sample call. Nil disables.
-	Trace *obs.Tracer
 }
 
-// NewCubeSampler returns a sampler of witnesses of cond in g.
-func NewCubeSampler(g *aig.AIG, cond aig.Lit, seed int64) *CubeSampler {
-	return &CubeSampler{
-		g:      g,
-		cond:   cond,
-		rng:    rand.New(rand.NewSource(seed)),
-		Budget: exec.WithConflicts(200000),
-	}
+// Sampler returns a sampler of witnesses of cond in the pool's graph.
+func (p *Pool) Sampler(cond aig.Lit, seed int64) *CubeSampler {
+	return &CubeSampler{pool: p, cond: cond, rng: rand.New(rand.NewSource(seed))}
 }
 
 const (
@@ -58,28 +96,8 @@ const (
 // Sample returns up to n witnesses; fewer (possibly zero) when the
 // witness set is small or the budget runs out.
 func (cs *CubeSampler) Sample(n int) [][]bool {
-	out := cs.sample(n)
-	if cs.Trace.Enabled() {
-		cs.Trace.Event("sample.cube",
-			obs.Int("requested", int64(n)), obs.Int("got", int64(len(out))))
-	}
-	return out
-}
-
-func (cs *CubeSampler) sample(n int) [][]bool {
-	// A solver asserting cond over the inputs. The encoder freezes the
-	// inputs (the sampler assumes and reads them), so preprocessing may
-	// eliminate anything internal.
-	s := sat.New()
-	e := cnf.NewEncoder(cs.g, s)
-	ins := make([]sat.Lit, cs.g.NumInputs())
-	for i := range ins {
-		ins[i] = e.InputLit(i)
-	}
-	s.AddClause(e.Encode(cs.cond)[0])
-	s.SetBudget(cs.Budget.ConflictCap())
+	s, ins := cs.pool.solver(cs.cond)
 	s.SetContext(cs.Ctx)
-	simp.Apply(s, cs.Simp, cs.Trace)
 	s.SetRandomPolarity(cs.rng.Int63())
 	nin := len(ins)
 	var out [][]bool
@@ -136,19 +154,17 @@ func (cs *CubeSampler) sample(n int) [][]bool {
 }
 
 // ConditionalProbability estimates P(target=1 | cond=1) by sampling
-// witnesses of cond and evaluating target on them. It returns the estimate
-// and the number of witnesses used (0 when cond appears unsatisfiable).
-func ConditionalProbability(g *aig.AIG, target, cond aig.Lit, s *CubeSampler, n int) (float64, int) {
+// witnesses of the sampler's condition and evaluating target on them. It
+// returns the estimate and the number of witnesses used (0 when the
+// condition appears unsatisfiable).
+func ConditionalProbability(s *CubeSampler, target aig.Lit, n int) (float64, int) {
 	wit := s.Sample(n)
 	if len(wit) == 0 {
 		return 0, 0
 	}
-	probe := g.Copy()
-	probe.AddOutput(target, "target")
 	hits := 0
-	idx := probe.NumOutputs() - 1
 	for _, w := range wit {
-		if probe.Eval(w)[idx] {
+		if s.pool.g.EvalLits(w, target)[0] {
 			hits++
 		}
 	}

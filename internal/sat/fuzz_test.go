@@ -1,6 +1,8 @@
 package sat
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -112,5 +114,40 @@ func FuzzSolverVsReference(f *testing.F) {
 			// model must cover the original formula, not just the remnant.
 			checkModel(t, ss, "simplified")
 		}
+
+		// A clone taken after the optional Simplify answers exactly as its
+		// original, under the same assumption, and a clause added to the
+		// clone leaves the original's next answer unchanged. The assumed
+		// variable is frozen so that elimination keeps it.
+		a := MkLit(len(data)%numVars, len(data)%2 == 1)
+		for _, simplify := range []bool{false, true} {
+			o := build()
+			o.FreezeLit(a)
+			if simplify {
+				o.Simplify(true)
+			}
+			c := o.Clone()
+			sameAnswer(t, fmt.Sprintf("clone (simplify=%v)", simplify), o, c, a)
+			ref := o.Clone()
+			c.AddClause(a.Not())
+			c.Solve(a)
+			sameAnswer(t, fmt.Sprintf("original after clone edit (simplify=%v)", simplify), ref, o, a)
+		}
 	})
+}
+
+// sameAnswer solves both solvers under the same assumption and fails
+// unless their statuses, models and work counters agree.
+func sameAnswer(t *testing.T, mode string, x, y *Solver, assump Lit) {
+	t.Helper()
+	sx, sy := x.Solve(assump), y.Solve(assump)
+	if sx != sy {
+		t.Fatalf("%s: status %v, want %v", mode, sy, sx)
+	}
+	if sx == Sat && !slices.Equal(x.Model(), y.Model()) {
+		t.Fatalf("%s: model %v, want %v", mode, y.Model(), x.Model())
+	}
+	if x.Stats() != y.Stats() {
+		t.Fatalf("%s: stats %+v, want %+v", mode, y.Stats(), x.Stats())
+	}
 }

@@ -15,6 +15,7 @@ package sat
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -231,6 +232,46 @@ func New() *Solver {
 	s := &Solver{ok: true, varInc: 1, claInc: 1, simpMark: -1}
 	s.order.s = s
 	return s
+}
+
+// Clone returns an independent deep copy of the solver: the same
+// formula, learnt clauses, assignment, heuristic state, elimination
+// store and counters, so the copy answers every later call exactly as
+// the original would. The copy shares no backing array with the
+// original. It has no progress callback and no context, and it starts
+// without the pooled simplifier and hot-path scratch, which hold no
+// state between calls. Preparing a formula once (encode, Simplify) and
+// cloning it per use saves rebuilding it.
+func (s *Solver) Clone() *Solver {
+	c := *s
+	c.ar.data = slices.Clone(s.ar.data)
+	c.clauses = slices.Clone(s.clauses)
+	c.learnts = slices.Clone(s.learnts)
+	c.watches = make([][]watcher, len(s.watches))
+	for i, ws := range s.watches {
+		c.watches[i] = slices.Clone(ws)
+	}
+	c.assign = slices.Clone(s.assign)
+	c.level = slices.Clone(s.level)
+	c.reason = slices.Clone(s.reason)
+	c.polarity = slices.Clone(s.polarity)
+	c.activity = slices.Clone(s.activity)
+	c.seen = slices.Clone(s.seen)
+	c.trail = slices.Clone(s.trail)
+	c.trailLim = slices.Clone(s.trailLim)
+	c.order = varHeap{s: &c, heap: slices.Clone(s.order.heap), indices: slices.Clone(s.order.indices)}
+	c.model = slices.Clone(s.model)
+	c.lbdStamp = slices.Clone(s.lbdStamp)
+	c.frozen = slices.Clone(s.frozen)
+	c.elim = slices.Clone(s.elim)
+	c.elimCl = slices.Clone(s.elimCl)
+	c.elimLits = slices.Clone(s.elimLits)
+	c.elimEnds = slices.Clone(s.elimEnds)
+	c.ctxDone = nil
+	c.progressFn, c.progressEvery, c.progressNext = nil, 0, 0
+	c.learntBuf, c.clearBuf, c.addBuf, c.redScratch = nil, nil, nil, nil
+	c.sp = nil
+	return &c
 }
 
 // NumVars returns the number of variables created so far.

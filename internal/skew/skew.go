@@ -192,16 +192,12 @@ func Splitting(g *aig.AIG, root aig.Lit, stages []aig.Lit, opt SplittingOptions)
 	if len(stages) == 1 {
 		return sk
 	}
-	newSampler := func(cond aig.Lit, seed int64) *sample.CubeSampler {
-		cs := sample.NewCubeSampler(g, cond, seed)
-		cs.Simp = opt.Simp
-		return cs
-	}
+	pool := sample.NewPool(g, opt.Simp)
 	for i := 1; i < len(stages); i++ {
 		prev, cur := stages[i-1], stages[i]
 		// P(cur | prev): sample witnesses of prev.
-		sPos := newSampler(prev, opt.Seed+int64(i)*7919)
-		pGivenPrev, n1 := sample.ConditionalProbability(g, cur, prev, sPos, opt.SamplesPerStage)
+		sPos := pool.Sampler(prev, opt.Seed+int64(i)*7919)
+		pGivenPrev, n1 := sample.ConditionalProbability(sPos, cur, opt.SamplesPerStage)
 		if n1 == 0 {
 			// prev unsatisfiable: the whole chain has probability 0 along
 			// this path; fall back to direct MC of the root.
@@ -211,8 +207,8 @@ func Splitting(g *aig.AIG, root aig.Lit, stages []aig.Lit, opt SplittingOptions)
 			// The stage gap was wider than planned; try harder before
 			// flooring at the rule-of-three bound (a hard zero would make
 			// every later stage meaningless).
-			sRetry := newSampler(prev, opt.Seed+int64(i)*7919+1)
-			p2, n2 := sample.ConditionalProbability(g, cur, prev, sRetry, 4*opt.SamplesPerStage)
+			sRetry := pool.Sampler(prev, opt.Seed+int64(i)*7919+1)
+			p2, n2 := sample.ConditionalProbability(sRetry, cur, 4*opt.SamplesPerStage)
 			if n2 > 0 && p2 > 0 {
 				pGivenPrev = p2
 			} else {
@@ -222,8 +218,8 @@ func Splitting(g *aig.AIG, root aig.Lit, stages []aig.Lit, opt SplittingOptions)
 		// P(cur | !prev): witnesses of the complement (a common event when
 		// prev is rare, so Monte Carlo would also do; sampling keeps the
 		// estimator uniform in structure).
-		sNeg := newSampler(prev.Not(), opt.Seed+int64(i)*104729)
-		pGivenNotPrev, n0 := sample.ConditionalProbability(g, cur, prev.Not(), sNeg, opt.SamplesPerStage)
+		sNeg := pool.Sampler(prev.Not(), opt.Seed+int64(i)*104729)
+		pGivenNotPrev, n0 := sample.ConditionalProbability(sNeg, cur, opt.SamplesPerStage)
 		if n0 == 0 {
 			pGivenNotPrev = 0
 		}
