@@ -27,7 +27,6 @@ var callerExempt = map[string]string{
 	"rewrite.Ones":                 "on-set size of a truth table, checked against cut enumeration",
 	"rewrite.Truth":                "cube truth table, checked against simulation",
 	"sat.Model":                    "the full model, read by solver tests to check satisfying assignments",
-	"sat.Eliminated":               "whether elimination removed a variable, read by the simplifier tests",
 	"obs.Started":                  "Collector query: how tests read back the spans that began",
 	"obs.EventsNamed":              "Collector query: how tests find recorded events by name",
 	"obs.SpanNamed":                "Collector query: how tests find one recorded span",

@@ -10,7 +10,6 @@ import (
 	"obfuslock/internal/locking"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sat"
-	"obfuslock/internal/sim"
 	"obfuslock/internal/simp"
 )
 
@@ -122,32 +121,40 @@ type attackState struct {
 	// bit-parallel pass over the locked circuit per batch instead of a
 	// full-graph constant fold per DIP.
 	cone *locking.KeyCone
-	// round holds every I/O constraint of the current DIP round folded
-	// into one strashed graph over the key inputs keys, so the round's
-	// cones share their common sub-functions of the key. encs encode it
-	// once per key copy (tied to k1Lits and k2Lits); beginRound resets
-	// all three, which keeps allocations flat across rounds.
-	round *aig.AIG
+	// graph holds every I/O constraint of the attack folded into one
+	// strashed graph over the key inputs keys, so the cones of all DIPs
+	// and reinforcement patterns share their common sub-functions of the
+	// key. encs encode it once per key copy (tied to k1Lits and k2Lits);
+	// each keeps one solver variable per node until inprocessing
+	// eliminates it (see simplify).
+	graph *aig.AIG
 	keys  []aig.Lit
 	encs  [2]*cnf.Encoder
-	// keyNodes counts the round-graph nodes the I/O constraints folded
-	// (each encoded once per key copy), for the span's key_nodes field.
+	// keyNodes counts the graph nodes the I/O constraints folded (each
+	// encoded once per key copy), for the span's key_nodes field.
 	keyNodes int64
 	blockBuf []sat.Lit
 }
 
 func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, sp *obs.Span) *attackState {
 	s, xLits, k1, k2, act := buildMiter(l)
+	g := aig.New()
 	st := &attackState{
 		l: l, oracle: oracle, s: s,
 		xLits: xLits, k1Lits: k1, k2Lits: k2, actDiff: act,
 		stopped: func() bool { return ctx.Err() != nil },
 		cone:    locking.NewKeyCone(l.Enc, l.NumInputs),
-		round:   aig.New(),
+		graph:   g,
 		keys:    make([]aig.Lit, l.KeyBits),
 	}
-	for c := range st.encs {
-		st.encs[c] = cnf.NewEncoder(st.round, s)
+	for i := range st.keys {
+		st.keys[i] = g.AddInput(l.Enc.InputName(l.NumInputs + i))
+	}
+	for c, kLits := range [][]sat.Lit{k1, k2} {
+		st.encs[c] = cnf.NewEncoder(g, s)
+		for i, kl := range kLits {
+			st.encs[c].TieInput(i, kl)
+		}
 	}
 	s.SetContext(ctx)
 	if sp.Enabled() {
@@ -165,47 +172,39 @@ func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Orac
 	return st
 }
 
-// beginRound empties the round graph and both encoders at the start of
-// a DIP round. Solver variables of earlier rounds are never read again:
-// inprocessing (which may eliminate them) runs only between rounds, and
-// the round's constraints reach the key solely through the frozen key
-// literals, so they stay sound after any earlier variable elimination.
-func (st *attackState) beginRound() {
-	g := st.round
-	g.Reset()
-	for i := range st.keys {
-		st.keys[i] = g.AddInput(st.l.Enc.InputName(st.l.NumInputs + i))
-	}
-	for c, kLits := range [][]sat.Lit{st.k1Lits, st.k2Lits} {
-		e := st.encs[c]
-		e.Reset(g, st.s)
-		for i, kl := range kLits {
-			e.TieInput(i, kl)
-		}
+// simplify runs one preprocessing or inprocessing pass and then makes
+// both encoders forget every node whose variable the pass eliminated, so
+// that a later constraint reaching such a node encodes it afresh.
+// Surviving node variables are reused (cnf.Encoder.DropEliminated says
+// why that is sound).
+func (st *attackState) simplify(o simp.Options, tr *obs.Tracer) {
+	simp.Apply(st.s, o, tr)
+	for _, e := range st.encs {
+		e.DropEliminated()
 	}
 }
 
 // addIOConstraints asserts enc(x, k) == y for both key copies, for each
 // pattern of an answered batch. Each pattern's key-only cone is folded
-// into the round graph, and each encoder encodes only the part of the
-// cone this round has not encoded yet. A multi-pattern batch folds from
+// into the attack's graph, and each encoder encodes only the part of the
+// cone that has no live variable yet. A multi-pattern batch folds from
 // one bit-parallel simulation pass over the locked circuit (KeyCone)
 // instead of one full-graph constant fold per pattern; the folded cones
 // are identical either way.
 func (st *attackState) addIOConstraints(xs, ys [][]bool, perDIP func(j int)) {
-	before := st.round.NumNodes()
-	var v *sim.Vectors
-	if len(xs) > 1 {
-		// A single pattern (the classic serial loop) folds directly; the
-		// simulation pass only pays off amortized across a batch.
-		v = st.cone.Simulate(xs)
+	before := st.graph.NumNodes()
+	// A single pattern (the classic serial loop) folds directly; the
+	// simulation pass only pays off amortized across a batch.
+	batched := len(xs) > 1
+	if batched {
+		st.cone.Simulate(xs)
 	}
 	for j, x := range xs {
 		var outs []aig.Lit
-		if v == nil {
-			outs = locking.FoldInputs(st.round, st.l.Enc, st.l.NumInputs, x, st.keys)
+		if batched {
+			outs = st.cone.Fold(st.graph, st.keys, j)
 		} else {
-			outs = st.cone.Fold(st.round, st.keys, v, j)
+			outs = locking.FoldInputs(st.graph, st.l.Enc, st.l.NumInputs, x, st.keys)
 		}
 		for _, e := range st.encs {
 			for i, o := range e.Encode(outs...) {
@@ -220,7 +219,7 @@ func (st *attackState) addIOConstraints(xs, ys [][]bool, perDIP func(j int)) {
 			perDIP(j)
 		}
 	}
-	st.keyNodes += int64(st.round.NumNodes() - before)
+	st.keyNodes += int64(st.graph.NumNodes() - before)
 }
 
 // inprocessDue reports whether the serial inprocessing cadence fires
@@ -285,7 +284,7 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 	// Preprocess the miter once up front. All interface literals (inputs,
 	// both key copies, the activation literal) are frozen, so full
 	// variable elimination is sound here and for every later constraint.
-	simp.Apply(st.s, opt.Simp, opt.Trace)
+	st.simplify(opt.Simp, opt.Trace)
 	rng := newSplitMix(opt.Seed)
 	res := IOResult{}
 	reinforced := 0
@@ -314,9 +313,6 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 		if opt.MaxIterations > 0 && res.Iterations+width > opt.MaxIterations {
 			width = opt.MaxIterations - res.Iterations
 		}
-		mark()
-		st.beginRound()
-		lap(&encodeT)
 		prev := st.s.Stats()
 		mark()
 		status, dips := st.dipRound(width)
@@ -380,7 +376,7 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 			}
 		}
 		if inprocessDue(opt.Simp, res.Iterations-len(dips), res.Iterations) {
-			simp.Apply(st.s, opt.Simp, opt.Trace)
+			st.simplify(opt.Simp, opt.Trace)
 		}
 		if st.stopped() {
 			res.TimedOut = true
@@ -408,7 +404,8 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 		obs.Int("vars", int64(st.s.NumVars())),
 		obs.Int("solve_us", solveT.Microseconds()),
 		obs.Int("encode_us", encodeT.Microseconds()),
-		obs.Int("oracle_us", oracleT.Microseconds()))
+		obs.Int("oracle_us", oracleT.Microseconds()),
+		obs.Int("reencoded_nodes", st.encs[0].Reencoded()+st.encs[1].Reencoded()))
 	return res
 }
 

@@ -11,6 +11,7 @@ import (
 	"obfuslock/internal/locking"
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/obs"
+	"obfuslock/internal/simp"
 )
 
 // spanEnds records the end fields and duration of every span by name.
@@ -34,11 +35,14 @@ func (s *spanEnds) SpanEnd(sd obs.SpanData) {
 func (s *spanEnds) Event(uint64, string, time.Time, []obs.Field) {}
 
 // The attack spans end with the formula's size — key_nodes folded by the
-// I/O constraints and the solver's variable count — and recording them
-// never changes the attack.
+// I/O constraints, the solver's variable count and reencoded_nodes, the
+// graph nodes given a fresh variable after inprocessing eliminated
+// theirs — and recording them never changes the attack. SARLock's 40
+// DIPs run inprocessing twice and reach eliminated nodes again; with
+// inprocessing off no node is ever re-encoded.
 func TestAttackSpanReportsFormulaSize(t *testing.T) {
 	orig := netlistgen.Multiplier(4)
-	l, err := lockbase.RLL(orig, 10, 1)
+	l, err := lockbase.SARLock(orig, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +61,15 @@ func TestAttackSpanReportsFormulaSize(t *testing.T) {
 			t.Fatalf("%s: tracing changed the attack:\n%+v\n%+v", name, plain, traced)
 		}
 		end := sink.ends[name]
-		for _, k := range []string{"key_nodes", "vars"} {
+		for _, k := range []string{"key_nodes", "vars", "reencoded_nodes"} {
 			if v, ok := end[k].(int64); !ok || v <= 0 {
 				t.Errorf("%s: span end %s = %v, want a positive count", name, k, end[k])
 			}
+		}
+		opt.Simp = simp.Off()
+		run(context.Background(), l, locking.NewOracle(orig), opt)
+		if v := sink.ends[name]["reencoded_nodes"]; v != int64(0) {
+			t.Errorf("%s with inprocessing off: reencoded_nodes = %v, want 0", name, v)
 		}
 	}
 }

@@ -21,45 +21,60 @@ import (
 // literals returned by Encode. Callers that read or constrain other
 // internal literals after a Simplify call must freeze those themselves
 // (or restrict simplification to equivalence-preserving techniques).
+// A caller that keeps encoding new cones after variable elimination
+// calls DropEliminated first, so that no new clause reuses an
+// eliminated variable.
 type Encoder struct {
 	G      *aig.AIG
 	S      *sat.Solver
 	varOf  []sat.Lit // per AIG variable: solver literal of positive phase
 	mapped []bool
-	stack  []uint32 // Encode DFS scratch
+	// dropped marks nodes whose variable DropEliminated forgot; reencoded
+	// counts those that Encode has since given a fresh variable.
+	dropped   []bool
+	reencoded int64
+	stack     []uint32 // Encode DFS scratch
 }
 
 // NewEncoder prepares an encoder of g into s. No clauses are added yet.
 func NewEncoder(g *aig.AIG, s *sat.Solver) *Encoder {
-	e := &Encoder{
-		G:      g,
-		S:      s,
-		varOf:  make([]sat.Lit, g.MaxVar()+1),
-		mapped: make([]bool, g.MaxVar()+1),
-	}
+	e := &Encoder{G: g, S: s}
+	e.grow()
 	return e
 }
 
-// Reset rebinds the encoder to a graph and solver, reusing its internal
-// tables (the SAT-attack inner loop pools encoders to keep per-round
-// allocations flat). All input ties and encoded cones are forgotten.
-func (e *Encoder) Reset(g *aig.AIG, s *sat.Solver) {
-	e.G, e.S = g, s
-	e.varOf, e.mapped = e.varOf[:0], e.mapped[:0]
-	e.grow()
-}
-
 // grow extends the per-variable tables to cover nodes added to the graph
-// after the encoder was created or Reset. The appended entries are
-// zeroed in place while capacity lasts, so an encoder whose graph is
-// rebuilt from its inputs every round stops allocating once its tables
-// reach the largest round.
+// after the encoder was created.
 func (e *Encoder) grow() {
 	if n, old := int(e.G.MaxVar())+1, len(e.varOf); n > old {
 		e.varOf = append(e.varOf, make([]sat.Lit, n-old)...)
 		e.mapped = append(e.mapped, make([]bool, n-old)...)
+		e.dropped = append(e.dropped, make([]bool, n-old)...)
 	}
 }
+
+// DropEliminated forgets every encoded node whose solver variable a
+// Simplify call has eliminated, so that a later Encode reaching the node
+// gives it a fresh variable and fresh Tseitin clauses. Nodes whose
+// variable survived keep it.
+//
+// Keeping a surviving variable is sound when every encoded node is a
+// function of frozen variables (tied or fresh inputs): variable
+// elimination leaves the formula's existential projection onto the
+// surviving variables, so every model of the simplified formula still
+// gives a surviving node variable the value of its node's function.
+func (e *Encoder) DropEliminated() {
+	for v, m := range e.mapped {
+		if m && e.S.Eliminated(e.varOf[v].Var()) {
+			e.mapped[v] = false
+			e.dropped[v] = true
+		}
+	}
+}
+
+// Reencoded returns how many dropped nodes (DropEliminated) Encode has
+// given a fresh variable since the encoder was created.
+func (e *Encoder) Reencoded() int64 { return e.reencoded }
 
 // constVar lazily creates a solver variable pinned to false to stand for
 // the AIG constant node.
@@ -194,6 +209,10 @@ func (e *Encoder) Encode(roots ...aig.Lit) []sat.Lit {
 		}
 		e.varOf[v] = out
 		e.mapped[v] = true
+		if e.dropped[v] {
+			e.dropped[v] = false
+			e.reencoded++
+		}
 		stack = stack[:len(stack)-1]
 	}
 	e.stack = stack[:0]

@@ -202,3 +202,78 @@ func TestHelperLits(t *testing.T) {
 		}
 	}
 }
+
+// An encoder that keeps encoding after variable elimination re-encodes
+// exactly the nodes whose variable was eliminated, and the literals it
+// then returns agree with a fresh encoding of the same graph (and with
+// Eval) under every key assignment tried. Only the inputs and the
+// encoded roots are frozen, as in the SAT attack's key-space graph.
+func TestEncodeAfterElimination(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := aig.New()
+	keys := g.AddInputs(6)
+	lits := append([]aig.Lit(nil), keys...)
+	pick := func() aig.Lit { return lits[rng.Intn(len(lits))].NotIf(rng.Intn(2) == 0) }
+	grow := func(n int) {
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				lits = append(lits, g.And(pick(), pick()))
+			} else {
+				lits = append(lits, g.Xor(pick(), pick()))
+			}
+		}
+	}
+	grow(40)
+	s := sat.New()
+	e := NewEncoder(g, s)
+	kl := make([]sat.Lit, len(keys))
+	for i := range kl {
+		kl[i] = e.InputLit(i)
+	}
+	first := e.Encode(lits[len(lits)-3:]...)
+	if !s.Simplify(true) {
+		t.Fatal("simplification refuted a satisfiable encoding")
+	}
+	e.DropEliminated()
+	// New roots over the old nodes, so that Encode reaches both
+	// eliminated and surviving variables.
+	grow(30)
+	roots := append(lits[len(lits)-30:], lits[len(lits)-33:len(lits)-30]...)
+	got := e.Encode(roots...)
+	if e.Reencoded() == 0 {
+		t.Fatal("no node was re-encoded; the test does not exercise elimination")
+	}
+	for i := range first {
+		if got[30+i] != first[i] {
+			t.Fatalf("root %d: re-encoded as %v, was %v; a frozen root must keep its variable", i, got[30+i], first[i])
+		}
+	}
+	fs := sat.New()
+	fe := NewEncoder(g, fs)
+	fk := make([]sat.Lit, len(keys))
+	for i := range fk {
+		fk[i] = fe.InputLit(i)
+	}
+	want := fe.Encode(roots...)
+	for trial := 0; trial < 32; trial++ {
+		pat := make([]bool, len(keys))
+		a, fa := make([]sat.Lit, len(keys)), make([]sat.Lit, len(keys))
+		for i := range pat {
+			pat[i] = rng.Intn(2) == 1
+			a[i], fa[i] = kl[i], fk[i]
+			if !pat[i] {
+				a[i], fa[i] = a[i].Not(), fa[i].Not()
+			}
+		}
+		if s.Solve(a...) != sat.Sat || fs.Solve(fa...) != sat.Sat {
+			t.Fatalf("key %v: encoding unsatisfiable", pat)
+		}
+		eval := g.EvalLits(pat, roots...)
+		for i := range roots {
+			if s.ModelValue(got[i]) != fs.ModelValue(want[i]) || s.ModelValue(got[i]) != eval[i] {
+				t.Fatalf("key %v root %d: re-encoded %v, fresh %v, eval %v",
+					pat, i, s.ModelValue(got[i]), fs.ModelValue(want[i]), eval[i])
+			}
+		}
+	}
+}

@@ -39,12 +39,12 @@ func TestFoldRoundIntoOneGraph(t *testing.T) {
 	g, keys := newRound()
 	cg, ckeys := newRound()
 	kc := locking.NewKeyCone(l.Enc, l.NumInputs)
-	v := kc.Simulate(xs)
+	kc.Simulate(xs)
 	blocks := make([][]aig.Lit, len(xs))
 	summed := 0
 	for j, x := range xs {
 		blocks[j] = locking.FoldInputs(g, l.Enc, l.NumInputs, x, keys)
-		if got := kc.Fold(cg, ckeys, v, j); !slices.Equal(got, blocks[j]) {
+		if got := kc.Fold(cg, ckeys, j); !slices.Equal(got, blocks[j]) {
 			t.Fatalf("pattern %d: KeyCone.Fold outputs %v, FoldInputs %v", j, got, blocks[j])
 		}
 		summed += locking.BindInputs(l.Enc, l.NumInputs, x).NumNodes()
@@ -67,6 +67,28 @@ func TestFoldRoundIntoOneGraph(t *testing.T) {
 			}
 			if want := l.Enc.Eval(append(slices.Clone(x), key...)); !slices.Equal(got, want) {
 				t.Fatalf("key %v pattern %d: round graph %v, enc %v", key, j, got, want)
+			}
+		}
+	}
+}
+
+// A batched oracle query answers every pattern as a single query does,
+// across batches of different widths that reuse one simulation buffer.
+func TestQueryBatchMatchesQuery(t *testing.T) {
+	c := netlistgen.Multiplier(4)
+	o := locking.NewOracle(c)
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{70, 3, 64, 2} {
+		xs := make([][]bool, n)
+		for j := range xs {
+			xs[j] = make([]bool, c.NumInputs())
+			for i := range xs[j] {
+				xs[j][i] = rng.Intn(2) == 1
+			}
+		}
+		for j, y := range o.QueryBatch(xs) {
+			if want := c.Eval(xs[j]); !slices.Equal(y, want) {
+				t.Fatalf("batch of %d, pattern %d: %v, want %v", n, j, y, want)
 			}
 		}
 	}

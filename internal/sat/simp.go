@@ -275,7 +275,6 @@ func (sp *simplifier) run() bool {
 	for len(sp.touched) < s.numVars {
 		sp.touched = append(sp.touched, false)
 	}
-	sp.touchedList = sp.touchedList[:0]
 	if !sp.normalize() {
 		return false
 	}
@@ -319,12 +318,16 @@ func (sp *simplifier) run() bool {
 			break
 		}
 	}
-	// Clear the touched flags for the next pass (the list is reset on
-	// entry, the flags must not leak).
+	ok := sp.finish()
+	// Clear the touched set for the next pass, including what finish's
+	// normalize touched after the last round: a flag left set would keep
+	// its variable out of every later pass's candidates, because touch
+	// would never list it again.
 	for _, v := range sp.touchedList {
 		sp.touched[v] = false
 	}
-	return sp.finish()
+	sp.touchedList = sp.touchedList[:0]
+	return ok
 }
 
 // normalize cleans every live clause against the level-0 assignment

@@ -25,8 +25,8 @@ func TestSolverWorkPinned(t *testing.T) {
 	want := map[string]work{
 		"FraigCEC/monolithic": {12948, 181305, 3571},
 		"FraigCEC/swept":      {5190, 126181, 1539},
-		"SATAttackSimp/on":    {1608, 52863, 595},
-		"SATAttackSimp/off":   {1654, 119483, 579},
+		"SATAttackSimp/on":    {1631, 37732, 585},
+		"SATAttackSimp/off":   {1691, 45908, 544},
 	}
 	got := map[string]work{}
 	c, rw := fraigCECPair()
