@@ -151,3 +151,61 @@ func TestExhaustiveInputsEnumerate(t *testing.T) {
 		}
 	}
 }
+
+// RunPatterns packs boolean patterns into words and simulates as Run
+// does, across re-runs of one Vectors at different batch widths. A
+// pattern narrower than the graph drives its remaining inputs with
+// zero, and a skipped var is left unevaluated.
+func TestRunPatternsMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := aig.New()
+	in := g.AddInputs(6)
+	a := g.And(in[0], in[1].Not())
+	b := g.Xor(a, in[2])
+	c := g.Maj(b, in[3], in[4].Not())
+	g.AddOutput(g.Or(c, in[5]), "f")
+	g.AddOutput(b.Not(), "g")
+	skip := make([]bool, g.MaxVar()+1)
+	skip[c.Var()] = true
+
+	var v Vectors
+	for _, n := range []int{70, 3, 130, 64, 1} {
+		xs := make([][]bool, n)
+		for j := range xs {
+			xs[j] = make([]bool, 6)
+			for i := range xs[j] {
+				xs[j][i] = rng.Intn(2) == 1
+			}
+		}
+		v.RunPatterns(g, xs, 6, nil)
+		for j, x := range xs {
+			want := g.Eval(x)
+			for o := range want {
+				if got := v.Bit(g.Output(o), j); got != want[o] {
+					t.Fatalf("batch of %d, pattern %d, output %d: sim %v eval %v", n, j, o, got, want[o])
+				}
+			}
+		}
+
+		narrow := make([][]bool, n)
+		for j, x := range xs {
+			narrow[j] = x[:4]
+			clear(x[4:])
+		}
+		stale := v.Node(c.Var())
+		for w := range stale {
+			stale[w] = 0x5555
+		}
+		v.RunPatterns(g, narrow, 4, skip)
+		for _, w := range v.Node(c.Var()) {
+			if w != 0x5555 {
+				t.Fatalf("batch of %d: skipped var was evaluated", n)
+			}
+		}
+		for j, x := range xs {
+			if got, want := v.Bit(b, j), g.EvalLits(x, b)[0]; got != want {
+				t.Fatalf("batch of %d, pattern %d: narrow sim %v eval %v", n, j, got, want)
+			}
+		}
+	}
+}
