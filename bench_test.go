@@ -17,9 +17,11 @@ import (
 	"testing"
 	"time"
 
+	"obfuslock/internal/aig"
 	"obfuslock/internal/attacks"
 	"obfuslock/internal/cec"
 	"obfuslock/internal/core"
+	"obfuslock/internal/exec"
 	"obfuslock/internal/experiments"
 	"obfuslock/internal/lockbase"
 	"obfuslock/internal/locking"
@@ -168,6 +170,42 @@ func BenchmarkLockRuntime(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkLock locks the four circuits TestLockFingerprintPinned pins,
+// the attack-dip workload's set, at 8 bits with their CLI seeds: one op
+// is all four locks. It profiles the lock layer without the pipeline
+// benchmark, e.g. with
+//
+//	go test -run '^$' -bench BenchmarkLock$ -benchtime 5x -cpuprofile cpu.out .
+func BenchmarkLock(b *testing.B) {
+	type job struct {
+		c    *aig.AIG
+		seed int64
+	}
+	var jobs []job
+	for i, bm := range netlistgen.SmallSuite() {
+		switch bm.Name {
+		case "c7552-s", "c6288-s", "max-s", "square-s":
+			jobs = append(jobs, job{bm.Build(), exec.DeriveSeed(1, i)})
+		}
+	}
+	if len(jobs) != 4 {
+		b.Fatalf("found %d of the 4 circuits in the suite", len(jobs))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			opt := core.DefaultOptions()
+			opt.TargetSkewBits = 8
+			opt.Seed = j.seed
+			opt.AllowDirect = false
+			if _, err := core.Lock(context.Background(), j.c, opt); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

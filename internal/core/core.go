@@ -401,9 +401,11 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 		err  error
 	)
 	bsp := sp.Span("lock.build_l", obs.Int("protected_output", int64(po)))
-	// samplers and samplerBuilds sum the witness pools of every attempt:
-	// the solvers handed out and the conditions prepared for them.
-	var samplers, samplerBuilds int
+	// samplers, samplerBuilds, sampleHits and rejectionHits sum the
+	// witness pools of every attempt: the solvers handed out, the
+	// conditions prepared for them, and the draws and rejection samples
+	// served from the memo.
+	var samplers, samplerBuilds, sampleHits, rejectionHits int
 	for attempt := int64(0); attempt < 3; attempt++ {
 		work = c.Copy()
 		pool := sample.NewPool(work, opt.Simp)
@@ -415,6 +417,8 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 		})
 		samplers += pool.Samplers
 		samplerBuilds += pool.Builds
+		sampleHits += pool.SampleHits
+		rejectionHits += pool.RejectionHits
 		if err == nil {
 			break
 		}
@@ -423,7 +427,9 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 	if err != nil {
 		bsp.End(obs.Str("error", err.Error()),
 			obs.Int("samplers", int64(samplers)),
-			obs.Int("sampler_builds", int64(samplerBuilds)))
+			obs.Int("sampler_builds", int64(samplerBuilds)),
+			obs.Int("sample_hits", int64(sampleHits)),
+			obs.Int("rejection_hits", int64(rejectionHits)))
 		return nil, err
 	}
 	bsp.End(
@@ -431,7 +437,9 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 		obs.Int("attachments", int64(lc.Attachments)),
 		obs.Int("support", int64(len(lc.Support))),
 		obs.Int("samplers", int64(samplers)),
-		obs.Int("sampler_builds", int64(samplerBuilds)))
+		obs.Int("sampler_builds", int64(samplerBuilds)),
+		obs.Int("sample_hits", int64(sampleHits)),
+		obs.Int("rejection_hits", int64(rejectionHits)))
 
 	// Extract the restoring unit BEFORE blending mutates the cone.
 	psp := sp.Span("lock.permute")

@@ -289,7 +289,7 @@ func buildLockingCircuit(work *aig.AIG, samplers *sample.Pool, opt buildOptions)
 			if tentative == lc.Root || tentative.IsConst() {
 				continue
 			}
-			newProb, ok := chainProb(work, samplers, tentative, lc.Root, curProb, quickSamples, opt.Seed+int64(lc.Attachments)*31+int64(try))
+			newProb, ok := chainProb(samplers, tentative, lc.Root, curProb, quickSamples, opt.Seed+int64(lc.Attachments)*31+int64(try))
 			if !ok || newProb <= 0 {
 				continue
 			}
@@ -306,7 +306,7 @@ func buildLockingCircuit(work *aig.AIG, samplers *sample.Pool, opt buildOptions)
 			}
 			if g >= need {
 				// Accept; refine the estimate with a larger budget.
-				refined, ok2 := chainProb(work, samplers, tentative, lc.Root, curProb, refineSamples, opt.Seed^0x5bd1e995+int64(lc.Attachments))
+				refined, ok2 := chainProb(samplers, tentative, lc.Root, curProb, refineSamples, opt.Seed^0x5bd1e995+int64(lc.Attachments))
 				if ok2 && refined > 0 {
 					newProb = refined
 				}
@@ -354,9 +354,11 @@ func buildLockingCircuit(work *aig.AIG, samplers *sample.Pool, opt buildOptions)
 }
 
 // chainProb estimates P(next=1) from P(cur=1) and sampled conditionals —
-// one splitting step along the chain. Its witnesses come from pool, a pool
-// over g, which keeps cur's solver prepared across the tries of a level.
-func chainProb(g *aig.AIG, pool *sample.Pool, next, cur aig.Lit, curProb float64, samples int, seed int64) (float64, bool) {
+// one splitting step along the chain. Its witnesses come from pool, which
+// keeps cur's solver prepared across the tries of a level and memoizes
+// the witnesses and rejection samples that the retried tries of a failed
+// level draw again.
+func chainProb(pool *sample.Pool, next, cur aig.Lit, curProb float64, samples int, seed int64) (float64, bool) {
 	pGiven, ok := condProb(pool, next, cur, samples, seed)
 	if !ok {
 		return 0, false
@@ -364,36 +366,13 @@ func chainProb(g *aig.AIG, pool *sample.Pool, next, cur aig.Lit, curProb float64
 	// P(next | !cur): the complement of a rare event is common — estimate
 	// by plain Monte Carlo conditioned by rejection (cheap), falling back
 	// to the SAT sampler only when rejection fails.
-	pGivenNot, ok2 := condProbRejection(g, next, cur.Not(), samples, seed+1)
-	if !ok2 {
+	var pGivenNot float64
+	if acc := pool.Accepted(cur.Not(), samples, seed+1); len(acc) >= samples/2 {
+		pGivenNot = pool.Fraction(next, acc)
+	} else {
 		pGivenNot, _ = condProb(pool, next, cur.Not(), samples/2, seed+2)
 	}
 	return pGiven*curProb + pGivenNot*(1-curProb), true
-}
-
-// condProbRejection estimates P(target|cond) by rejection sampling random
-// patterns; works when cond is common.
-func condProbRejection(g *aig.AIG, target, cond aig.Lit, want int, seed int64) (float64, bool) {
-	rng := rand.New(rand.NewSource(seed))
-	pat := make([]bool, g.NumInputs())
-	hits, accepted := 0, 0
-	for trial := 0; trial < want*8 && accepted < want; trial++ {
-		for i := range pat {
-			pat[i] = rng.Intn(2) == 1
-		}
-		out := g.EvalLits(pat, cond, target)
-		if !out[0] {
-			continue
-		}
-		accepted++
-		if out[1] {
-			hits++
-		}
-	}
-	if accepted < want/2 {
-		return 0, false
-	}
-	return float64(hits) / float64(accepted), true
 }
 
 func splitOpts(opt buildOptions, round int64) skew.SplittingOptions {

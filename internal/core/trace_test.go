@@ -68,6 +68,13 @@ func TestLockTraceSpans(t *testing.T) {
 	if builds <= 0 || builds >= samplers {
 		t.Fatalf("lock.build_l: %d sampler builds for %d samplers, want 0 < builds < samplers", builds, samplers)
 	}
+	// A failed level retries its tries with the same seeds, so some
+	// draws and rejection samples repeat and come from the pool's memo.
+	hits, ok1 := ends["sample_hits"].(int64)
+	rej, ok2 := ends["rejection_hits"].(int64)
+	if !ok1 || !ok2 || hits <= 0 || rej <= 0 {
+		t.Fatalf("lock.build_l: sample_hits %v, rejection_hits %v; want both present and positive", ends["sample_hits"], ends["rejection_hits"])
+	}
 }
 
 // TestLockSubCircuitTraceSpans asserts the sub-circuit path adds the cut

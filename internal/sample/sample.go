@@ -7,16 +7,19 @@
 // CubeSampler pins a random subset of inputs to random values and asks a
 // SAT solver for a completion; it is fast and spreads samples well when
 // the witness set is not too small. A Pool prepares each condition's
-// solver once and gives every sampler its own copy.
+// solver once, gives every sampler its own copy, and keeps every witness
+// set it has drawn, so that a repeated draw costs nothing.
 package sample
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
 
 	"obfuslock/internal/aig"
 	"obfuslock/internal/cnf"
 	"obfuslock/internal/sat"
+	"obfuslock/internal/sim"
 	"obfuslock/internal/simp"
 )
 
@@ -28,22 +31,41 @@ import (
 // one caller and is not safe for concurrent use. It keeps only the last
 // condition's solver, which suits callers that draw many samplers of one
 // condition in a row.
+//
+// A draw is fixed by the condition's cone, the seed and the count, so
+// the pool memoizes the first draw of every sampler under (cond, seed,
+// n) and serves a repeat from the memo; Accepted memoizes rejection
+// sampling the same way. Memoized slices are shared between callers and
+// are read-only.
 type Pool struct {
 	g    *aig.AIG
 	simp simp.Options
 	cond aig.Lit
 	base *sat.Solver
 	ins  []sat.Lit
-	// Samplers counts the solvers handed out, one per Sample call, and
-	// Builds the conditions prepared for them.
-	Samplers, Builds int
+	// draws and accepted are the memos of Sample and Accepted.
+	draws, accepted map[drawKey][][]bool
+	// vec evaluates patterns 64 at a time.
+	vec sim.Vectors
+	// Samplers counts the solvers handed out, one per Sample call the
+	// memo missed, and Builds the conditions prepared for them.
+	// SampleHits and RejectionHits count the Sample and Accepted calls
+	// served from the memo.
+	Samplers, Builds, SampleHits, RejectionHits int
+}
+
+// drawKey names a draw: its condition, seed and count.
+type drawKey struct {
+	cond aig.Lit
+	seed int64
+	n    int
 }
 
 // NewPool returns an empty pool of witness solvers over g, preprocessed
 // under so (zero value: enabled; simp.Off() disables). The graph may grow
 // while the pool is in use: a condition's cone never changes.
 func NewPool(g *aig.AIG, so simp.Options) *Pool {
-	return &Pool{g: g, simp: so}
+	return &Pool{g: g, simp: so, draws: map[drawKey][][]bool{}, accepted: map[drawKey][][]bool{}}
 }
 
 // conflictBudget bounds the conflicts of each Sample call's solver.
@@ -75,15 +97,20 @@ func (p *Pool) solver(cond aig.Lit) (*sat.Solver, []sat.Lit) {
 type CubeSampler struct {
 	pool *Pool
 	cond aig.Lit
+	seed int64
+	// rng is seeded at the first draw the memo does not serve. When it
+	// served the first, hit is set and hitN is that draw's count.
 	rng  *rand.Rand
+	hit  bool
+	hitN int
 	// Ctx, when non-nil, cancels in-flight solves; Sample then returns
-	// the witnesses drawn so far.
+	// the witnesses drawn so far, and the pool does not memoize them.
 	Ctx context.Context
 }
 
 // Sampler returns a sampler of witnesses of cond in the pool's graph.
 func (p *Pool) Sampler(cond aig.Lit, seed int64) *CubeSampler {
-	return &CubeSampler{pool: p, cond: cond, rng: rand.New(rand.NewSource(seed))}
+	return &CubeSampler{pool: p, cond: cond, seed: seed}
 }
 
 const (
@@ -94,8 +121,37 @@ const (
 )
 
 // Sample returns up to n witnesses; fewer (possibly zero) when the
-// witness set is small or the budget runs out.
+// witness set is small or the budget runs out. A sampler's first draw
+// comes from the pool's memo when an earlier sampler of the same
+// condition and seed drew n; the result is then shared and read-only.
+// Later draws continue the sampler's random sequence.
 func (cs *CubeSampler) Sample(n int) [][]bool {
+	switch {
+	case cs.rng != nil:
+		return cs.draw(n)
+	case cs.hit:
+		// Replay the memoized first draw to advance the sequence.
+		cs.rng = rand.New(rand.NewSource(cs.seed))
+		cs.draw(cs.hitN)
+		return cs.draw(n)
+	}
+	p := cs.pool
+	key := drawKey{cs.cond, cs.seed, n}
+	if w, ok := p.draws[key]; ok {
+		p.SampleHits++
+		cs.hit, cs.hitN = true, n
+		return w
+	}
+	cs.rng = rand.New(rand.NewSource(cs.seed))
+	w := cs.draw(n)
+	if cs.Ctx == nil || cs.Ctx.Err() == nil {
+		p.draws[key] = w
+	}
+	return w
+}
+
+// draw samples up to n witnesses on a fresh copy of the prepared solver.
+func (cs *CubeSampler) draw(n int) [][]bool {
 	s, ins := cs.pool.solver(cs.cond)
 	s.SetContext(cs.Ctx)
 	s.SetRandomPolarity(cs.rng.Int63())
@@ -162,11 +218,69 @@ func ConditionalProbability(s *CubeSampler, target aig.Lit, n int) (float64, int
 	if len(wit) == 0 {
 		return 0, 0
 	}
-	hits := 0
-	for _, w := range wit {
-		if s.pool.g.EvalLits(w, target)[0] {
-			hits++
+	return s.pool.Fraction(target, wit), len(wit)
+}
+
+// Accepted rejection-samples cond: it draws uniform input patterns from
+// seed's random sequence and keeps, in draw order, those on which cond
+// holds, until it has want of them or has drawn want*8. It suits a
+// common cond. Patterns are drawn and tested 64 at a time; a block may
+// draw past the stopping point, which changes nothing kept. The result
+// is memoized per (cond, seed, want) and read-only.
+func (p *Pool) Accepted(cond aig.Lit, want int, seed int64) [][]bool {
+	key := drawKey{cond, seed, want}
+	if acc, ok := p.accepted[key]; ok {
+		p.RejectionHits++
+		return acc
+	}
+	m := p.g.NumInputs()
+	block := make([][]bool, min(64, want*8))
+	scratch := make([]bool, len(block)*m)
+	for j := range block {
+		block[j] = scratch[j*m : (j+1)*m]
+	}
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]bool, want*m)
+	acc := make([][]bool, 0, want)
+	for trials := 0; trials < want*8 && len(acc) < want; {
+		blk := block[:min(len(block), want*8-trials)]
+		for _, pat := range blk {
+			for i := range pat {
+				pat[i] = rng.Intn(2) == 1
+			}
+		}
+		trials += len(blk)
+		p.vec.RunPatterns(p.g, blk, m, nil)
+		for j, pat := range blk {
+			if len(acc) == want {
+				break
+			}
+			if p.vec.Bit(cond, j) {
+				row := out[len(acc)*m : (len(acc)+1)*m : (len(acc)+1)*m]
+				copy(row, pat)
+				acc = append(acc, row)
+			}
 		}
 	}
-	return float64(hits) / float64(len(wit)), len(wit)
+	p.accepted[key] = acc
+	return acc
+}
+
+// Fraction returns the fraction of pats on which target holds (NaN for
+// no pattern), evaluating them 64 at a time.
+func (p *Pool) Fraction(target aig.Lit, pats [][]bool) float64 {
+	hits := 0
+	for lo := 0; lo < len(pats); lo += 64 {
+		blk := pats[lo:min(lo+64, len(pats))]
+		p.vec.RunPatterns(p.g, blk, p.g.NumInputs(), nil)
+		w := p.vec.Node(target.Var())[0]
+		if target.IsCompl() {
+			w = ^w
+		}
+		if len(blk) < 64 {
+			w &= 1<<len(blk) - 1
+		}
+		hits += bits.OnesCount64(w)
+	}
+	return float64(hits) / float64(len(pats))
 }

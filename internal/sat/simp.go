@@ -664,7 +664,7 @@ func (sp *simplifier) eliminateVars() (int, bool) {
 	s := sp.s
 	cands := sp.cands[:0]
 	consider := func(v int) {
-		if s.frozen[v] || s.elim[v] || s.assign[v] != lUndef {
+		if s.frozen[v] || s.elim[v] || s.valueVar(v) != lUndef {
 			return
 		}
 		n := int(sp.occCnt[v])
@@ -695,7 +695,7 @@ func (sp *simplifier) eliminateVars() (int, bool) {
 	})
 	eliminated := 0
 	for _, v := range cands {
-		if s.assign[v] != lUndef || s.elim[v] {
+		if s.valueVar(v) != lUndef || s.elim[v] {
 			continue
 		}
 		ok, did := sp.tryEliminate(v)
@@ -763,7 +763,7 @@ func (sp *simplifier) tryEliminate(v int) (ok, did bool) {
 	}
 	// Cleaning can enqueue a unit on v itself; elimination of an
 	// assigned variable is meaningless (normalize handles it).
-	if s.assign[v] != lUndef {
+	if s.valueVar(v) != lUndef {
 		return true, false
 	}
 	pure := len(pos) == 0 || len(neg) == 0
@@ -801,6 +801,7 @@ func (sp *simplifier) tryEliminate(v int) (ok, did bool) {
 	rec.endHi = int32(len(s.elimEnds))
 	s.elimCl = append(s.elimCl, rec)
 	s.elim[v] = true
+	s.numElim++
 	for _, side := range [][]int32{pos, neg} {
 		for _, id := range side {
 			sp.removeClause(id)

@@ -154,7 +154,7 @@ type Solver struct {
 	numLocal int    // live learnts in tierLocal, reduceDB's trigger
 	watches  [][]watcher
 
-	assign   []int8
+	vals     []int8 // per literal: vals[l] is l's value, vals[l^1] its negation's
 	level    []int32
 	reason   []cref
 	polarity []bool // saved phases
@@ -205,6 +205,9 @@ type Solver struct {
 	// sp is the pooled simplifier scratch, reused across Simplify calls.
 	frozen []bool
 	elim   []bool
+	// numElim counts the set elim flags: once the trail holds the other
+	// numVars-numElim variables, the assignment is total.
+	numElim int
 	// elimCl/elimLits/elimEnds are the flattened store of clauses
 	// removed by variable elimination (see elimRecord); modelDirty marks
 	// a fresh model whose eliminated vars have not been reconstructed.
@@ -247,11 +250,21 @@ func (s *Solver) Clone() *Solver {
 	c.ar.data = slices.Clone(s.ar.data)
 	c.clauses = slices.Clone(s.clauses)
 	c.learnts = slices.Clone(s.learnts)
+	// All watch lists share one backing array, each capped at its own
+	// length so that an append moves it out instead of overwriting the
+	// next list.
+	n := 0
+	for _, ws := range s.watches {
+		n += len(ws)
+	}
+	flat := make([]watcher, 0, n)
 	c.watches = make([][]watcher, len(s.watches))
 	for i, ws := range s.watches {
-		c.watches[i] = slices.Clone(ws)
+		lo := len(flat)
+		flat = append(flat, ws...)
+		c.watches[i] = flat[lo:len(flat):len(flat)]
 	}
-	c.assign = slices.Clone(s.assign)
+	c.vals = slices.Clone(s.vals)
 	c.level = slices.Clone(s.level)
 	c.reason = slices.Clone(s.reason)
 	c.polarity = slices.Clone(s.polarity)
@@ -356,7 +369,7 @@ func (s *Solver) SetRandomPolarity(seed int64) {
 func (s *Solver) NewVar() int {
 	v := s.numVars
 	s.numVars++
-	s.assign = append(s.assign, lUndef)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
 	s.polarity = append(s.polarity, true) // default phase: false (negated)
@@ -369,16 +382,10 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-func (s *Solver) valueLit(l Lit) int8 {
-	a := s.assign[l.Var()]
-	if a == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		return -a
-	}
-	return a
-}
+func (s *Solver) valueLit(l Lit) int8 { return s.vals[l] }
+
+// valueVar is the value of variable v's positive literal.
+func (s *Solver) valueVar(v int) int8 { return s.vals[v<<1] }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
@@ -486,11 +493,8 @@ func (s *Solver) locked(c cref) bool {
 
 func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
-	if l.Neg() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -499,6 +503,8 @@ func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 // propagate performs unit propagation; it returns the reference of a
 // conflicting clause or crefUndef.
 func (s *Solver) propagate() cref {
+	// Neither the value array nor the arena grows during propagation.
+	vals, data := s.vals, s.ar.data
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -509,27 +515,32 @@ func (s *Solver) propagate() cref {
 	nextWatch:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.valueLit(w.blocker) == lTrue {
+			if vals[w.blocker] == lTrue {
 				ws[j] = w
 				j++
 				continue
 			}
-			if s.ar.deleted(w.cref) {
+			hdr := data[w.cref]
+			if hdr&hdrDeleted != 0 {
 				continue // lazy watcher cleanup
 			}
-			lits := s.ar.lits(w.cref)
+			off := w.cref + 1
+			if hdr&hdrLearnt != 0 {
+				off += learntExtra
+			}
+			lits := data[off : off+cref(hdr>>hdrSizeShift)]
 			if Lit(lits[0]) == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			// Invariant now: lits[1] == falseLit.
 			first := Lit(lits[0])
-			if first != w.blocker && s.valueLit(first) == lTrue {
+			if first != w.blocker && vals[first] == lTrue {
 				ws[j] = watcher{w.cref, first}
 				j++
 				continue
 			}
 			for k := 2; k < len(lits); k++ {
-				if s.valueLit(Lit(lits[k])) != lFalse {
+				if vals[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
 					s.watch(Lit(lits[1]), w.cref, first)
 					continue nextWatch
@@ -538,7 +549,7 @@ func (s *Solver) propagate() cref {
 			// Clause is unit or conflicting.
 			ws[j] = watcher{w.cref, first}
 			j++
-			if s.valueLit(first) == lFalse {
+			if vals[first] == lFalse {
 				// Conflict: copy the remaining watchers and bail.
 				for i++; i < len(ws); i++ {
 					ws[j] = ws[i]
@@ -562,8 +573,8 @@ func (s *Solver) cancelUntil(lvl int) {
 	bound := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		v := s.trail[i].Var()
-		s.polarity[v] = s.assign[v] == lFalse
-		s.assign[v] = lUndef
+		s.polarity[v] = s.valueVar(v) == lFalse
+		s.vals[v<<1], s.vals[v<<1|1] = lUndef, lUndef
 		s.reason[v] = crefUndef
 		s.order.insert(v)
 	}
@@ -706,10 +717,18 @@ func (s *Solver) litRedundant(l Lit) bool {
 	return true
 }
 
+// pickBranchLit pops the most active unassigned variable off the heap
+// and returns it in its decision phase, or LitUndef once every
+// non-eliminated variable is assigned. The heap holds every unassigned
+// non-eliminated variable, so a total assignment is told by the trail's
+// length without draining the heap; Solve resets the heap on Sat.
 func (s *Solver) pickBranchLit() Lit {
+	if len(s.trail) == s.numVars-s.numElim {
+		return LitUndef
+	}
 	for !s.order.empty() {
 		v := s.order.removeMin()
-		if s.assign[v] == lUndef && !s.elim[v] {
+		if s.valueVar(v) == lUndef && !s.elim[v] {
 			pol := s.polarity[v]
 			if s.rndPol {
 				s.rndState ^= s.rndState << 13
@@ -942,19 +961,24 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 		s.cancelUntil(0)
 	}
 	if status == Sat {
-		s.model = append(s.model[:0], s.assign...)
-		// Unassigned vars (possible under assumption-satisfied prefixes)
-		// default to false.
-		for i, a := range s.model {
+		s.model = slices.Grow(s.model[:0], s.numVars)[:s.numVars]
+		// Unassigned vars (eliminated ones) default to false.
+		for v := range s.model {
+			a := s.valueVar(v)
 			if a == lUndef {
-				s.model[i] = lFalse
+				a = lFalse
 			}
+			s.model[v] = a
 		}
 		// Eliminated-variable reconstruction is deferred until a read
 		// actually needs it: frozen variables (the only ones most
 		// callers read) are never eliminated, so attack loops that poll
 		// ModelValue on interface literals skip the replay entirely.
 		s.modelDirty = len(s.elimCl) > 0
+		// The answer left assigned variables in the heap. Emptying it
+		// first makes cancelUntil's reinsertion in reverse trail order
+		// build the heap a full drain would have left.
+		s.order.clear()
 	}
 	s.cancelUntil(0)
 	return status
@@ -994,6 +1018,14 @@ type varHeap struct {
 }
 
 func (h *varHeap) empty() bool { return len(h.heap) == 0 }
+
+// clear removes every variable from the heap.
+func (h *varHeap) clear() {
+	for _, v := range h.heap {
+		h.indices[v] = -1
+	}
+	h.heap = h.heap[:0]
+}
 
 func (h *varHeap) inHeap(v int) bool {
 	return v < len(h.indices) && h.indices[v] >= 0

@@ -524,3 +524,73 @@ func BenchmarkPigeonhole8Simp(b *testing.B) {
 		}
 	}
 }
+
+// After every Sat answer the VSIDS heap holds exactly the non-eliminated
+// variables the answer assigned above level 0, which are unassigned
+// again, in a valid heap order: the answer stops at a total assignment
+// instead of draining the heap, so it must leave the heap a drain and
+// reinsertion would. Random formulas are solved under assumptions, with
+// Simplify and new clauses in between.
+func TestHeapAfterSatHoldsUnassignedVars(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sats := 0
+	for i := 0; i < 200; i++ {
+		nVars := 8 + rng.Intn(40)
+		s := loadInstance(randomInstance(rng, nVars, nVars+rng.Intn(3*nVars)), nVars)
+		const nIface = 6
+		for v := 0; v < nIface; v++ {
+			s.FreezeLit(MkLit(v, false))
+		}
+		if rng.Intn(2) == 0 {
+			s.SetRandomPolarity(rng.Int63())
+		}
+		for round := 0; round < 6; round++ {
+			if rng.Intn(3) == 0 {
+				s.Simplify(true)
+			}
+			var assumps []Lit
+			for v := 0; v < nIface; v++ {
+				if rng.Intn(3) == 0 {
+					assumps = append(assumps, MkLit(v, rng.Intn(2) == 0))
+				}
+			}
+			if s.Solve(assumps...) != Sat {
+				continue
+			}
+			sats++
+			checkHeapAfterSat(t, s)
+			if rng.Intn(2) == 0 {
+				s.AddClause(MkLit(rng.Intn(nIface), rng.Intn(2) == 0), MkLit(rng.Intn(nIface), rng.Intn(2) == 0))
+			}
+		}
+	}
+	if sats < 200 {
+		t.Fatalf("only %d Sat answers checked", sats)
+	}
+}
+
+func checkHeapAfterSat(t *testing.T, s *Solver) {
+	t.Helper()
+	h := &s.order
+	free := 0
+	for v := 0; v < s.numVars; v++ {
+		want := !s.elim[v] && s.valueVar(v) == lUndef
+		if h.inHeap(v) != want {
+			t.Fatalf("var %d: in heap %v, want %v (eliminated %v, value %d)", v, h.inHeap(v), want, s.elim[v], s.valueVar(v))
+		}
+		if want {
+			free++
+		}
+	}
+	if len(h.heap) != free {
+		t.Fatalf("heap holds %d entries, want %d", len(h.heap), free)
+	}
+	for i, v := range h.heap {
+		if h.indices[v] != i {
+			t.Fatalf("heap position %d holds var %d indexed at %d", i, v, h.indices[v])
+		}
+		if i > 0 && h.less(v, h.heap[(i-1)/2]) {
+			t.Fatalf("heap position %d is more active than its parent", i)
+		}
+	}
+}
