@@ -26,7 +26,6 @@ var callerExempt = map[string]string{
 	"rewrite.CountPIInverterEdges": "counts inverted input edges, the measure of the rewriter's obfuscation tests",
 	"rewrite.Ones":                 "on-set size of a truth table, checked against cut enumeration",
 	"rewrite.Truth":                "cube truth table, checked against simulation",
-	"sat.Model":                    "the full model, read by solver tests to check satisfying assignments",
 	"obs.Started":                  "Collector query: how tests read back the spans that began",
 	"obs.EventsNamed":              "Collector query: how tests find recorded events by name",
 	"obs.SpanNamed":                "Collector query: how tests find one recorded span",

@@ -202,8 +202,11 @@ func BuildCover(g *aig.AIG, cover []Cube, leafLits []aig.Lit) aig.Lit {
 // the cheaper of the ISOP covers of tt and its complement.
 func BuildFromTruth(g *aig.AIG, tt uint64, leafLits []aig.Lit) aig.Lit {
 	nvars := len(leafLits)
-	cPos, _ := Isop(tt, tt, nvars)
-	cNeg, _ := Isop(^tt, ^tt, nvars)
+	// Both covers share one stack buffer; append moves them to the heap
+	// only if they outgrow it.
+	var buf [64]Cube
+	cPos, _ := Isop(buf[:0], tt, tt, nvars)
+	cNeg, _ := Isop(cPos[len(cPos):], ^tt, ^tt, nvars)
 	if CoverCost(cNeg) < CoverCost(cPos) {
 		return BuildCover(g, cNeg, leafLits).Not()
 	}

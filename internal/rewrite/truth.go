@@ -74,16 +74,16 @@ func (c Cube) NumLits() int {
 	return bits.OnesCount32(c.Pos) + bits.OnesCount32(c.Neg)
 }
 
-// Isop computes an irredundant sum-of-products for any function f with
-// L <= f <= U (Minato-Morreale). Pass L = U = tt for an exact cover.
-// nvars bounds the variables considered (<= 6). The returned cover's truth
-// table is also returned.
-func Isop(l, u uint64, nvars int) ([]Cube, uint64) {
+// Isop appends to cover an irredundant sum-of-products for any function f
+// with L <= f <= U (Minato-Morreale) and returns the extended cover and
+// f's truth table. Pass L = U = tt for an exact cover. nvars bounds the
+// variables considered (<= 6).
+func Isop(cover []Cube, l, u uint64, nvars int) ([]Cube, uint64) {
 	if l == 0 {
-		return nil, 0
+		return cover, 0
 	}
 	if u == ^uint64(0) {
-		return []Cube{{}}, ^uint64(0)
+		return append(cover, Cube{}), ^uint64(0)
 	}
 	// Find the top variable on which either bound depends.
 	v := -1
@@ -95,26 +95,25 @@ func Isop(l, u uint64, nvars int) ([]Cube, uint64) {
 	}
 	if v < 0 {
 		// l is a constant: it must be 1 (l != 0 over the full domain).
-		return []Cube{{}}, ^uint64(0)
+		return append(cover, Cube{}), ^uint64(0)
 	}
 	l0, l1 := Cof0(l, v), Cof1(l, v)
 	u0, u1 := Cof0(u, v), Cof1(u, v)
 
-	c0, f0 := Isop(l0&^u1, u0, v)
-	c1, f1 := Isop(l1&^u0, u1, v)
+	// The sub-covers only mention variables below v, so v's literal can
+	// be set on each one's cubes after it is appended.
+	start := len(cover)
+	cover, f0 := Isop(cover, l0&^u1, u0, v)
+	mid := len(cover)
+	cover, f1 := Isop(cover, l1&^u0, u1, v)
+	for i := start; i < mid; i++ {
+		cover[i].Neg |= 1 << uint(v)
+	}
+	for i := mid; i < len(cover); i++ {
+		cover[i].Pos |= 1 << uint(v)
+	}
 	lnew := (l0 &^ f0) | (l1 &^ f1)
-	cs, fs := Isop(lnew, u0&u1, v)
-
-	cover := make([]Cube, 0, len(c0)+len(c1)+len(cs))
-	for _, c := range c0 {
-		c.Neg |= 1 << uint(v)
-		cover = append(cover, c)
-	}
-	for _, c := range c1 {
-		c.Pos |= 1 << uint(v)
-		cover = append(cover, c)
-	}
-	cover = append(cover, cs...)
+	cover, fs := Isop(cover, lnew, u0&u1, v)
 	f := (f0 &^ varMasks[v]) | (f1 & varMasks[v]) | fs
 	return cover, f
 }

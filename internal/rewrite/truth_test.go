@@ -86,7 +86,7 @@ func TestIsopExactRandom(t *testing.T) {
 	f := func(raw uint64, nv uint8) bool {
 		nvars := int(nv%5) + 2 // 2..6
 		tt := replicate(raw, nvars)
-		cover, ftt := Isop(tt, tt, nvars)
+		cover, ftt := Isop(nil, tt, tt, nvars)
 		return ftt == tt && coverTruth(cover) == tt
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -101,7 +101,7 @@ func TestIsopIntervalRandom(t *testing.T) {
 		nvars := 2 + rng.Intn(5)
 		l := replicate(rng.Uint64(), nvars)
 		u := l | replicate(rng.Uint64(), nvars)
-		cover, ftt := Isop(l, u, nvars)
+		cover, ftt := Isop(nil, l, u, nvars)
 		ct := coverTruth(cover)
 		if ct != ftt {
 			t.Fatalf("reported truth differs from cover truth")
@@ -116,16 +116,16 @@ func TestIsopIntervalRandom(t *testing.T) {
 }
 
 func TestIsopEdgeCases(t *testing.T) {
-	if cover, _ := Isop(0, 0, 4); len(cover) != 0 {
+	if cover, _ := Isop(nil, 0, 0, 4); len(cover) != 0 {
 		t.Fatal("empty function should have empty cover")
 	}
-	cover, ftt := Isop(^uint64(0), ^uint64(0), 4)
+	cover, ftt := Isop(nil, ^uint64(0), ^uint64(0), 4)
 	if len(cover) != 1 || cover[0].NumLits() != 0 || ftt != ^uint64(0) {
 		t.Fatal("tautology should be a single empty cube")
 	}
 	// Single minterm of 6 vars: one cube with 6 literals.
 	tt := uint64(1) // minterm 0: all vars 0
-	cover, _ = Isop(tt, tt, 6)
+	cover, _ = Isop(nil, tt, tt, 6)
 	if len(cover) != 1 || cover[0].NumLits() != 6 {
 		t.Fatalf("single minterm: %+v", cover)
 	}

@@ -23,10 +23,11 @@ package sat
 //     Any variable later used in an assumption, read through ModelValue,
 //     or mentioned by a clause added after Simplify must be frozen
 //     first; violating this panics rather than corrupting the answer.
-//   - Eliminated variables get their model values reconstructed
-//     (extendModel) from the clauses removed at elimination time, so
-//     Model/ModelValue keep working unchanged for callers that froze
-//     everything they read.
+//   - Eliminated variables have no model value. The clauses removed
+//     with them are dropped, not kept for model reconstruction, so a
+//     Sat answer's model, restricted to the variables not eliminated,
+//     extends to a model of the original clauses but does not carry
+//     that extension. ModelValue panics on an eliminated variable.
 //
 // All simplification is deterministic: occurrence lists and queues are
 // slices filled and drained in ascending clause-id order, candidate
@@ -97,27 +98,14 @@ func (s SimpStats) Sub(prev SimpStats) SimpStats {
 	}
 }
 
-// elimRecord remembers the clauses removed when a variable was
-// eliminated, for model reconstruction. The literals are deep copies
-// (the arena storage they came from is reclaimed by compaction), held
-// in the solver-wide append-only store s.elimLits/s.elimEnds: the
-// record owns the prefix-end window s.elimEnds[endLo:endHi], and clause
-// k's literals are s.elimLits[ends[k-1]:ends[k]] (with the record's
-// first clause starting at ends[endLo-1], or 0). One flat store means
-// eliminating a variable costs no allocation beyond amortized growth.
-type elimRecord struct {
-	v            int
-	endLo, endHi int32
-}
-
 // FreezeLit exempts the literal's variable from elimination. Freeze
 // every variable that will later appear in an assumption, a ModelValue
 // read, or a clause added after Simplify.
 func (s *Solver) FreezeLit(l Lit) { s.frozen[l.Var()] = true }
 
 // Eliminated reports whether the variable has been eliminated by a
-// Simplify call. Its model value is reconstructed after each Sat
-// answer, but it may no longer appear in assumptions or new clauses.
+// Simplify call. It has no model value and may no longer appear in
+// assumptions, new clauses or ModelValue reads.
 func (s *Solver) Eliminated(v int) bool { return s.elim[v] }
 
 // SimpStats returns simplification counters accumulated across all
@@ -132,7 +120,7 @@ func (s *Solver) SimpStats() SimpStats { return s.simpStats }
 // will assume, read or constrain later is frozen. It returns false when
 // simplification proves the formula unsatisfiable (like AddClause).
 // Solving continues to work afterwards: frozen variables keep their
-// meaning, eliminated variables are reconstructed into the model.
+// meaning, eliminated variables are gone from the model.
 func (s *Solver) Simplify(varElim bool) bool {
 	if !s.ok {
 		return false
@@ -715,9 +703,9 @@ func (sp *simplifier) eliminateVars() (int, bool) {
 // positive problem clause against every negative one, and commits when
 // the surviving resolvents do not outnumber the removed clauses by more
 // than MaxGrowth (SatELite's growth bound). Removed problem clauses are
-// recorded for model reconstruction; learnt clauses mentioning v are
-// simply dropped (they are redundant, and keeping them would constrain
-// an eliminated variable).
+// dropped, not recorded: no caller reads an eliminated variable's value.
+// Learnt clauses mentioning v are dropped too (they are redundant, and
+// keeping them would constrain an eliminated variable).
 func (sp *simplifier) tryEliminate(v int) (ok, did bool) {
 	s := sp.s
 	pos, neg, lrnt := sp.pos[:0], sp.neg[:0], sp.lrnt[:0]
@@ -787,19 +775,7 @@ func (sp *simplifier) tryEliminate(v int) (ok, did bool) {
 			}
 		}
 	}
-	// Commit: record removed problem clauses for reconstruction, drop
-	// everything touching v, add the resolvents.
-	rec := elimRecord{v: v, endLo: int32(len(s.elimEnds))}
-	for _, side := range [][]int32{pos, neg} {
-		for _, id := range side {
-			for _, w := range s.ar.lits(sp.refs[id]) {
-				s.elimLits = append(s.elimLits, Lit(w))
-			}
-			s.elimEnds = append(s.elimEnds, int32(len(s.elimLits)))
-		}
-	}
-	rec.endHi = int32(len(s.elimEnds))
-	s.elimCl = append(s.elimCl, rec)
+	// Commit: drop everything touching v, add the resolvents.
 	s.elim[v] = true
 	s.numElim++
 	for _, side := range [][]int32{pos, neg} {
@@ -1085,54 +1061,6 @@ func (sp *simplifier) unwatch(l Lit, c cref) {
 			copy(ws[i:], ws[i+1:])
 			sp.s.watches[l] = ws[:len(ws)-1]
 			return
-		}
-	}
-}
-
-// modelLitTrue evaluates a literal under the last model (used only by
-// extendModel, where every variable already has a concrete value).
-func (s *Solver) modelLitTrue(l Lit) bool {
-	v := s.model[l.Var()] == lTrue
-	if l.Neg() {
-		return !v
-	}
-	return v
-}
-
-// extendModel reconstructs values for eliminated variables after a Sat
-// answer. Records are processed newest-first: a clause stored when v
-// was eliminated may mention variables eliminated later, whose values
-// must be fixed first. Within a record, v defaults to false (which
-// satisfies every ¬v clause) and flips to true only when some stored
-// clause containing +v has all its other literals false; SatELite's
-// elimination invariant guarantees no ¬v clause then becomes falsified.
-func (s *Solver) extendModel() {
-	for i := len(s.elimCl) - 1; i >= 0; i-- {
-		rec := &s.elimCl[i]
-		s.model[rec.v] = lFalse
-		start := int32(0)
-		if rec.endLo > 0 {
-			start = s.elimEnds[rec.endLo-1]
-		}
-		for _, end := range s.elimEnds[rec.endLo:rec.endHi] {
-			cl := s.elimLits[start:end]
-			start = end
-			needs := true
-			positive := false
-			for _, l := range cl {
-				if l.Var() == rec.v {
-					positive = !l.Neg()
-					continue
-				}
-				if s.modelLitTrue(l) {
-					needs = false
-					break
-				}
-			}
-			if needs && positive {
-				s.model[rec.v] = lTrue
-				break
-			}
 		}
 	}
 }

@@ -49,28 +49,29 @@ func loadInstance(cls [][]Lit, nVars int) *Solver {
 	return s
 }
 
-// modelSatisfies checks a model (from Model()) against the original
-// clause list — including clauses over eliminated variables, whose
-// values must have been reconstructed.
-func modelSatisfies(model []bool, cls [][]Lit) bool {
-	for _, cl := range cls {
-		sat := false
-		for _, l := range cl {
-			if model[l.Var()] != l.Neg() {
-				sat = true
-				break
-			}
-		}
-		if !sat {
-			return false
+// modelLits returns, for every variable the solver has not eliminated,
+// the literal its last Sat answer made true.
+func modelLits(s *Solver) []Lit {
+	var lits []Lit
+	for v := 0; v < s.NumVars(); v++ {
+		if !s.Eliminated(v) {
+			lits = append(lits, MkLit(v, !s.ModelValue(MkLit(v, false))))
 		}
 	}
-	return true
+	return lits
+}
+
+// modelExtends reports whether the last model of s, restricted to the
+// variables it has not eliminated, extends to a model of the original
+// clause list: a plain, never simplified solver over cls, assuming
+// those literals, must find values for the eliminated variables.
+func modelExtends(s *Solver, cls [][]Lit, nVars int) bool {
+	return loadInstance(cls, nVars).Solve(modelLits(s)...) == Sat
 }
 
 // TestSimplifyCrossCheck solves 100 random instances twice — plain and
-// simplified — and demands identical statuses plus a reconstructed
-// model that satisfies every original clause.
+// simplified — and demands identical statuses plus a model that
+// extends to one satisfying every original clause.
 func TestSimplifyCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 100; i++ {
@@ -88,8 +89,8 @@ func TestSimplifyCrossCheck(t *testing.T) {
 		if got != want {
 			t.Fatalf("instance %d: plain=%v simplified=%v", i, want, got)
 		}
-		if got == Sat && !modelSatisfies(simped.Model(), cls) {
-			t.Fatalf("instance %d: reconstructed model violates an original clause", i)
+		if got == Sat && !modelExtends(simped, cls, nVars) {
+			t.Fatalf("instance %d: model does not extend to the original clauses", i)
 		}
 	}
 }
@@ -122,8 +123,8 @@ func TestSimplifyAssumptionsAfterElimination(t *testing.T) {
 				t.Fatalf("instance %d pattern %b: plain=%v simplified=%v", i, pat, want, got)
 			}
 			if got == Sat {
-				if !modelSatisfies(simped.Model(), cls) {
-					t.Fatalf("instance %d pattern %b: bad reconstructed model", i, pat)
+				if !modelExtends(simped, cls, nVars) {
+					t.Fatalf("instance %d pattern %b: model does not extend to the original clauses", i, pat)
 				}
 				for v := 0; v < nIface; v++ {
 					if simped.ModelValue(assumps[v]) != true {
@@ -163,16 +164,16 @@ func TestSimplifyIncrementalClausesOnFrozen(t *testing.T) {
 			if got != want {
 				t.Fatalf("instance %d: after extra clause: plain=%v simplified=%v", i, want, got)
 			}
-			if got == Sat && !modelSatisfies(simped.Model(), cls) {
-				t.Fatalf("instance %d: model violates original clauses", i)
+			if got == Sat && !modelExtends(simped, cls, nVars) {
+				t.Fatalf("instance %d: model does not extend to the original clauses", i)
 			}
 		}
 	}
 }
 
 // TestSimplifyPanicsOnEliminatedUse pins the misuse contract: touching
-// an eliminated variable with a new clause or assumption panics instead
-// of silently corrupting the answer.
+// an eliminated variable with a new clause, an assumption or a model
+// read panics instead of silently corrupting the answer.
 func TestSimplifyPanicsOnEliminatedUse(t *testing.T) {
 	s := New()
 	// x0 appears only in two-literal chains and nothing is frozen, so
@@ -204,6 +205,10 @@ func TestSimplifyPanicsOnEliminatedUse(t *testing.T) {
 	}
 	assertPanics("AddClause", func() { s.AddClause(MkLit(victim, false)) })
 	assertPanics("Solve assumption", func() { s.Solve(MkLit(victim, false)) })
+	if s.Solve() != Sat {
+		t.Fatal("chain instance should be SAT")
+	}
+	assertPanics("ModelValue", func() { s.ModelValue(MkLit(victim, false)) })
 }
 
 // TestSimplifyUnsatDetected checks that Simplify itself reports

@@ -200,23 +200,16 @@ type Solver struct {
 	lbdGen   uint32
 
 	// Simplification state (see simp.go). frozen vars are exempt from
-	// variable elimination; elim vars have been resolved away and their
-	// model values are reconstructed from elimCl after each Sat answer.
+	// variable elimination; elim vars have been resolved away, together
+	// with the clauses that mentioned them, and have no model value.
 	// sp is the pooled simplifier scratch, reused across Simplify calls.
 	frozen []bool
 	elim   []bool
 	// numElim counts the set elim flags: once the trail holds the other
 	// numVars-numElim variables, the assignment is total.
-	numElim int
-	// elimCl/elimLits/elimEnds are the flattened store of clauses
-	// removed by variable elimination (see elimRecord); modelDirty marks
-	// a fresh model whose eliminated vars have not been reconstructed.
-	elimCl     []elimRecord
-	elimLits   []Lit
-	elimEnds   []int32
-	modelDirty bool
-	simpStats  SimpStats
-	sp         *simplifier
+	numElim   int
+	simpStats SimpStats
+	sp        *simplifier
 	// Incremental-simplification watermarks: problem clauses at index >=
 	// simpMark and root assignments at trail index >= simpTrailMark are
 	// new since the last Simplify finished. simpMark < 0 means no pass
@@ -239,7 +232,7 @@ func New() *Solver {
 
 // Clone returns an independent deep copy of the solver: the same
 // formula, learnt clauses, assignment, heuristic state, elimination
-// store and counters, so the copy answers every later call exactly as
+// flags and counters, so the copy answers every later call exactly as
 // the original would. The copy shares no backing array with the
 // original. It has no progress callback and no context, and it starts
 // without the pooled simplifier and hot-path scratch, which hold no
@@ -277,9 +270,6 @@ func (s *Solver) Clone() *Solver {
 	c.lbdStamp = slices.Clone(s.lbdStamp)
 	c.frozen = slices.Clone(s.frozen)
 	c.elim = slices.Clone(s.elim)
-	c.elimCl = slices.Clone(s.elimCl)
-	c.elimLits = slices.Clone(s.elimLits)
-	c.elimEnds = slices.Clone(s.elimEnds)
 	c.ctxDone = nil
 	c.progressFn, c.progressEvery, c.progressNext = nil, 0, 0
 	c.learntBuf, c.clearBuf, c.addBuf, c.redScratch = nil, nil, nil, nil
@@ -962,19 +952,10 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 	}
 	if status == Sat {
 		s.model = slices.Grow(s.model[:0], s.numVars)[:s.numVars]
-		// Unassigned vars (eliminated ones) default to false.
+		// Only eliminated vars are unassigned; ModelValue refuses them.
 		for v := range s.model {
-			a := s.valueVar(v)
-			if a == lUndef {
-				a = lFalse
-			}
-			s.model[v] = a
+			s.model[v] = s.valueVar(v)
 		}
-		// Eliminated-variable reconstruction is deferred until a read
-		// actually needs it: frozen variables (the only ones most
-		// callers read) are never eliminated, so attack loops that poll
-		// ModelValue on interface literals skip the replay entirely.
-		s.modelDirty = len(s.elimCl) > 0
 		// The answer left assigned variables in the heap. Emptying it
 		// first makes cancelUntil's reinsertion in reverse trail order
 		// build the heap a full drain would have left.
@@ -985,29 +966,17 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 }
 
 // ModelValue returns the value of a literal in the last satisfying model.
+// The literal's variable must not have been eliminated: an eliminated
+// variable has no model value, and reading one panics.
 func (s *Solver) ModelValue(l Lit) bool {
-	if s.modelDirty && s.elim[l.Var()] {
-		s.extendModel()
-		s.modelDirty = false
+	if s.elim[l.Var()] {
+		panic("sat: model read of eliminated variable (freeze it before Simplify)")
 	}
 	v := s.model[l.Var()] == lTrue
 	if l.Neg() {
 		return !v
 	}
 	return v
-}
-
-// Model returns the last satisfying assignment as a bool slice per variable.
-func (s *Solver) Model() []bool {
-	if s.modelDirty {
-		s.extendModel()
-		s.modelDirty = false
-	}
-	m := make([]bool, s.numVars)
-	for i := range m {
-		m[i] = i < len(s.model) && s.model[i] == lTrue
-	}
-	return m
 }
 
 // varHeap is a max-heap of variables ordered by activity.
