@@ -1,10 +1,12 @@
 package obfuslock
 
-// Dead-API check over the internal tree: every exported function and
-// method declared under internal/ must be named by some non-test code of
-// the module. internal/ packages cannot be imported from outside the
-// module, so an exported name that no CLI, example, experiment, facade
-// or benchmark uses is code that no program runs.
+// Dead-API checks. Every exported function and method declared under
+// internal/ must be named by some non-test code of the module: internal/
+// packages cannot be imported from outside the module, so an exported
+// name that no CLI, example, experiment, facade or benchmark uses is code
+// that no program runs. The same holds for the root facade: every name it
+// exports must be named through an import of "obfuslock" by a program
+// (cmd/, examples/, benchmark/), apart from the aliases in facadeTypeOnly.
 
 import (
 	"go/ast"
@@ -13,6 +15,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,15 +34,11 @@ var callerExempt = map[string]string{
 	"obs.SpanNamed":                "Collector query: how tests find one recorded span",
 }
 
-// TestInternalAPIHasCaller fails on any exported function or method under
-// internal/ whose name no non-test Go file of the module uses. Matching is
-// by name, so a use of any same-named identifier counts as a caller.
-func TestInternalAPIHasCaller(t *testing.T) {
-	type decl struct{ pkg, name string }
-	var decls []decl
-	used := map[string]bool{}
+// walkSources parses every non-test Go file of the module (benchmark/
+// included; hidden and testdata directories skipped) and hands it to fn.
+func walkSources(fn func(path string, f *ast.File)) error {
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	return filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -56,6 +55,19 @@ func TestInternalAPIHasCaller(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		fn(path, f)
+		return nil
+	})
+}
+
+// TestInternalAPIHasCaller fails on any exported function or method under
+// internal/ whose name no non-test Go file of the module uses. Matching is
+// by name, so a use of any same-named identifier counts as a caller.
+func TestInternalAPIHasCaller(t *testing.T) {
+	type decl struct{ pkg, name string }
+	var decls []decl
+	used := map[string]bool{}
+	err := walkSources(func(path string, f *ast.File) {
 		declared := map[*ast.Ident]bool{}
 		inInternal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
 		for _, dd := range f.Decls {
@@ -74,7 +86,6 @@ func TestInternalAPIHasCaller(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +109,98 @@ func TestInternalAPIHasCaller(t *testing.T) {
 	for key := range callerExempt {
 		if used[key[strings.Index(key, ".")+1:]] {
 			t.Errorf("callerExempt[%q]: non-test code now uses it; drop the exemption", key)
+		}
+	}
+}
+
+// facadeTypeOnly lists the exported facade names that no program names
+// directly, each with the reason it stays: every one is an alias of what a
+// called facade function returns or takes, so a caller holds its values
+// without importing an internal package.
+var facadeTypeOnly = map[string]string{
+	"Options":       "taken by Lock and LockContext, returned by DefaultOptions",
+	"Result":        "returned by Lock and LockContext",
+	"Report":        "the Report field of a Result",
+	"Oracle":        "returned by NewOracle, taken by Attack.Run",
+	"CECOptions":    "returned by DefaultCECOptions and SweepCECOptions",
+	"AttackOptions": "returned by DefaultAttackOptions, taken by Attack.Run",
+	"AttackResult":  "returned by Attack.Run",
+	"PPAReport":     "returned by AnalyzePPA, taken by ComparePPA",
+	"PPAOverhead":   "returned by ComparePPA",
+	"Benchmark":     "the element type of Benchmarks and SmallBenchmarks",
+	"Attack":        "returned by AttackNamed",
+}
+
+// TestFacadeAPIHasCaller fails on any exported top-level name of the root
+// package that no program outside the root directory names as
+// <import of "obfuslock">.Name. Matching is by selector, not by bare
+// identifier, because Lock, Options and others also exist under internal/.
+func TestFacadeAPIHasCaller(t *testing.T) {
+	var decls []string
+	used := map[string]bool{}
+	err := walkSources(func(path string, f *ast.File) {
+		if filepath.Dir(path) == "." {
+			for _, dd := range f.Decls {
+				switch d := dd.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.IsExported() {
+						decls = append(decls, d.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							if s.Name.IsExported() {
+								decls = append(decls, s.Name.Name)
+							}
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								if n.IsExported() {
+									decls = append(decls, n.Name)
+								}
+							}
+						}
+					}
+				}
+			}
+			return
+		}
+		facade := ""
+		for _, imp := range f.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == "obfuslock" {
+				facade = "obfuslock"
+				if imp.Name != nil {
+					facade = imp.Name.Name
+				}
+			}
+		}
+		if facade == "" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == facade {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) == 0 {
+		t.Fatal("no exported facade names found; is the walk rooted at the module?")
+	}
+	sort.Strings(decls)
+	for _, name := range decls {
+		if !used[name] && facadeTypeOnly[name] == "" {
+			t.Errorf("obfuslock.%s has no caller in cmd/, examples/ or benchmark/: delete it or call it", name)
+		}
+	}
+	for name := range facadeTypeOnly {
+		if used[name] {
+			t.Errorf("facadeTypeOnly[%q]: a program now names it; drop the exemption", name)
 		}
 	}
 }

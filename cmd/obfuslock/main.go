@@ -42,6 +42,7 @@ import (
 
 	"obfuslock"
 	"obfuslock/internal/cliflags"
+	"obfuslock/internal/obs"
 )
 
 // config is the parsed command line.
@@ -180,7 +181,7 @@ func main() {
 	}
 
 	if cfg.verify {
-		vsp := tracer.Span("verify", obfuslock.TraceBool("sweep", cfg.sweep))
+		vsp := tracer.Span("verify", obs.Bool("sweep", cfg.sweep))
 		copt := obfuslock.DefaultCECOptions()
 		if cfg.sweep {
 			copt = obfuslock.SweepCECOptions()
@@ -190,7 +191,7 @@ func main() {
 		copt.Simp = sopt
 		err := res.Locked.VerifyWith(ctx, c, copt)
 		if err != nil {
-			vsp.End(obfuslock.TraceStr("error", err.Error()))
+			vsp.End(obs.Str("error", err.Error()))
 			fatal(fmt.Errorf("verification failed: %w", err))
 		}
 		vsp.End()
@@ -198,7 +199,7 @@ func main() {
 	}
 
 	if cfg.resilience > 0 {
-		rsp := tracer.Span("resilience", obfuslock.TraceDur("budget", cfg.resilience))
+		rsp := tracer.Span("resilience", obs.Dur("budget", cfg.resilience))
 		aopt := obfuslock.DefaultAttackOptions()
 		aopt.Timeout = cfg.resilience
 		aopt.Seed = cfg.seed
@@ -207,9 +208,9 @@ func main() {
 		aopt.DIPBatch = cfg.solver.DIPBatch
 		a, _ := obfuslock.AttackNamed("sat")
 		r := a.Run(ctx, res.Locked, obfuslock.NewOracle(c), aopt)
-		rsp.End(obfuslock.TraceBool("key_found", r.Key != nil),
-			obfuslock.TraceInt("iterations", int64(r.Iterations)),
-			obfuslock.TraceInt("queries", int64(r.Queries)))
+		rsp.End(obs.Bool("key_found", r.Key != nil),
+			obs.Int("iterations", int64(r.Iterations)),
+			obs.Int("queries", int64(r.Queries)))
 		if r.Key != nil {
 			fmt.Printf("resilience: BROKEN — SAT attack recovered a key in %v (%d iterations, %d queries)\n",
 				r.Runtime, r.Iterations, r.Queries)

@@ -9,6 +9,7 @@ import (
 
 	"obfuslock/internal/aig"
 	"obfuslock/internal/attacks"
+	"obfuslock/internal/cec"
 	"obfuslock/internal/core"
 	"obfuslock/internal/count"
 	"obfuslock/internal/exec"
@@ -16,6 +17,7 @@ import (
 	"obfuslock/internal/lockbase"
 	"obfuslock/internal/locking"
 	"obfuslock/internal/netlistgen"
+	"obfuslock/internal/obs"
 	"obfuslock/internal/rewrite"
 	"obfuslock/internal/sample"
 	"obfuslock/internal/simp"
@@ -25,7 +27,7 @@ import (
 
 // lockBench locks the small adder/comparator at a fixed seed and returns
 // the serialized locked netlist.
-func lockBench(t *testing.T, tr *Tracer) []byte {
+func lockBench(t *testing.T, tr *obs.Tracer) []byte {
 	t.Helper()
 	c := SmallBenchmarks()[1].Build()
 	opt := DefaultOptions()
@@ -53,7 +55,7 @@ func TestLockSeedByteIdentical(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed produced different .bench output")
 	}
-	traced := lockBench(t, NewTracer(NewTraceCollector()))
+	traced := lockBench(t, obs.New(obs.NewCollector()))
 	if !bytes.Equal(a, traced) {
 		t.Fatal("enabling tracing changed the locked netlist")
 	}
@@ -76,7 +78,7 @@ func TestAttackTranscriptDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("sat attack missing from registry")
 	}
-	run := func(tr *Tracer) AttackResult {
+	run := func(tr *obs.Tracer) AttackResult {
 		aopt := DefaultAttackOptions()
 		aopt.MaxIterations = 25
 		aopt.Seed = 7
@@ -89,8 +91,8 @@ func TestAttackTranscriptDeterministic(t *testing.T) {
 		t.Fatalf("same seed, different transcript: (%d,%d) vs (%d,%d)",
 			r1.Iterations, r1.Queries, r2.Iterations, r2.Queries)
 	}
-	col := NewTraceCollector()
-	r3 := run(NewTracer(col))
+	col := obs.NewCollector()
+	r3 := run(obs.New(col))
 	if r3.Iterations != r1.Iterations || r3.Queries != r1.Queries {
 		t.Fatalf("tracing changed the transcript: (%d,%d) vs (%d,%d)",
 			r3.Iterations, r3.Queries, r1.Iterations, r1.Queries)
@@ -261,7 +263,7 @@ func renderQuerySuite(t *testing.T, workers int) []byte {
 
 		// CEC: the circuit against a rewritten (equivalent) copy.
 		rw := rewrite.FunctionalRewrite(c, 7)
-		r, err := CheckEquivalent(ctx, c, rw, DefaultCECOptions())
+		r, err := cec.Check(ctx, c, rw, DefaultCECOptions())
 		if err != nil {
 			t.Error(err)
 			return ""

@@ -2,7 +2,7 @@ package obfuslock
 
 // Documentation-consistency checks for the attack-facing packages. The
 // attack surface is the part of the codebase external users script
-// against first (cmd/attack, the facade's Attack* API), so its godoc is
+// against first (cmd/attack, the facade's AttackNamed), so its godoc is
 // held to a stricter bar than the rest of the tree: every exported
 // symbol documented and a doc.go package overview per package. CI runs
 // this alongside go vet.

@@ -280,5 +280,6 @@ func Valkyrie(ctx context.Context, l *locking.Locked, orig *aig.AIG, shortlist i
 // It is the "found" view of cec.FindNode: false covers both a refuted and
 // an undecided search.
 func CriticalNodeSurvives(ctx context.Context, l *locking.Locked, specG *aig.AIG, spec aig.Lit, opt cec.FindOptions) (aig.Lit, bool) {
-	return cec.FindEquivalentNode(ctx, l.WrongKeyBound(), specG, spec, opt)
+	lit, v := cec.FindNode(ctx, l.WrongKeyBound(), specG, spec, opt)
+	return lit, v == cec.Found
 }

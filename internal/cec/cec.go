@@ -228,7 +228,7 @@ func solvePairs(ctx context.Context, g *aig.AIG, pairs [][2]aig.Lit, opt Options
 	return Result{SolverStats: s.Stats()}
 }
 
-// FindOptions configures FindNode and FindEquivalentNode.
+// FindOptions configures FindNode.
 type FindOptions struct {
 	// SimWords of 64 random patterns build the signature shortlist (0: 8).
 	SimWords int
@@ -284,14 +284,6 @@ func (v FindVerdict) String() string {
 // the swept proof, which handles restructured equivalent cones far
 // better than a monolithic miter.
 const quickConflicts = 2000
-
-// FindEquivalentNode is the "found" view of FindNode: the matching literal
-// and true when a node was proven equivalent, false when the scan refuted
-// every node or was left undecided.
-func FindEquivalentNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec aig.Lit, opt FindOptions) (aig.Lit, bool) {
-	lit, v := FindNode(ctx, g, specG, spec, opt)
-	return lit, v == Found
-}
 
 // ConeGraph returns a graph over all of src's inputs with the function of
 // root as its single output.

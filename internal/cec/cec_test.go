@@ -160,8 +160,8 @@ func TestFindEquivalentNode(t *testing.T) {
 	g.AddOutput(g.And(target, noise.Not()).Not(), "z")
 	g.AddOutput(noise, "y")
 
-	got, ok := FindEquivalentNode(context.Background(), g, specG, spec, FindOptions{SimWords: 4, Seed: 7})
-	if !ok {
+	got, v := FindNode(context.Background(), g, specG, spec, FindOptions{SimWords: 4, Seed: 7})
+	if v != Found {
 		t.Fatal("equivalent node not found")
 	}
 	// Verify the find by exhaustive evaluation.
@@ -179,7 +179,7 @@ func TestFindEquivalentNode(t *testing.T) {
 	spec2G := aig.New()
 	p := spec2G.Xor(spec2G.Xor(spec2G.AddInput("a"), spec2G.AddInput("b")), spec2G.AddInput("c"))
 	spec2G.AddOutput(p, "f")
-	if _, ok := FindEquivalentNode(context.Background(), g, spec2G, p, FindOptions{SimWords: 4, Seed: rng.Int63()}); ok {
+	if _, v := FindNode(context.Background(), g, spec2G, p, FindOptions{SimWords: 4, Seed: rng.Int63()}); v == Found {
 		t.Fatal("found a node that should not exist")
 	}
 }

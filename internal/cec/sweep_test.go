@@ -138,7 +138,7 @@ func TestCheckTraced(t *testing.T) {
 		t.Fatal("swept check did not record a fraig.sweep span")
 	}
 
-	// FindEquivalentNode must trace too.
+	// FindNode must trace too.
 	specG := aig.New()
 	sa := specG.AddInput("a")
 	sb := specG.AddInput("b")
@@ -150,7 +150,7 @@ func TestCheckTraced(t *testing.T) {
 	g.AddOutput(g.Or(ga, gb), "z")
 	fopt := DefaultFindOptions()
 	fopt.Trace = tr
-	FindEquivalentNode(context.Background(), g, specG, spec, fopt)
+	FindNode(context.Background(), g, specG, spec, fopt)
 	if _, ok := col.SpanNamed("cec.find_node"); !ok {
 		t.Fatal("no cec.find_node span recorded")
 	}

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"obfuslock/internal/cec"
+	"obfuslock/internal/skew"
 )
 
 func TestFacadeRoundTrip(t *testing.T) {
@@ -30,11 +33,11 @@ func TestFacadeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq, err := Equivalent(res.Locked.Enc, back)
+	r, err := cec.Check(context.Background(), res.Locked.Enc, back, cec.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eq {
+	if !r.Equivalent {
 		t.Fatal("bench round trip changed the locked netlist")
 	}
 
@@ -119,7 +122,9 @@ func TestFacadeSkewness(t *testing.T) {
 	_ = lits
 	in := c.AddInputs(12)
 	c.AddOutput(c.AndN(in...), "f")
-	bits := SkewnessBits(c, 0, 1)
+	so := skew.DefaultSplittingOptions()
+	so.Seed = 1
+	bits := skew.SplittingBits(c, c.Output(0), so)
 	if bits < 9 || bits > 15 {
 		t.Fatalf("AND12 skewness = %.1f bits, want ~12", bits)
 	}

@@ -1,7 +1,7 @@
 // Registries for the baseline locking schemes and the oracle-guided
-// attacks. Callers select by name — CLIs and experiment sweeps route
-// through these instead of hand-rolled switch statements, so adding a
-// scheme or an attack is one registry entry, not N call sites.
+// attacks. The CLIs and examples select by name through these instead of
+// hand-rolled switch statements, so adding a scheme or an attack is one
+// registry entry, not N call sites.
 package obfuslock
 
 import (
@@ -58,10 +58,9 @@ func defaultInt(v, d int) int {
 	return v
 }
 
-// Schemes lists the registered baseline locking schemes, sorted by name.
-// Every name is accepted by LockWith. (ObfusLock itself is not in the
-// list: it is the package's Lock function, with its own Options.)
-func Schemes() []string {
+// schemes lists the registered baseline locking schemes, sorted by name,
+// for LockWith's unknown-name error.
+func schemes() []string {
 	names := make([]string, 0, len(schemeRegistry))
 	for name := range schemeRegistry {
 		names = append(names, name)
@@ -82,7 +81,7 @@ func LockWith(ctx context.Context, name string, c *Circuit, opt SchemeOptions) (
 	}
 	fn, ok := schemeRegistry[name]
 	if !ok {
-		return nil, fmt.Errorf("obfuslock: unknown scheme %q (have %v)", name, Schemes())
+		return nil, fmt.Errorf("obfuslock: unknown scheme %q (have %v)", name, schemes())
 	}
 	return fn(c, opt)
 }
@@ -90,59 +89,31 @@ func LockWith(ctx context.Context, name string, c *Circuit, opt SchemeOptions) (
 // Attack is one oracle-guided key-recovery attack. Implementations are
 // stateless; Run may be called concurrently with distinct oracles.
 type Attack interface {
-	// Name is the registry identifier ("sat", "appsat").
-	Name() string
-	// Description is a one-line summary for CLI help text.
-	Description() string
 	// Run attacks the locked design with query access to the oracle.
 	// Cancelling ctx stops the attack within one solver progress
 	// interval; opt bounds it (AttackOptions.Timeout, .MaxIterations).
 	Run(ctx context.Context, l *Locked, o *Oracle, opt AttackOptions) AttackResult
 }
 
-type attackEntry struct {
-	name, desc string
-	run        func(ctx context.Context, l *Locked, o *Oracle, opt AttackOptions) AttackResult
+// attackFunc adapts one attack entry point to the Attack interface.
+type attackFunc func(ctx context.Context, l *Locked, o *Oracle, opt AttackOptions) AttackResult
+
+func (f attackFunc) Run(ctx context.Context, l *Locked, o *Oracle, opt AttackOptions) AttackResult {
+	return f(ctx, l, o, opt)
 }
 
-func (a attackEntry) Name() string        { return a.name }
-func (a attackEntry) Description() string { return a.desc }
-func (a attackEntry) Run(ctx context.Context, l *Locked, o *Oracle, opt AttackOptions) AttackResult {
-	return a.run(ctx, l, o, opt)
-}
-
-var attackRegistry = []attackEntry{
-	{
-		name: "sat",
-		desc: "oracle-guided SAT attack (Subramanyan et al.): exact key recovery via DIPs",
-		run: func(ctx context.Context, l *Locked, o *Oracle, opt AttackOptions) AttackResult {
-			return attacks.SATAttack(ctx, l, o, opt)
-		},
-	},
-	{
-		name: "appsat",
-		desc: "approximate SAT attack (Shamsi et al.): capped DIP loop with random-query settling",
-		run: func(ctx context.Context, l *Locked, o *Oracle, opt AttackOptions) AttackResult {
-			return attacks.AppSAT(ctx, l, o, opt)
-		},
-	},
-}
-
-// Attacks lists the registered oracle-guided attacks in registry order.
-func Attacks() []Attack {
-	out := make([]Attack, len(attackRegistry))
-	for i, a := range attackRegistry {
-		out[i] = a
-	}
-	return out
+// attackRegistry maps attack names to the two entry points of the shared
+// DIP loop: the SAT attack (Subramanyan et al.) and AppSAT (Shamsi et al.).
+var attackRegistry = map[string]attackFunc{
+	"sat":    attacks.SATAttack,
+	"appsat": attacks.AppSAT,
 }
 
 // AttackNamed returns the registered attack with the given name.
 func AttackNamed(name string) (Attack, bool) {
-	for _, a := range attackRegistry {
-		if a.name == name {
-			return a, true
-		}
+	a, ok := attackRegistry[name]
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	return a, true
 }
