@@ -61,28 +61,63 @@ func walkSources(fn func(path string, f *ast.File)) error {
 }
 
 // TestInternalAPIHasCaller fails on any exported function or method under
-// internal/ whose name no non-test Go file of the module uses. Matching is
-// by name, so a use of any same-named identifier counts as a caller.
+// internal/ that no non-test Go file of the module uses. A function counts
+// as used where another package names it as <import>.Name, or where its
+// own package names it bare. A method counts as used wherever an
+// identifier of its name appears, since its receiver's type is not known
+// without type-checking.
 func TestInternalAPIHasCaller(t *testing.T) {
-	type decl struct{ pkg, name string }
+	type decl struct {
+		pkg, name string
+		method    bool
+	}
 	var decls []decl
-	used := map[string]bool{}
+	used := map[string]bool{}    // <import path>.Name of every function reference
+	anyName := map[string]bool{} // every identifier that is not a declaration
 	err := walkSources(func(path string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		self := "obfuslock"
+		if dir != "." {
+			self += "/" + dir
+		}
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				continue
+			}
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
 		declared := map[*ast.Ident]bool{}
-		inInternal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
 		for _, dd := range f.Decls {
 			fd, ok := dd.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
 			declared[fd.Name] = true
-			if inInternal && fd.Name.IsExported() {
-				decls = append(decls, decl{filepath.Dir(path), fd.Name.Name})
+			if strings.HasPrefix(dir, "internal/") && fd.Name.IsExported() {
+				decls = append(decls, decl{self, fd.Name.Name, fd.Recv != nil})
 			}
 		}
+		selected := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				selected[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					used[imports[x.Name]+"."+n.Sel.Name] = true
+				}
+			case *ast.Ident:
+				if !declared[n] {
+					anyName[n.Name] = true
+					if !selected[n] {
+						used[self+"."+n.Name] = true
+					}
+				}
 			}
 			return true
 		})
@@ -94,12 +129,19 @@ func TestInternalAPIHasCaller(t *testing.T) {
 		t.Fatal("no exported internal functions found; is the walk rooted at the module?")
 	}
 	var dead []string
+	exempt := map[string]bool{}
 	for _, d := range decls {
+		key := d.pkg[strings.LastIndex(d.pkg, "/")+1:] + "." + d.name
+		isUsed := used[d.pkg+"."+d.name] || d.method && anyName[d.name]
 		switch {
 		case d.name == "String" || d.name == "Error":
-		case callerExempt[filepath.Base(d.pkg)+"."+d.name] != "":
-		case !used[d.name]:
-			dead = append(dead, d.pkg+": "+d.name)
+		case callerExempt[key] != "":
+			exempt[key] = true
+			if isUsed {
+				t.Errorf("callerExempt[%q]: non-test code now uses it; drop the exemption", key)
+			}
+		case !isUsed:
+			dead = append(dead, strings.TrimPrefix(d.pkg, "obfuslock/")+": "+d.name)
 		}
 	}
 	sort.Strings(dead)
@@ -107,8 +149,8 @@ func TestInternalAPIHasCaller(t *testing.T) {
 		t.Errorf("%s has no caller outside tests: delete it or call it", d)
 	}
 	for key := range callerExempt {
-		if used[key[strings.Index(key, ".")+1:]] {
-			t.Errorf("callerExempt[%q]: non-test code now uses it; drop the exemption", key)
+		if !exempt[key] {
+			t.Errorf("callerExempt[%q]: no such exported internal function", key)
 		}
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/rewrite"
 	"obfuslock/internal/sat"
-	"obfuslock/internal/simp"
 	"obfuslock/internal/techmap"
 )
 
@@ -430,7 +429,7 @@ func runSimpAttack(tb testing.TB, l *locking.Locked, oracle *locking.Oracle, mod
 	// DIPs that collide on the protected bits.
 	opt.DIPBatch = 1
 	if mode == "off" {
-		opt.Simp = simp.Off()
+		opt.NoSimp = true
 	}
 	r := attacks.SATAttack(context.Background(), l, oracle, opt)
 	if !r.Exact {

@@ -64,7 +64,6 @@ import (
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sat"
-	"obfuslock/internal/simp"
 )
 
 // config is the parsed command line.
@@ -150,13 +149,12 @@ func main() {
 		suite = netlistgen.SmallSuite()
 	}
 	levels := parseSkews(cfg.skews)
-	sopt := cfg.solver.SimpOptions()
 	budget := experiments.Budget{
 		Timeout:       cfg.timeout,
 		MaxIterations: cfg.maxIter,
 		Workers:       cfg.workers,
 		Deterministic: cfg.det,
-		Simp:          sopt,
+		NoSimp:        !cfg.solver.Simp,
 		DIPBatch:      cfg.solver.DIPBatch,
 		Trace:         tracer,
 	}
@@ -213,7 +211,7 @@ func main() {
 	aopt.MaxIterations = cfg.maxIter
 	aopt.Seed = cfg.seed
 	aopt.Trace = tracer
-	aopt.Simp = sopt
+	aopt.NoSimp = !cfg.solver.Simp
 	aopt.DIPBatch = cfg.solver.DIPBatch
 
 	// report prints the outcome and returns false when no key came back —
@@ -252,7 +250,7 @@ func main() {
 	}
 	switch cfg.attackName {
 	case "sensitization":
-		r := attacks.Sensitization(ctx, l, oracle, exec.WithConflicts(500000), sopt)
+		r := attacks.Sensitization(ctx, l, oracle, exec.WithConflicts(500000))
 		fmt.Printf("sensitization: %d/%d key bits isolatable (timed-out=%v runtime=%v)\n",
 			r.NumIsolatable, l.KeyBits, r.TimedOut, r.Runtime)
 	case "sps":
@@ -263,15 +261,15 @@ func main() {
 		}
 	case "removal":
 		sps := attacks.SPS(l, 256, cfg.seed, 10)
-		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(cfg.sweepCEC, cfg.seed, tracer, sopt))
+		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(cfg.sweepCEC, cfg.seed, tracer))
 		fmt.Printf("removal: success=%v tried=%d undecided=%d runtime=%v\n", r.Success, r.Tried, r.Undecided, r.Runtime)
 	case "bypass":
 		wrong := make([]bool, l.KeyBits)
-		r := attacks.Bypass(ctx, l, orig, wrong, 1024, exec.WithConflicts(1000000), sopt)
+		r := attacks.Bypass(ctx, l, orig, wrong, 1024, exec.WithConflicts(1000000))
 		fmt.Printf("bypass: success=%v patterns=%d exhausted=%v runtime=%v\n",
 			r.Success, r.Patterns, r.Exhausted, r.Runtime)
 	case "valkyrie":
-		r := attacks.Valkyrie(ctx, l, orig, 8, 128, cfg.seed, cecOptions(cfg.sweepCEC, cfg.seed, tracer, sopt))
+		r := attacks.Valkyrie(ctx, l, orig, 8, 128, cfg.seed, cecOptions(cfg.sweepCEC, cfg.seed, tracer))
 		fmt.Printf("valkyrie: found-pair=%v restore-only=%v pairs-tried=%d undecided=%d runtime=%v\n",
 			r.FoundPair, r.RestoreOnly, r.PairsTried, r.Undecided, r.Runtime)
 	case "spi":
@@ -288,14 +286,13 @@ func main() {
 
 // cecOptions builds the equivalence-check configuration for the attacks
 // that prove candidate modifications equivalent to the oracle.
-func cecOptions(sweep bool, seed int64, tracer *obs.Tracer, sopt simp.Options) cec.Options {
+func cecOptions(sweep bool, seed int64, tracer *obs.Tracer) cec.Options {
 	opt := cec.DefaultOptions()
 	if sweep {
 		opt = cec.SweepOptions()
 	}
 	opt.Seed = seed
 	opt.Trace = tracer
-	opt.Simp = sopt
 	return opt
 }
 
@@ -315,11 +312,11 @@ var (
 	attackFlags = map[string][]string{
 		"sat":           {"timeout", "maxiter", "simp", "dip-batch", "trace", "v"},
 		"appsat":        {"timeout", "maxiter", "simp", "dip-batch", "trace", "v"},
-		"sensitization": {"simp"},
+		"sensitization": nil,
 		"sps":           nil,
-		"removal":       {"simp", "sweep", "trace"},
-		"bypass":        {"simp"},
-		"valkyrie":      {"simp", "sweep", "trace"},
+		"removal":       {"sweep", "trace"},
+		"bypass":        nil,
+		"valkyrie":      {"sweep", "trace"},
 		"spi":           nil,
 	}
 )

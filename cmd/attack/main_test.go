@@ -26,6 +26,7 @@ func TestValidateFlags(t *testing.T) {
 		{[]string{"-fig5", "-skews", "10,20,30,50"}, ""},
 		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "sat", "-timeout", "120s", "-trace", "t.jsonl", "-ledger", "l.json", "-v"}, ""},
 		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "sat", "-maxiter", "20", "-timeout", "30s"}, ""},
+		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "appsat", "-simp=false"}, ""},
 		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-dip-batch", "1", "-pprof", "p"}, ""},
 		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "spi"}, ""},
 		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "removal", "-sweep=false", "-trace", "t.jsonl"}, ""},
@@ -58,6 +59,10 @@ func TestValidateFlags(t *testing.T) {
 		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "spi", "-timeout", "1s"}, "-timeout not read by -attack spi"},
 		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "sensitization", "-trace", "x"}, "-trace not read by -attack sensitization"},
 		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "removal", "-maxiter", "5"}, "-maxiter not read by -attack removal"},
+		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "sensitization", "-simp=false"}, "-simp not read by -attack sensitization"},
+		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "removal", "-simp=false"}, "-simp not read by -attack removal"},
+		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "bypass", "-simp"}, "-simp not read by -attack bypass"},
+		{[]string{"-enc", "l.bench", "-oracle", "o.bench", "-attack", "valkyrie", "-simp=false"}, "-simp not read by -attack valkyrie"},
 
 		// Mode selection itself.
 		{[]string{"-table1", "-fig4"}, "pick one experiment mode"},

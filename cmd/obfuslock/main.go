@@ -15,7 +15,8 @@
 // With -resilience <duration> the tool additionally attacks its own
 // output: the oracle-guided SAT attack runs for that long as a
 // self-check that the lock resists what it claims to resist (-dip-batch
-// sets the attack's DIP batching width).
+// sets the attack's DIP batching width, -simp=false turns off its CNF
+// pre-/inprocessing).
 //
 // Observability (see DESIGN.md "Observability"): -trace out.jsonl records
 // every lock phase as a JSON-Lines span/event stream, -pprof prefix
@@ -25,8 +26,8 @@
 // the critical-node verdict and the blend attempts.
 //
 // A flag the run does not read is rejected with status 2 instead of
-// being silently ignored: -dip-batch without -resilience, -sweep with
-// -verify=false, and -mincut without -sub.
+// being silently ignored: -simp or -dip-batch without -resilience, -sweep
+// with -verify=false, and -mincut without -sub.
 package main
 
 import (
@@ -83,14 +84,14 @@ func (c *config) register(fs *flag.FlagSet) {
 }
 
 // validateFlags rejects an explicitly set flag that the run does not
-// read: -dip-batch only tunes the -resilience attack, -sweep only the
-// -verify proof, and -mincut only the -sub cut.
+// read: -simp and -dip-batch only tune the -resilience attack, -sweep
+// only the -verify proof, and -mincut only the -sub cut.
 func validateFlags(fs *flag.FlagSet, c *config) error {
 	var unread []string
 	fs.Visit(func(f *flag.Flag) {
 		switch {
-		case f.Name == "dip-batch" && c.resilience <= 0:
-			unread = append(unread, "-dip-batch not read without -resilience")
+		case (f.Name == "dip-batch" || f.Name == "simp") && c.resilience <= 0:
+			unread = append(unread, "-"+f.Name+" not read without -resilience")
 		case f.Name == "sweep" && !c.verify:
 			unread = append(unread, "-sweep not read with -verify=false")
 		case f.Name == "mincut" && !c.sub:
@@ -152,8 +153,6 @@ func main() {
 		fatal(fmt.Errorf("one of -in or -bench is required"))
 	}
 
-	sopt := cfg.solver.SimpOptions()
-
 	opt := obfuslock.DefaultOptions()
 	opt.TargetSkewBits = cfg.skewBits
 	opt.Seed = cfg.seed
@@ -162,7 +161,6 @@ func main() {
 	opt.ProtectedOutput = cfg.output
 	opt.FinalRewrite = !cfg.noRewrite
 	opt.Trace = tracer
-	opt.Simp = sopt
 
 	res, err := obfuslock.LockContext(ctx, c, opt)
 	if err != nil {
@@ -188,7 +186,6 @@ func main() {
 		}
 		copt.Seed = cfg.seed
 		copt.Trace = tracer
-		copt.Simp = sopt
 		err := res.Locked.VerifyWith(ctx, c, copt)
 		if err != nil {
 			vsp.End(obs.Str("error", err.Error()))
@@ -204,7 +201,7 @@ func main() {
 		aopt.Timeout = cfg.resilience
 		aopt.Seed = cfg.seed
 		aopt.Trace = tracer
-		aopt.Simp = sopt
+		aopt.NoSimp = !cfg.solver.Simp
 		aopt.DIPBatch = cfg.solver.DIPBatch
 		a, _ := obfuslock.AttackNamed("sat")
 		r := a.Run(ctx, res.Locked, obfuslock.NewOracle(c), aopt)

@@ -21,12 +21,14 @@ func TestValidateFlags(t *testing.T) {
 		{[]string{"-bench", "c7552-s", "-resilience", "10s", "-dip-batch", "1"}, ""},
 		{[]string{"-bench", "c7552-s", "-sweep=false"}, ""},
 		{[]string{"-bench", "c7552-s", "-verify=true", "-sweep"}, ""},
-		{[]string{"-bench", "c7552-s", "-verify=false", "-simp=false"}, ""},
+		{[]string{"-bench", "c7552-s", "-resilience", "10s", "-simp=false"}, ""},
 		{[]string{"-bench", "c6288", "-sub", "-mincut", "12"}, ""},
 
 		// Flags the run does not read.
 		{[]string{"-bench", "c7552-s", "-dip-batch", "4"}, "-dip-batch not read without -resilience"},
 		{[]string{"-bench", "c7552-s", "-resilience", "0", "-dip-batch", "1"}, "-dip-batch not read without -resilience"},
+		{[]string{"-bench", "c7552-s", "-verify=false", "-simp=false"}, "-simp not read without -resilience"},
+		{[]string{"-bench", "c7552-s", "-simp"}, "-simp not read without -resilience"},
 		{[]string{"-bench", "c7552-s", "-verify=false", "-sweep"}, "-sweep not read with -verify=false"},
 		{[]string{"-bench", "c7552-s", "-sweep=false", "-verify=false"}, "-sweep not read with -verify=false"},
 		{[]string{"-bench", "c7552-s", "-mincut", "8"}, "-mincut not read without -sub"},

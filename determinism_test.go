@@ -20,7 +20,6 @@ import (
 	"obfuslock/internal/obs"
 	"obfuslock/internal/rewrite"
 	"obfuslock/internal/sample"
-	"obfuslock/internal/simp"
 	"obfuslock/internal/skew"
 	"obfuslock/internal/techmap"
 )
@@ -288,7 +287,7 @@ func renderQuerySuite(t *testing.T, workers int) []byte {
 		fmt.Fprintf(&sb, "%s reach log2=%.6f decided=%v\n", b.Name, rr.Log2Count, rr.Decided)
 
 		// Witnesses: one cube-sampler pool draw.
-		wit := sample.NewPool(c, simp.Options{}).Sampler(c.Output(0), 11).Sample(4)
+		wit := sample.NewPool(c).Sampler(c.Output(0), 11).Sample(4)
 		fmt.Fprintf(&sb, "%s pool n=%d", b.Name, len(wit))
 		for _, w := range wit {
 			sb.WriteByte(' ')

@@ -20,7 +20,6 @@ import (
 	"obfuslock/internal/experiments"
 	"obfuslock/internal/locking"
 	"obfuslock/internal/netlistgen"
-	"obfuslock/internal/simp"
 )
 
 func main() {
@@ -79,7 +78,7 @@ func main() {
 	app := attacks.AppSAT(context.Background(), l, oracle, aopt)
 	fmt.Printf("  AppSAT:       %s\n", verdict(l, c, app))
 
-	sens := attacks.Sensitization(context.Background(), l, oracle, exec.WithConflicts(200000), simp.Default())
+	sens := attacks.Sensitization(context.Background(), l, oracle, exec.WithConflicts(200000))
 	fmt.Printf("  sensitization: %d/%d key bits isolatable\n", sens.NumIsolatable, l.KeyBits)
 
 	fmt.Println("red team: structural attacks")
@@ -105,7 +104,7 @@ func main() {
 	fmt.Printf("  SPI:          returned correct key=%v\n", ok)
 
 	wrong := make([]bool, l.KeyBits)
-	bp := attacks.Bypass(context.Background(), l, c, wrong, 128, exec.WithConflicts(500000), simp.Default())
+	bp := attacks.Bypass(context.Background(), l, c, wrong, 128, exec.WithConflicts(500000))
 	fmt.Printf("  bypass:       feasible=%v (corrupted patterns enumerated: %d, budget exhausted: %v)\n",
 		bp.Success, bp.Patterns, bp.Exhausted)
 }

@@ -11,7 +11,6 @@ import (
 	"obfuslock/internal/lockbase"
 	"obfuslock/internal/locking"
 	"obfuslock/internal/netlistgen"
-	"obfuslock/internal/simp"
 )
 
 func smallCircuit() *aig.AIG { return netlistgen.Multiplier(4) }
@@ -262,7 +261,7 @@ func TestBypassBreaksSARLock(t *testing.T) {
 	}
 	wrong := append([]bool(nil), l.Key...)
 	wrong[0] = !wrong[0]
-	res := Bypass(context.Background(), l, orig, wrong, 16, exec.Budget{}, simp.Default())
+	res := Bypass(context.Background(), l, orig, wrong, 16, exec.Budget{})
 	if !res.Success {
 		t.Fatalf("bypass failed on SARLock: %+v", res)
 	}
@@ -291,7 +290,7 @@ func TestBypassFailsOnMassCorruption(t *testing.T) {
 	if !broke {
 		t.Skip("picked a don't-care wrong key")
 	}
-	res := Bypass(context.Background(), l, orig, wrong, 32, exec.Budget{}, simp.Default())
+	res := Bypass(context.Background(), l, orig, wrong, 32, exec.Budget{})
 	if res.Success {
 		t.Fatalf("bypass should be infeasible: %+v", res)
 	}
@@ -322,7 +321,7 @@ func TestSensitizationOnRLL(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := locking.NewOracle(orig)
-	res := Sensitization(context.Background(), l, oracle, exec.WithConflicts(200000), simp.Default())
+	res := Sensitization(context.Background(), l, oracle, exec.WithConflicts(200000))
 	// RLL on a multiplier: typically some bits are isolatable; recovered
 	// bits must be correct.
 	for i := 0; i < l.KeyBits; i++ {

@@ -10,7 +10,6 @@ import (
 	"obfuslock/internal/lockbase"
 	"obfuslock/internal/locking"
 	"obfuslock/internal/obs"
-	"obfuslock/internal/simp"
 )
 
 // cancelOnDIP is an obs.Sink that fires a CancelFunc on the attack's
@@ -124,7 +123,7 @@ func TestSensitizationCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := Sensitization(ctx, l, locking.NewOracle(orig), exec.WithConflicts(100000), simp.Default())
+	res := Sensitization(ctx, l, locking.NewOracle(orig), exec.WithConflicts(100000))
 	if !res.TimedOut {
 		t.Fatalf("pre-cancelled sensitization did not report TimedOut: %+v", res)
 	}

@@ -32,10 +32,10 @@ type IOOptions struct {
 	// redundant batch. Any width recovers the same canonical key on
 	// exact termination — batching changes wall clock, not answers.
 	DIPBatch int
-	// Simp controls CNF preprocessing of the miter before the first DIP
-	// solve and inprocessing every 16 DIPs (simp.Options.InprocessDue);
-	// the zero value enables both, simp.Off() disables both.
-	Simp simp.Options
+	// NoSimp turns off CNF preprocessing of the miter before the first
+	// DIP solve and the inprocessing every inprocessEvery DIPs (the
+	// CLIs' -simp=false). The zero value runs both.
+	NoSimp bool
 	// Trace receives an attack.sat / attack.appsat span with one dip
 	// event per DIP (elapsed time, oracle queries, per-round solver
 	// conflict/learnt deltas), AppSAT reinforce events, and periodic
@@ -177,8 +177,8 @@ func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Orac
 // that a later constraint reaching such a node encodes it afresh.
 // Surviving node variables are reused (cnf.Encoder.DropEliminated says
 // why that is sound).
-func (st *attackState) simplify(o simp.Options, tr *obs.Tracer) {
-	simp.Apply(st.s, o, tr)
+func (st *attackState) simplify(tr *obs.Tracer) {
+	simp.Apply(st.s, true, tr)
 	for _, e := range st.encs {
 		e.DropEliminated()
 	}
@@ -222,16 +222,14 @@ func (st *attackState) addIOConstraints(xs, ys [][]bool, perDIP func(j int)) {
 	st.keyNodes += int64(st.graph.NumNodes() - before)
 }
 
-// inprocessDue reports whether the serial inprocessing cadence fires
-// anywhere in the iteration span (lo, hi] that one batched round just
-// covered; the pass then runs once for the whole round.
-func inprocessDue(o simp.Options, lo, hi int) bool {
-	for it := lo + 1; it <= hi; it++ {
-		if o.InprocessDue(it) {
-			return true
-		}
-	}
-	return false
+// inprocessEvery is the DIP loop's inprocessing cadence in DIPs.
+const inprocessEvery = 16
+
+// inprocessDue reports whether the iteration span (lo, hi] that one
+// batched round just covered reaches a multiple of inprocessEvery; the
+// pass then runs once for the whole round.
+func inprocessDue(lo, hi int) bool {
+	return hi/inprocessEvery > lo/inprocessEvery
 }
 
 // SATAttack runs the oracle-guided SAT attack (Subramanyan et al.): find a
@@ -284,7 +282,9 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 	// Preprocess the miter once up front. All interface literals (inputs,
 	// both key copies, the activation literal) are frozen, so full
 	// variable elimination is sound here and for every later constraint.
-	st.simplify(opt.Simp, opt.Trace)
+	if !opt.NoSimp {
+		st.simplify(opt.Trace)
+	}
 	rng := newSplitMix(opt.Seed)
 	res := IOResult{}
 	reinforced := 0
@@ -375,8 +375,8 @@ func runDIP(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt 
 				}
 			}
 		}
-		if inprocessDue(opt.Simp, res.Iterations-len(dips), res.Iterations) {
-			st.simplify(opt.Simp, opt.Trace)
+		if !opt.NoSimp && inprocessDue(res.Iterations-len(dips), res.Iterations) {
+			st.simplify(opt.Trace)
 		}
 		if st.stopped() {
 			res.TimedOut = true
@@ -443,11 +443,11 @@ type SensitizationResult struct {
 // each key bit it searches for an input pattern propagating that bit to an
 // output while the other key bits are muted, then infers the bit with one
 // oracle query. ObfusLock's input-permutation keys resist this because all
-// key bits interfere on every path. budget bounds each per-bit solve; so
-// controls CNF preprocessing of each per-bit solver (every literal the
-// attack reads back is a frozen encoder input, so full elimination is
-// sound).
-func Sensitization(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, budget exec.Budget, so simp.Options) SensitizationResult {
+// key bits interfere on every path. budget bounds each per-bit solve.
+// Each per-bit solver is preprocessed with full elimination, which is
+// sound because every literal the attack reads back is a frozen encoder
+// input.
+func Sensitization(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, budget exec.Budget) SensitizationResult {
 	start := time.Now()
 	ctx, cancel := budget.Bind(ctx)
 	defer cancel()
@@ -490,7 +490,7 @@ func Sensitization(ctx context.Context, l *locking.Locked, oracle *locking.Oracl
 			diffs[j] = cnf.XorLit(s, o1[j], o2[j])
 		}
 		s.AddClause(cnf.OrLit(s, diffs...))
-		if !simp.Apply(s, so, nil) || s.Solve() != sat.Sat {
+		if !simp.Apply(s, true, nil) || s.Solve() != sat.Sat {
 			continue // bit cannot be sensitized at all
 		}
 		x := make([]bool, l.NumInputs)

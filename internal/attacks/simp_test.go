@@ -7,7 +7,6 @@ import (
 	"obfuslock/internal/lockbase"
 	"obfuslock/internal/locking"
 	"obfuslock/internal/netlistgen"
-	"obfuslock/internal/simp"
 )
 
 // The SAT attack's exactness claim must survive any preprocessing
@@ -35,9 +34,9 @@ func TestSATAttackSimpOnOffBothExact(t *testing.T) {
 			return lockbase.AntiSAT(netlistgen.Multiplier(4), 6, seed)
 		}},
 	}
-	configs := map[string]simp.Options{
-		"on":  {},
-		"off": simp.Off(),
+	configs := map[string]bool{
+		"on":  false,
+		"off": true,
 	}
 	for seed := int64(0); seed < 8; seed++ {
 		for _, ins := range instances {
@@ -46,11 +45,11 @@ func TestSATAttackSimpOnOffBothExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			orig := l.ApplyKey(l.Key)
-			for name, so := range configs {
+			for name, noSimp := range configs {
 				for _, batch := range []int{1, 0} {
 					opt := DefaultIOOptions()
 					opt.Seed = seed
-					opt.Simp = so
+					opt.NoSimp = noSimp
 					opt.DIPBatch = batch
 					r := SATAttack(context.Background(), l, locking.NewOracle(orig), opt)
 					if !r.Exact {
@@ -67,6 +66,25 @@ func TestSATAttackSimpOnOffBothExact(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// The DIP loop inprocesses once in every round whose iteration span
+// (lo, hi] reaches a multiple of 16 DIPs: the serial loop at DIPs 16,
+// 32, ..., a batched round once however many multiples it covers.
+func TestInprocessDue(t *testing.T) {
+	cases := []struct {
+		lo, hi int
+		want   bool
+	}{
+		{0, 0, false}, {0, 1, false}, {14, 15, false}, {15, 16, true},
+		{16, 17, false}, {31, 32, true}, {32, 33, false},
+		{16, 31, false}, {15, 17, true}, {17, 48, true}, {0, 64, true},
+	}
+	for _, c := range cases {
+		if got := inprocessDue(c.lo, c.hi); got != c.want {
+			t.Errorf("inprocessDue(%d, %d) = %v, want %v", c.lo, c.hi, got, c.want)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"obfuslock/internal/locking"
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/obs"
-	"obfuslock/internal/simp"
 )
 
 // spanEnds records the end fields and duration of every span by name.
@@ -66,7 +65,7 @@ func TestAttackSpanReportsFormulaSize(t *testing.T) {
 				t.Errorf("%s: span end %s = %v, want a positive count", name, k, end[k])
 			}
 		}
-		opt.Simp = simp.Off()
+		opt.NoSimp = true
 		run(context.Background(), l, locking.NewOracle(orig), opt)
 		if v := sink.ends[name]["reencoded_nodes"]; v != int64(0) {
 			t.Errorf("%s with inprocessing off: reencoded_nodes = %v, want 0", name, v)

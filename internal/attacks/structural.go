@@ -132,10 +132,10 @@ type BypassResult struct {
 // every input pattern on which the wrongly-keyed circuit differs from the
 // oracle, and wrap them with bypass logic. It fails when the differing set
 // exceeds the pattern budget — ObfusLock protects all patterns by
-// permutation, so the set is exponential. so controls CNF preprocessing
-// of the difference miter (the enumeration blocks and reads only the
-// frozen input literals, so full elimination is sound).
-func Bypass(ctx context.Context, l *locking.Locked, orig *aig.AIG, wrongKey []bool, maxPatterns int, budget exec.Budget, so simp.Options) BypassResult {
+// permutation, so the set is exponential. The difference miter is
+// preprocessed with full elimination, which is sound because the
+// enumeration blocks and reads only the frozen input literals.
+func Bypass(ctx context.Context, l *locking.Locked, orig *aig.AIG, wrongKey []bool, maxPatterns int, budget exec.Budget) BypassResult {
 	start := time.Now()
 	bound := l.ApplyKey(wrongKey)
 	s := sat.New()
@@ -144,7 +144,7 @@ func Bypass(ctx context.Context, l *locking.Locked, orig *aig.AIG, wrongKey []bo
 	s.SetBudget(budget.ConflictCap())
 	s.SetContext(ctx)
 	res := BypassResult{}
-	if !simp.Apply(s, so, nil) {
+	if !simp.Apply(s, true, nil) {
 		// No differing pattern at all: the wrong key is correct.
 		res.Success = true
 		res.Runtime = time.Since(start)

@@ -52,9 +52,6 @@ type Options struct {
 	// shared inputs, fraiged (internal/fraig), and only output pairs the
 	// sweep could not merge go to the final miter solve.
 	Sweep bool
-	// Simp controls CNF preprocessing before the miter solve (zero
-	// value: enabled; simp.Off() disables).
-	Simp simp.Options
 	// Trace receives cec.check / cec.find_node spans and the sweep's
 	// instrumentation (nil: disabled).
 	Trace *obs.Tracer
@@ -130,7 +127,7 @@ func check(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (Resul
 	s.AddClause(diff)
 	// Preprocess the whole miter CNF: the shared-input interface is
 	// frozen by the encoder, everything internal may be eliminated.
-	if !simp.Apply(s, opt.Simp, opt.Trace) {
+	if !simp.Apply(s, true, opt.Trace) {
 		return Result{Equivalent: true, Decided: true, SolverStats: s.Stats()}, nil
 	}
 	switch s.Solve() {
@@ -167,7 +164,6 @@ func checkSwept(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (
 	fr := fraig.Sweep(ctx, comb, fraig.Options{
 		Seed:   opt.Seed,
 		Budget: opt.Budget,
-		Simp:   opt.Simp,
 		Trace:  opt.Trace,
 	})
 	red := fr.Reduced
@@ -194,7 +190,7 @@ func checkSwept(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (
 }
 
 // solvePairs decides whether every literal pair of g computes the same
-// function with one miter solve under opt.Budget and opt.Simp.
+// function with one miter solve under opt.Budget.
 func solvePairs(ctx context.Context, g *aig.AIG, pairs [][2]aig.Lit, opt Options) Result {
 	s := sat.New()
 	s.SetBudget(opt.Budget.ConflictCap())
@@ -212,7 +208,7 @@ func solvePairs(ctx context.Context, g *aig.AIG, pairs [][2]aig.Lit, opt Options
 	s.AddClause(cnf.OrLit(s, diffs...))
 	// The miter is a one-shot solve: full preprocessing (elimination
 	// included) is sound here.
-	if !simp.Apply(s, opt.Simp, opt.Trace) {
+	if !simp.Apply(s, true, opt.Trace) {
 		return Result{Equivalent: true, Decided: true, SolverStats: s.Stats()}
 	}
 	switch s.Solve() {
@@ -239,10 +235,6 @@ type FindOptions struct {
 	// swept proof. A candidate whose proof exhausts it leaves the scan
 	// Undecided.
 	Budget exec.Budget
-	// Simp controls CNF preprocessing of the shared candidate solver.
-	// Variable elimination is forced off regardless: the scan keeps
-	// encoding new cones against already-encoded internal variables.
-	Simp simp.Options
 	// Trace receives the cec.find_node span (nil: disabled).
 	Trace *obs.Tracer
 }
@@ -386,14 +378,14 @@ func FindNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec aig.Lit, opt
 		e.InputLit(i) // pre-create solver variables for cex extraction
 	}
 	lspec := e.Encode(specIn)[0]
-	fopt := opt.Simp
-	fopt.NoVarElim = true
-	simp.Apply(s, fopt, opt.Trace)
+	// Preprocess without variable elimination: the scan keeps encoding
+	// new cones against already-encoded internal variables.
+	simp.Apply(s, false, opt.Trace)
 	quick := opt.Budget.ConflictCap()
 	if quick < 0 || quick > quickConflicts {
 		quick = quickConflicts
 	}
-	popt := Options{Seed: opt.Seed, Budget: opt.Budget, Sweep: true, Simp: opt.Simp, Trace: opt.Trace}
+	popt := Options{Seed: opt.Seed, Budget: opt.Budget, Sweep: true, Trace: opt.Trace}
 	var specCone *aig.AIG
 	undecided := false
 	for len(queue) > 0 {

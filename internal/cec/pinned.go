@@ -64,7 +64,6 @@ func NewPinned(ctx context.Context, spec, impl *aig.AIG, tie []bool, opt Options
 		fr := fraig.Sweep(ctx, g, fraig.Options{
 			Seed:   opt.Seed,
 			Budget: opt.Budget,
-			Simp:   opt.Simp,
 			Trace:  opt.Trace,
 		})
 		through := func(l aig.Lit) aig.Lit { return fr.Map[l.Var()].NotIf(l.IsCompl()) }

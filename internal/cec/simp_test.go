@@ -3,10 +3,11 @@ package cec
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"obfuslock/internal/aig"
-	"obfuslock/internal/simp"
+	"obfuslock/internal/sim"
 )
 
 func randSimpCircuit(rng *rand.Rand, nin, nops, nout int) *aig.AIG {
@@ -37,9 +38,11 @@ func randSimpCircuit(rng *rand.Rand, nin, nops, nout int) *aig.AIG {
 	return g
 }
 
-// Equivalence verdicts must not depend on the preprocessing configuration,
-// and counterexamples found on a simplified solver must still distinguish
-// the two circuits (model reconstruction through eliminated variables).
+// Equivalence verdicts of the preprocessed miter must match exhaustive
+// simulation over the circuits' 5-8 inputs, in both the monolithic and
+// the swept mode, and a counterexample found on a solver whose internal
+// variables were eliminated must still distinguish the two circuits.
+// The simulation pre-filter is off, so every verdict is the solver's.
 func TestCheckSimpOnOffAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 120; trial++ {
@@ -50,34 +53,31 @@ func TestCheckSimpOnOffAgree(t *testing.T) {
 		} else {
 			b = randSimpCircuit(rng, a.NumInputs(), 15+rng.Intn(30), 2) // almost surely different
 		}
+		in := sim.ExhaustiveInputs(a.NumInputs())
+		va, vb := sim.Run(a, in), sim.Run(b, in)
+		want := true
+		for o := 0; o < a.NumOutputs(); o++ {
+			if !slices.Equal(va.Output(o), vb.Output(o)) {
+				want = false
+			}
+		}
 		for _, sweep := range []bool{false, true} {
-			optOn := DefaultOptions()
+			opt := DefaultOptions()
 			if sweep {
-				optOn = SweepOptions()
+				opt = SweepOptions()
 			}
-			optOn.Seed = int64(trial)
-			optOff := optOn
-			optOff.Simp = simp.Off()
-			rOn, err1 := Check(context.Background(), a, b, optOn)
-			rOff, err2 := Check(context.Background(), a, b, optOff)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("trial %d err: %v %v", trial, err1, err2)
+			opt.SimWords = 0
+			opt.Seed = int64(trial)
+			r, err := Check(context.Background(), a, b, opt)
+			if err != nil {
+				t.Fatalf("trial %d err: %v", trial, err)
 			}
-			if rOn.Equivalent != rOff.Equivalent {
-				t.Fatalf("trial %d sweep=%v: simp=%v nosimp=%v",
-					trial, sweep, rOn.Equivalent, rOff.Equivalent)
+			if !r.Decided || r.Equivalent != want {
+				t.Fatalf("trial %d sweep=%v: decided=%v equivalent=%v, exhaustive simulation says %v",
+					trial, sweep, r.Decided, r.Equivalent, want)
 			}
-			if !rOn.Equivalent && rOn.Counterexample != nil {
-				ya, yb := a.Eval(rOn.Counterexample), b.Eval(rOn.Counterexample)
-				same := true
-				for i := range ya {
-					if ya[i] != yb[i] {
-						same = false
-					}
-				}
-				if same {
-					t.Fatalf("trial %d sweep=%v: counterexample does not distinguish", trial, sweep)
-				}
+			if !r.Equivalent && slices.Equal(a.Eval(r.Counterexample), b.Eval(r.Counterexample)) {
+				t.Fatalf("trial %d sweep=%v: counterexample does not distinguish", trial, sweep)
 			}
 		}
 	}

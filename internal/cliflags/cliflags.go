@@ -16,13 +16,13 @@ import (
 	"os"
 
 	"obfuslock/internal/obs"
-	"obfuslock/internal/simp"
 )
 
 // Solver groups the SAT-tuning flags common to every solver-backed tool:
 // -simp and -dip-batch.
 type Solver struct {
-	// Simp is the -simp value (CNF pre-/inprocessing on).
+	// Simp is the -simp value (CNF pre-/inprocessing of the SAT/AppSAT
+	// DIP loop on).
 	Simp bool
 	// DIPBatch is the -dip-batch value.
 	DIPBatch int
@@ -31,17 +31,9 @@ type Solver struct {
 // Register binds the solver flags.
 func (s *Solver) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&s.Simp, "simp", true,
-		"SatELite-style CNF preprocessing/inprocessing in every SAT solver")
+		"SatELite-style CNF pre-/inprocessing of the SAT/AppSAT DIP loop")
 	fs.IntVar(&s.DIPBatch, "dip-batch", 0,
 		"DIPs enumerated per solver round and answered in one bit-parallel oracle pass (0: default width, 1: classic serial loop)")
-}
-
-// SimpOptions resolves -simp into the preprocessing configuration.
-func (s *Solver) SimpOptions() simp.Options {
-	if !s.Simp {
-		return simp.Off()
-	}
-	return simp.Default()
 }
 
 // Telemetry groups the observability flags: -trace, -pprof and -ledger.

@@ -26,7 +26,6 @@ import (
 	"obfuslock/internal/obs"
 	"obfuslock/internal/rewrite"
 	"obfuslock/internal/sample"
-	"obfuslock/internal/simp"
 	"obfuslock/internal/skew"
 )
 
@@ -60,7 +59,7 @@ func newWitnesses(specG *aig.AIG, spec aig.Lit) *witnesses {
 // the scan finds becomes a new witness. A decided verdict depends only on
 // the functions in the netlist, so it is the same whichever witness the
 // scan is given.
-func criticalVerdict(ctx context.Context, l *locking.Locked, w *witnesses, tr *obs.Tracer, so simp.Options) (v cec.FindVerdict, byWitness bool) {
+func criticalVerdict(ctx context.Context, l *locking.Locked, w *witnesses, tr *obs.Tracer) (v cec.FindVerdict, byWitness bool) {
 	bound := l.WrongKeyBound()
 	comb := bound.Copy()
 	for _, g := range *w {
@@ -70,7 +69,6 @@ func criticalVerdict(ctx context.Context, l *locking.Locked, w *witnesses, tr *o
 	}
 	fopt := cec.DefaultFindOptions()
 	fopt.Trace = tr
-	fopt.Simp = so
 	spec := (*w)[len(*w)-1]
 	lit, v := cec.FindNode(ctx, bound, spec, spec.Output(0), fopt)
 	if v == cec.Found {
@@ -84,9 +82,9 @@ func criticalVerdict(ctx context.Context, l *locking.Locked, w *witnesses, tr *o
 // refuted; the netlist is clean only when both searches are refuted.
 func criticalCheck(ctx context.Context, l *locking.Locked, f, lf *witnesses, opt Options, sp *obs.Span) string {
 	csp := sp.Span("lock.cec")
-	v, byWitness := criticalVerdict(ctx, l, f, opt.Trace, opt.Simp)
+	v, byWitness := criticalVerdict(ctx, l, f, opt.Trace)
 	if v == cec.Refuted {
-		v, byWitness = criticalVerdict(ctx, l, lf, opt.Trace, opt.Simp)
+		v, byWitness = criticalVerdict(ctx, l, lf, opt.Trace)
 	}
 	verdict := CriticalUndecided
 	switch v {
@@ -133,11 +131,6 @@ type Options struct {
 	// Tracing never influences randomized choices: equal seeds produce
 	// equal locks with or without it.
 	Trace *obs.Tracer
-	// Simp controls CNF preprocessing in every SAT-backed step of the
-	// lock (witness samplers, model counting, CEC checks). The zero
-	// value enables it; simp.Off() disables (the CLIs' -simp=false).
-	// Like tracing, it never influences randomized choices.
-	Simp simp.Options
 }
 
 // Rule budgets of the first blend attempt: reshapeApplications bounds
@@ -304,7 +297,6 @@ func assessCircuitSkewness(c *aig.AIG, opt Options) (float64, bool) {
 			}
 			so := skew.DefaultSplittingOptions()
 			so.Seed = opt.Seed
-			so.Simp = opt.Simp
 			b = skew.SplittingBits(c, po, so)
 			if b < opt.TargetSkewBits {
 				return b, true
@@ -408,12 +400,11 @@ func lockDoubleFlip(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 	var samplers, samplerBuilds, sampleHits, rejectionHits int
 	for attempt := int64(0); attempt < 3; attempt++ {
 		work = c.Copy()
-		pool := sample.NewPool(work, opt.Simp)
+		pool := sample.NewPool(work)
 		lc, err = buildLockingCircuit(work, pool, buildOptions{
 			TargetBits: opt.TargetSkewBits,
 			Seed:       opt.Seed + 7919*attempt,
 			Span:       bsp,
-			Simp:       opt.Simp,
 		})
 		samplers += pool.Samplers
 		samplerBuilds += pool.Builds

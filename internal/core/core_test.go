@@ -9,7 +9,6 @@ import (
 	"obfuslock/internal/aig"
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/sample"
-	"obfuslock/internal/simp"
 	"obfuslock/internal/skew"
 )
 
@@ -308,7 +307,7 @@ func TestLemma2CorrectKeyBound(t *testing.T) {
 func TestLockingCircuitSkewAccuracy(t *testing.T) {
 	c := netlistgen.Multiplier(6) // 12 inputs
 	work := c.Copy()
-	lc, err := buildLockingCircuit(work, sample.NewPool(work, simp.Options{}), buildOptions{TargetBits: 7, Seed: 11})
+	lc, err := buildLockingCircuit(work, sample.NewPool(work), buildOptions{TargetBits: 7, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

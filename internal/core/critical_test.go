@@ -12,7 +12,6 @@ import (
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sim"
-	"obfuslock/internal/simp"
 )
 
 // A protected output whose root also drives a second primary output keeps
@@ -161,7 +160,7 @@ func TestCriticalScanMatchesTruthTables(t *testing.T) {
 			}
 			exists := computes(bound, want)
 			ws := newWitnesses(s.g, s.lit)
-			v, _ := criticalVerdict(ctx, res.Locked, ws, nil, simp.Default())
+			v, _ := criticalVerdict(ctx, res.Locked, ws, nil)
 			last := (*ws)[len(*ws)-1]
 			switch {
 			case v == cec.Undecided:
@@ -177,7 +176,7 @@ func TestCriticalScanMatchesTruthTables(t *testing.T) {
 			}
 			// Same lock: a found spec's witness lands on the node it was
 			// cut from.
-			v, w := criticalVerdict(ctx, res.Locked, ws, nil, simp.Default())
+			v, w := criticalVerdict(ctx, res.Locked, ws, nil)
 			if (v == cec.Found) != exists || w != exists {
 				t.Fatalf("seed %d spec %v: re-decided %v (witness %t), truth tables say exists=%t", seed, s.lit, v, w, exists)
 			}
@@ -191,7 +190,7 @@ func TestCriticalScanMatchesTruthTables(t *testing.T) {
 				witnessSpec++
 			}
 			exists2 := computes(bound2, want)
-			if v, _ := criticalVerdict(ctx, res2.Locked, &ws2, nil, simp.Default()); v == cec.Undecided || (v == cec.Found) != exists2 {
+			if v, _ := criticalVerdict(ctx, res2.Locked, &ws2, nil); v == cec.Undecided || (v == cec.Found) != exists2 {
 				t.Fatalf("seed %d spec %v: second lock says %v, truth tables say exists=%t", seed, s.lit, v, exists2)
 			}
 		}

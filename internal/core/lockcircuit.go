@@ -10,7 +10,6 @@ import (
 	"obfuslock/internal/aig"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sample"
-	"obfuslock/internal/simp"
 	"obfuslock/internal/skew"
 )
 
@@ -55,10 +54,6 @@ type buildOptions struct {
 	Seed       int64
 	// Span, when non-nil, receives per-attachment gain events.
 	Span *obs.Span
-	// Simp controls CNF preprocessing inside the splitting estimator's
-	// witness samplers (zero value: enabled); the caller's sample.Pool
-	// carries the same options.
-	Simp simp.Options
 }
 
 // condProb estimates P(target=1 | cond) with n witnesses of cond; false
@@ -379,6 +374,5 @@ func splitOpts(opt buildOptions, round int64) skew.SplittingOptions {
 	so := skew.DefaultSplittingOptions()
 	so.Seed = opt.Seed + round
 	so.SamplesPerStage = refineSamples
-	so.Simp = opt.Simp
 	return so
 }

@@ -12,7 +12,6 @@ import (
 	"obfuslock/internal/lockbase"
 	"obfuslock/internal/locking"
 	"obfuslock/internal/netlistgen"
-	"obfuslock/internal/simp"
 )
 
 // lockedFixture locks a 25-input adder at 10 bits of skewness once for the
@@ -81,7 +80,7 @@ func TestObfusLockDefeatsAppSAT(t *testing.T) {
 func TestObfusLockResistsSensitization(t *testing.T) {
 	c, res := lockedFixture(t, 23)
 	oracle := locking.NewOracle(c)
-	r := attacks.Sensitization(context.Background(), res.Locked, oracle, exec.WithConflicts(100000), simp.Default())
+	r := attacks.Sensitization(context.Background(), res.Locked, oracle, exec.WithConflicts(100000))
 	if r.NumIsolatable != 0 {
 		t.Fatalf("%d key bits isolatable; input permutation should mute none", r.NumIsolatable)
 	}
@@ -93,7 +92,7 @@ func TestObfusLockResistsBypass(t *testing.T) {
 	wrong := append([]bool(nil), res.Locked.Key...)
 	wrong[0] = !wrong[0]
 	wrong[1] = !wrong[1]
-	r := attacks.Bypass(context.Background(), res.Locked, c, wrong, 64, exec.WithConflicts(500000), simp.Default())
+	r := attacks.Bypass(context.Background(), res.Locked, c, wrong, 64, exec.WithConflicts(500000))
 	if r.Success {
 		t.Fatalf("bypass succeeded with %d patterns", r.Patterns)
 	}

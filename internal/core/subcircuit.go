@@ -22,7 +22,7 @@ import (
 // is wide enough AND the number of reachable patterns on it is exponential
 // in its width (checked with the approximate model counter). Primary
 // inputs stop the expansion (a PI frontier is trivially fully reachable).
-func selectCut(ctx context.Context, g *aig.AIG, po int, minCut int, seed int64, tr *obs.Tracer, so simp.Options) ([]uint32, float64, error) {
+func selectCut(ctx context.Context, g *aig.AIG, po int, minCut int, seed int64, tr *obs.Tracer) ([]uint32, float64, error) {
 	lv, _ := g.Levels()
 	root := g.Output(po)
 	inFrontier := map[uint32]bool{}
@@ -66,7 +66,6 @@ func selectCut(ctx context.Context, g *aig.AIG, po int, minCut int, seed int64, 
 	copt.Seed = seed
 	copt.Trials = 3
 	copt.Trace = tr
-	copt.Simp = so
 	for round := 0; ; round++ {
 		for len(frontier) < minCut {
 			if !expand() {
@@ -127,7 +126,7 @@ func lockSubCircuit(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 		minCut = int(opt.TargetSkewBits) + 8
 	}
 	csp := sp.Span("lock.select_cut", obs.Int("min_cut", int64(minCut)))
-	cut, reach, err := selectCut(ctx, c, po, minCut, opt.Seed, opt.Trace, opt.Simp)
+	cut, reach, err := selectCut(ctx, c, po, minCut, opt.Seed, opt.Trace)
 	if err != nil {
 		csp.End(obs.Str("error", err.Error()))
 		return nil, err
@@ -169,7 +168,7 @@ func lockSubCircuit(ctx context.Context, c *aig.AIG, opt Options, sp *obs.Span) 
 		}
 		dead := 0
 		if r.LockingFunction != nil {
-			dead = deadKeyBits(ctx, c, bnd, r.LockingFunction, opt.Simp)
+			dead = deadKeyBits(ctx, c, bnd, r.LockingFunction)
 		}
 		if bestDead < 0 || dead < bestDead {
 			subRes, lockFn, bestDead = r, composeSubLockingFn(c, bnd, r.LockingFunction), dead
@@ -256,7 +255,7 @@ func composeSubLockingFn(c *aig.AIG, bnd []uint32, subLF *aig.AIG) *aig.AIG {
 // corrupts the shipped netlist. Only a proven UNSAT counts as dead; an
 // exhausted budget or a cancelled context gives the bit the benefit of
 // the doubt (a retry could not be validated any better).
-func deadKeyBits(ctx context.Context, c *aig.AIG, bnd []uint32, subLF *aig.AIG, so simp.Options) int {
+func deadKeyBits(ctx context.Context, c *aig.AIG, bnd []uint32, subLF *aig.AIG) int {
 	g := aig.New()
 	xs := make([]aig.Lit, c.NumInputs())
 	for i := range xs {
@@ -284,7 +283,7 @@ func deadKeyBits(ctx context.Context, c *aig.AIG, bnd []uint32, subLF *aig.AIG, 
 	for _, l := range lits {
 		s.FreezeLit(l)
 	}
-	simp.Apply(s, so, nil)
+	simp.Apply(s, true, nil)
 	dead := 0
 	for _, l := range lits {
 		if s.Solve(l) == sat.Unsat {

@@ -29,10 +29,6 @@ type Options struct {
 	Budget exec.Budget
 	// Seed drives the random parity constraints.
 	Seed int64
-	// Simp controls CNF preprocessing of each trial's solver (zero
-	// value: enabled; simp.Off() disables). The projection literals are
-	// frozen, so full elimination is sound.
-	Simp simp.Options
 	// Trace receives a count.approx span with one count.trial event per
 	// XOR hashing round. Nil disables tracing.
 	Trace *obs.Tracer
@@ -103,7 +99,7 @@ func approxTraced(ctx context.Context, p problem, opt Options, sp *obs.Span) Res
 	s, proj := p.build()
 	s.SetBudget(opt.Budget.ConflictCap())
 	s.SetContext(ctx)
-	freezeAndSimp(s, proj, opt)
+	freezeAndSimp(s, proj, opt.Trace)
 	n, ok := enumerateUpTo(s, proj, opt.Pivot)
 	if !ok {
 		return Result{Decided: false}
@@ -140,7 +136,7 @@ func approxTraced(ctx context.Context, p problem, opt Options, sp *obs.Span) Res
 			}
 			// Simplify after the parity constraints so the XOR chain
 			// variables are eliminable too.
-			freezeAndSimp(s, proj, opt)
+			freezeAndSimp(s, proj, opt.Trace)
 			return enumerateUpTo(s, proj, opt.Pivot)
 		}
 		probes := 0
@@ -196,14 +192,11 @@ func approxTraced(ctx context.Context, p problem, opt Options, sp *obs.Span) Res
 // they are internal cut nodes, not just inputs) and runs one
 // simplification pass. An UNSAT outcome needs no special handling: the
 // following enumeration just sees Unsat.
-func freezeAndSimp(s *sat.Solver, proj []sat.Lit, opt Options) {
-	if !opt.Simp.Enabled() {
-		return
-	}
+func freezeAndSimp(s *sat.Solver, proj []sat.Lit, tr *obs.Tracer) {
 	for _, l := range proj {
 		s.FreezeLit(l)
 	}
-	simp.Apply(s, opt.Simp, opt.Trace)
+	simp.Apply(s, true, tr)
 }
 
 // Models approximately counts satisfying input assignments of cond in g.

@@ -29,7 +29,6 @@ import (
 	"obfuslock/internal/locking"
 	"obfuslock/internal/netlistgen"
 	"obfuslock/internal/obs"
-	"obfuslock/internal/simp"
 	"obfuslock/internal/skew"
 	"obfuslock/internal/techmap"
 )
@@ -50,10 +49,10 @@ type Budget struct {
 	// "wrong") instead of wall-clock seconds and disables Timeout, making
 	// tables and metrics.json byte-identical across runs and machines.
 	Deterministic bool
-	// Simp controls CNF preprocessing/inprocessing in the lock pipeline
-	// and attacks of every sweep cell (zero value: enabled; simp.Off()
-	// for the CLIs' -simp=false).
-	Simp simp.Options
+	// NoSimp turns off the CNF pre- and inprocessing of the sweep's
+	// SAT/AppSAT DIP loops (the CLIs' -simp=false); locks are built the
+	// same either way.
+	NoSimp bool
 	// DIPBatch is the per-round DIP enumeration width of the sweep's I/O
 	// attacks (0: the attacks' default; 1: the classic serial loop).
 	// Exact attack outcomes are identical at any width; iteration-count
@@ -152,7 +151,6 @@ func TableIEntry(ctx context.Context, b netlistgen.Benchmark, skewBits float64, 
 	opt.Seed = seed
 	opt.AllowDirect = false
 	opt.Trace = budget.Trace
-	opt.Simp = budget.Simp
 	res, err := core.Lock(ctx, c, opt)
 	if err != nil {
 		return TableIRow{}, fmt.Errorf("%s @ %g bits: %w", b.Name, skewBits, err)
@@ -171,7 +169,7 @@ func TableIEntry(ctx context.Context, b netlistgen.Benchmark, skewBits float64, 
 	aopt.MaxIterations = budget.MaxIterations
 	aopt.Seed = seed
 	aopt.Trace = budget.Trace
-	aopt.Simp = budget.Simp
+	aopt.NoSimp = budget.NoSimp
 	aopt.DIPBatch = budget.DIPBatch
 	if budget.Deterministic {
 		// Deterministic cells are bounded by iteration count only; a

@@ -13,19 +13,19 @@ import (
 	"obfuslock/internal/exec"
 	"obfuslock/internal/locking"
 	"obfuslock/internal/netlistgen"
-	"obfuslock/internal/simp"
 )
 
 func quickBudget() Budget {
 	// The Table I shape checks below run miniature 8-bit locks, far below
 	// the paper's >= 20-bit rows, and their "all attack cells must fail"
-	// expectation is calibrated against the baseline solver: with CNF
-	// preprocessing the AppSAT cells pick more informative DIPs and crack
+	// expectation is calibrated against the baseline DIP loop: with CNF
+	// in-processing the AppSAT cells pick more informative DIPs and crack
 	// the miniature locks on some seeds (soundly — the extracted keys
-	// verify). Pin the quick budget to simp-off so the shape check keeps
-	// measuring the lock, not the solver configuration; the simp-on paths
-	// are covered by the attack cross-checks and determinism tests.
-	return Budget{Timeout: 15 * time.Second, MaxIterations: 40, Simp: simp.Off()}
+	// verify). Pin the quick budget's attacks to simp-off so the shape
+	// check keeps measuring the lock, not the attack's solver
+	// configuration; the simp-on paths are covered by the attack
+	// cross-checks and determinism tests.
+	return Budget{Timeout: 15 * time.Second, MaxIterations: 40, NoSimp: true}
 }
 
 func TestTableIEntryShape(t *testing.T) {

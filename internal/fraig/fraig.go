@@ -42,20 +42,9 @@ type Options struct {
 	// wall-clock side is enforced through ctx). An exhausted query leaves
 	// its node unmerged and marks the result undecided.
 	Budget exec.Budget
-	// Simp controls inprocessing of the shared incremental solver (zero
-	// value: enabled; simp.Off() disables). Variable elimination is
-	// forced off regardless: the sweep keeps encoding new cones against
-	// already-encoded internal variables, which elimination would break.
-	Simp simp.Options
 	// Trace receives the fraig.sweep span and the fraig.* counters
 	// (nil: disabled, zero cost).
 	Trace *obs.Tracer
-}
-
-// DefaultOptions returns the standard sweep configuration: a 10k-conflict
-// cap per query.
-func DefaultOptions() Options {
-	return Options{Seed: 1, Budget: exec.WithConflicts(10000)}
 }
 
 // sigWords of 64 random simulation patterns seed the candidate
@@ -154,8 +143,6 @@ func Sweep(ctx context.Context, g *aig.AIG, opt Options) *Result {
 	// Inprocessing: every simpEvery SAT queries, re-simplify the shared
 	// solver (subsumption/strengthening/vivification only — the sweep
 	// keeps adding cones over internal variables, so elimination is off).
-	fopt := opt.Simp
-	fopt.NoVarElim = true
 	lastSimp := 0
 
 	decided := true
@@ -187,9 +174,9 @@ func Sweep(ctx context.Context, g *aig.AIG, opt Options) *Result {
 				proving = false
 			}
 		}
-		if q := sw.st.SatProved + sw.st.SatRefuted + sw.st.Undecided; fopt.Enabled() && q-lastSimp >= simpEvery {
+		if q := sw.st.SatProved + sw.st.SatRefuted + sw.st.Undecided; q-lastSimp >= simpEvery {
 			lastSimp = q
-			simp.Apply(s, fopt, tr)
+			simp.Apply(s, false, tr)
 		}
 	}
 	for i, po := range g.Outputs() {

@@ -14,6 +14,10 @@ import (
 	"obfuslock/internal/obs"
 )
 
+// sweepOpt is the sweep configuration of the tests: a 10k-conflict cap
+// per query.
+var sweepOpt = fraig.Options{Seed: 1, Budget: exec.WithConflicts(10000)}
+
 // randAIG builds a seeded random graph. Roughly a third of the nodes are
 // deliberate functional duplicates built from a different structure
 // (XOR as an OpXor node and as its AND decomposition), so a sweep always
@@ -79,7 +83,7 @@ func sameFunction(t *testing.T, a, b *aig.AIG) {
 func TestSweepPreservesFunction(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		g := randAIG(seed, 6, 40)
-		res := fraig.Sweep(context.Background(), g, fraig.DefaultOptions())
+		res := fraig.Sweep(context.Background(), g, sweepOpt)
 		if !res.Decided {
 			t.Fatalf("seed %d: unlimited-enough budget left the sweep undecided", seed)
 		}
@@ -98,7 +102,7 @@ func TestSweepMergesDuplicates(t *testing.T) {
 	b := g.AddInput("b")
 	g.AddOutput(g.Xor(a, b), "x")
 	g.AddOutput(g.XorAnd(a, b), "y")
-	res := fraig.Sweep(context.Background(), g, fraig.DefaultOptions())
+	res := fraig.Sweep(context.Background(), g, sweepOpt)
 	if res.Stats.Merges == 0 {
 		t.Fatal("no merges on a graph with a known duplicate")
 	}
@@ -119,7 +123,7 @@ func TestSweepDeterministic(t *testing.T) {
 		exec.Collect(context.Background(), workers, n,
 			func(ctx context.Context, i int) string {
 				g := randAIG(exec.DeriveSeed(7, i), 6, 50)
-				opt := fraig.DefaultOptions()
+				opt := sweepOpt
 				opt.Seed = exec.DeriveSeed(7, i)
 				res := fraig.Sweep(ctx, g, opt)
 				var buf bytes.Buffer
@@ -146,7 +150,7 @@ func TestSweepDeterministic(t *testing.T) {
 
 func TestSweepBudgetExhaustedIsUndecided(t *testing.T) {
 	g := randAIG(3, 6, 60)
-	opt := fraig.DefaultOptions()
+	opt := sweepOpt
 	opt.Budget = exec.WithConflicts(-1) // exhaust immediately: every query Unknown
 	res := fraig.Sweep(context.Background(), g, opt)
 	if res.Stats.Candidates > 0 && res.Decided {
@@ -162,7 +166,7 @@ func TestSweepCancelledStaysSound(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := randAIG(4, 6, 60)
-	res := fraig.Sweep(ctx, g, fraig.DefaultOptions())
+	res := fraig.Sweep(ctx, g, sweepOpt)
 	if res.Decided && res.Stats.Candidates > 0 {
 		t.Fatal("cancelled sweep reported decided")
 	}
@@ -172,7 +176,7 @@ func TestSweepCancelledStaysSound(t *testing.T) {
 func TestSweepInstrumentation(t *testing.T) {
 	col := obs.NewCollector()
 	roll := obs.NewRollup()
-	opt := fraig.DefaultOptions()
+	opt := sweepOpt
 	opt.Trace = obs.New(obs.Multi(col, roll))
 	g := randAIG(5, 6, 50)
 	res := fraig.Sweep(context.Background(), g, opt)

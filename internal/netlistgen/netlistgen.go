@@ -316,16 +316,6 @@ func Catalog() []Benchmark {
 	}
 }
 
-// Lookup returns the catalog entry with the given name.
-func Lookup(name string) (Benchmark, bool) {
-	for _, b := range Catalog() {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Benchmark{}, false
-}
-
 // SmallSuite returns reduced-size counterparts of the catalog used by unit
 // tests and the scaled benchmark harness, preserving each circuit family.
 func SmallSuite() []Benchmark {

@@ -203,15 +203,6 @@ func TestCatalogShapes(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	if _, ok := Lookup("c6288"); !ok {
-		t.Fatal("c6288 missing from catalog")
-	}
-	if _, ok := Lookup("nonesuch"); ok {
-		t.Fatal("bogus lookup succeeded")
-	}
-}
-
 func TestSmallSuiteBuilds(t *testing.T) {
 	for _, b := range SmallSuite() {
 		g := b.Build()

@@ -39,7 +39,6 @@ import (
 // are read-only.
 type Pool struct {
 	g    *aig.AIG
-	simp simp.Options
 	cond aig.Lit
 	base *sat.Solver
 	ins  []sat.Lit
@@ -61,11 +60,10 @@ type drawKey struct {
 	n    int
 }
 
-// NewPool returns an empty pool of witness solvers over g, preprocessed
-// under so (zero value: enabled; simp.Off() disables). The graph may grow
-// while the pool is in use: a condition's cone never changes.
-func NewPool(g *aig.AIG, so simp.Options) *Pool {
-	return &Pool{g: g, simp: so, draws: map[drawKey][][]bool{}, accepted: map[drawKey][][]bool{}}
+// NewPool returns an empty pool of witness solvers over g. The graph may
+// grow while the pool is in use: a condition's cone never changes.
+func NewPool(g *aig.AIG) *Pool {
+	return &Pool{g: g, draws: map[drawKey][][]bool{}, accepted: map[drawKey][][]bool{}}
 }
 
 // conflictBudget bounds the conflicts of each Sample call's solver.
@@ -85,7 +83,7 @@ func (p *Pool) solver(cond aig.Lit) (*sat.Solver, []sat.Lit) {
 		}
 		s.AddClause(e.Encode(cond)[0])
 		s.SetBudget(conflictBudget)
-		simp.Apply(s, p.simp, nil)
+		simp.Apply(s, true, nil)
 		p.base, p.cond, p.ins = s, cond, ins
 		p.Builds++
 	}

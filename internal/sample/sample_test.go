@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"obfuslock/internal/aig"
-	"obfuslock/internal/simp"
 )
 
 // skewCircuit: cond = AND of first k inputs (witness set = 2^(n-k)).
@@ -34,7 +33,7 @@ func validateWitnesses(t *testing.T, g *aig.AIG, cond aig.Lit, wit [][]bool) {
 
 func TestCubeSamplerValidity(t *testing.T) {
 	g, cond := skewCircuit(12, 5)
-	s := NewPool(g, simp.Options{}).Sampler(cond, 3)
+	s := NewPool(g).Sampler(cond, 3)
 	wit := s.Sample(40)
 	if len(wit) < 30 {
 		t.Fatalf("only %d witnesses", len(wit))
@@ -53,7 +52,7 @@ func TestCubeSamplerValidity(t *testing.T) {
 func TestCubeSamplerSpread(t *testing.T) {
 	// Free inputs should not be constant across witnesses.
 	g, cond := skewCircuit(12, 4)
-	s := NewPool(g, simp.Options{}).Sampler(cond, 11)
+	s := NewPool(g).Sampler(cond, 11)
 	wit := s.Sample(60)
 	if len(wit) < 30 {
 		t.Fatalf("only %d witnesses", len(wit))
@@ -77,7 +76,7 @@ func TestCubeSamplerUnsatCond(t *testing.T) {
 	a := g.AddInput("a")
 	cond := g.And(a, a.Not()) // constant false
 	g.AddOutput(cond, "c")
-	s := NewPool(g, simp.Options{}).Sampler(cond, 1)
+	s := NewPool(g).Sampler(cond, 1)
 	if wit := s.Sample(5); len(wit) != 0 {
 		t.Fatalf("sampled %d witnesses of an unsatisfiable condition", len(wit))
 	}
@@ -90,7 +89,7 @@ func TestConditionalProbability(t *testing.T) {
 	cond := g.And(in[0], in[1])
 	target := g.And(cond, in[2])
 	g.AddOutput(target, "t")
-	cs := NewPool(g, simp.Options{}).Sampler(cond, 17)
+	cs := NewPool(g).Sampler(cond, 17)
 	p, n := ConditionalProbability(cs, target, 200)
 	if n < 100 {
 		t.Fatalf("too few witnesses: %d", n)
@@ -113,37 +112,35 @@ func TestConditionalProbability(t *testing.T) {
 func TestPoolReuseMatchesFreshBuild(t *testing.T) {
 	g, cond := skewCircuit(14, 6)
 	other := g.Input(13).Not()
-	for _, so := range []simp.Options{{}, simp.Off()} {
-		want := NewPool(g, so).Sampler(cond, 5).Sample(20)
-		p := NewPool(g, so)
-		for seed := int64(1); seed <= 3; seed++ {
-			p.Sampler(cond, seed).Sample(20)
-		}
-		if got := p.Sampler(cond, 5).Sample(20); !reflect.DeepEqual(got, want) {
-			t.Fatalf("simp %+v: a reused pool drew other witnesses than a fresh one", so)
-		}
-		if p.Samplers != 4 || p.Builds != 1 {
-			t.Fatalf("simp %+v: %d samplers from %d builds, want 4 from 1", so, p.Samplers, p.Builds)
-		}
-		// A new condition replaces the prepared one; returning to the
-		// first with a drawn seed is served from the memo and still
-		// draws the same witnesses.
-		p.Sampler(other, 9).Sample(5)
-		if got := p.Sampler(cond, 5).Sample(20); !reflect.DeepEqual(got, want) {
-			t.Fatalf("simp %+v: a rebuilt pool drew other witnesses than a fresh one", so)
-		}
-		if p.Builds != 2 || p.SampleHits != 1 || p.Samplers != 5 {
-			t.Fatalf("simp %+v: %d builds, %d hits, %d samplers after switching conditions, want 2, 1, 5",
-				so, p.Builds, p.SampleHits, p.Samplers)
-		}
-		// A new seed misses the memo and prepares the condition again.
-		fresh := NewPool(g, so).Sampler(cond, 6).Sample(20)
-		if got := p.Sampler(cond, 6).Sample(20); !reflect.DeepEqual(got, fresh) {
-			t.Fatalf("simp %+v: a rebuilt pool drew other witnesses than a fresh one", so)
-		}
-		if p.Builds != 3 || p.SampleHits != 1 {
-			t.Fatalf("simp %+v: %d builds, %d hits after a new seed, want 3, 1", so, p.Builds, p.SampleHits)
-		}
+	want := NewPool(g).Sampler(cond, 5).Sample(20)
+	p := NewPool(g)
+	for seed := int64(1); seed <= 3; seed++ {
+		p.Sampler(cond, seed).Sample(20)
+	}
+	if got := p.Sampler(cond, 5).Sample(20); !reflect.DeepEqual(got, want) {
+		t.Fatal("a reused pool drew other witnesses than a fresh one")
+	}
+	if p.Samplers != 4 || p.Builds != 1 {
+		t.Fatalf("%d samplers from %d builds, want 4 from 1", p.Samplers, p.Builds)
+	}
+	// A new condition replaces the prepared one; returning to the
+	// first with a drawn seed is served from the memo and still
+	// draws the same witnesses.
+	p.Sampler(other, 9).Sample(5)
+	if got := p.Sampler(cond, 5).Sample(20); !reflect.DeepEqual(got, want) {
+		t.Fatal("a rebuilt pool drew other witnesses than a fresh one")
+	}
+	if p.Builds != 2 || p.SampleHits != 1 || p.Samplers != 5 {
+		t.Fatalf("%d builds, %d hits, %d samplers after switching conditions, want 2, 1, 5",
+			p.Builds, p.SampleHits, p.Samplers)
+	}
+	// A new seed misses the memo and prepares the condition again.
+	fresh := NewPool(g).Sampler(cond, 6).Sample(20)
+	if got := p.Sampler(cond, 6).Sample(20); !reflect.DeepEqual(got, fresh) {
+		t.Fatal("a rebuilt pool drew other witnesses than a fresh one")
+	}
+	if p.Builds != 3 || p.SampleHits != 1 {
+		t.Fatalf("%d builds, %d hits after a new seed, want 3, 1", p.Builds, p.SampleHits)
 	}
 }
 
@@ -151,10 +148,10 @@ func TestPoolReuseMatchesFreshBuild(t *testing.T) {
 // sequence exactly where a fresh sampler's would stand.
 func TestMemoHitThenDrawContinuesSequence(t *testing.T) {
 	g, cond := skewCircuit(14, 6)
-	ref := NewPool(g, simp.Options{}).Sampler(cond, 7)
+	ref := NewPool(g).Sampler(cond, 7)
 	ref.Sample(12)
 	want := ref.Sample(9)
-	p := NewPool(g, simp.Options{})
+	p := NewPool(g)
 	p.Sampler(cond, 7).Sample(12)
 	s := p.Sampler(cond, 7)
 	s.Sample(12)
@@ -170,8 +167,8 @@ func TestMemoHitThenDrawContinuesSequence(t *testing.T) {
 // the same condition, seed and count draws afresh and gets the full set.
 func TestCancelledDrawNotMemoized(t *testing.T) {
 	g, cond := skewCircuit(14, 6)
-	want := NewPool(g, simp.Options{}).Sampler(cond, 3).Sample(20)
-	p := NewPool(g, simp.Options{})
+	want := NewPool(g).Sampler(cond, 3).Sample(20)
+	p := NewPool(g)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := p.Sampler(cond, 3)
@@ -258,7 +255,7 @@ func TestAcceptedMatchesScalarRejection(t *testing.T) {
 		if trials == want*8 && len(ref) < want {
 			capped++
 		}
-		p := NewPool(g, simp.Options{})
+		p := NewPool(g)
 		got := p.Accepted(cond, want, seed)
 		if len(got) != len(ref) || len(ref) > 0 && !reflect.DeepEqual(got, ref) {
 			t.Fatalf("iter %d: Accepted kept %d patterns, the scalar loop %d (or other ones)", iter, len(got), len(ref))

@@ -12,9 +12,8 @@ package sat
 // are unstable across compaction, the occurrence-list phases work over
 // dense clause ids — `refs` maps id -> cref, and occ/abst/inQueue are
 // id-indexed — and the arena GC is deferred to finish, after the
-// occurrence lists are dead. The simplifier struct itself is pooled on
-// the Solver (s.sp) so inprocessing every few DIP rounds reuses all of
-// its scratch instead of reallocating occurrence lists per pass.
+// occurrence lists are dead. Each Simplify call allocates its own
+// simplifier, so no scratch state outlives a pass.
 //
 // The simplifier works on the live incremental solver, so it must honor
 // two contracts the preprocessing literature can take for granted:
@@ -131,11 +130,7 @@ func (s *Solver) Simplify(varElim bool) bool {
 		return false
 	}
 	trailBase := len(s.trail)
-	if s.sp == nil {
-		s.sp = &simplifier{s: s}
-	}
-	sp := s.sp
-	sp.varElim = varElim
+	sp := &simplifier{s: s, varElim: varElim}
 	ok := sp.run()
 	if ok {
 		ok = sp.vivifyAll()
@@ -153,8 +148,7 @@ func (s *Solver) Simplify(varElim bool) bool {
 	return true
 }
 
-// simplifier is the Simplify working state, pooled on the Solver so
-// repeated inprocessing passes reuse every slice.
+// simplifier is the working state of one Simplify pass.
 type simplifier struct {
 	s       *Solver
 	varElim bool
@@ -197,7 +191,7 @@ type simplifier struct {
 	touched     []bool
 	touchedList []int32
 
-	// Pooled elimination scratch.
+	// Elimination scratch, reused across the pass's rounds.
 	cands   []int
 	pos     []int32
 	neg     []int32
@@ -206,10 +200,8 @@ type simplifier struct {
 	resEnds []int32
 
 	// occCnt is the exact live occurrence count per variable (buildOcc
-	// seeds it, occDrop/addSimpClause maintain it); occBack is the
-	// shared backing array the per-var occ lists are carved from.
-	occCnt  []int32
-	occBack []int32
+	// seeds it, occDrop/addSimpClause maintain it).
+	occCnt []int32
 }
 
 // touch records that a variable's occurrence set changed, making it an
@@ -239,7 +231,6 @@ func (sp *simplifier) run() bool {
 	if sp.full {
 		oldMark = 0
 	}
-	sp.refs = sp.refs[:0]
 	sp.newStart = -1
 	for i, c := range s.clauses {
 		if s.ar.deleted(c) {
@@ -259,17 +250,12 @@ func (sp *simplifier) run() bool {
 			sp.refs = append(sp.refs, c)
 		}
 	}
-	sp.occLive = false
-	for len(sp.touched) < s.numVars {
-		sp.touched = append(sp.touched, false)
-	}
+	sp.touched = make([]bool, s.numVars)
 	if !sp.normalize() {
 		return false
 	}
 	sp.buildOcc()
-	for len(sp.markL) < 2*s.numVars {
-		sp.markL = append(sp.markL, false)
-	}
+	sp.markL = make([]bool, 2*s.numVars)
 	// Seed the touched set for an incremental pass: every variable of a
 	// clause added since the last pass. (A full pass ignores the set and
 	// scans all variables.)
@@ -306,16 +292,7 @@ func (sp *simplifier) run() bool {
 			break
 		}
 	}
-	ok := sp.finish()
-	// Clear the touched set for the next pass, including what finish's
-	// normalize touched after the last round: a flag left set would keep
-	// its variable out of every later pass's candidates, because touch
-	// would never list it again.
-	for _, v := range sp.touchedList {
-		sp.touched[v] = false
-	}
-	sp.touchedList = sp.touchedList[:0]
-	return ok
+	return sp.finish()
 }
 
 // normalize cleans every live clause against the level-0 assignment
@@ -420,22 +397,13 @@ func (sp *simplifier) occDrop(v int) {
 // into private storage automatically.
 func (sp *simplifier) buildOcc() {
 	s := sp.s
-	for len(sp.occ) < s.numVars {
-		sp.occ = append(sp.occ, nil)
-	}
-	for len(sp.occCnt) < s.numVars {
-		sp.occCnt = append(sp.occCnt, 0)
-	}
-	cnt := sp.occCnt[:s.numVars]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	sp.abst = sp.abst[:0]
-	sp.inQueue = sp.inQueue[:0]
+	sp.occ = make([][]int32, s.numVars)
+	sp.occCnt = make([]int32, s.numVars)
+	cnt := sp.occCnt
+	sp.abst = make([]uint64, len(sp.refs))
+	sp.inQueue = make([]bool, len(sp.refs))
 	total := 0
 	for id := int32(0); int(id) < len(sp.refs); id++ {
-		sp.abst = append(sp.abst, 0)
-		sp.inQueue = append(sp.inQueue, false)
 		if sp.deleted(id) {
 			continue
 		}
@@ -444,10 +412,7 @@ func (sp *simplifier) buildOcc() {
 			total++
 		}
 	}
-	if cap(sp.occBack) < total {
-		sp.occBack = make([]int32, total)
-	}
-	back := sp.occBack[:total]
+	back := make([]int32, total)
 	off := 0
 	for v := 0; v < s.numVars; v++ {
 		n := int(cnt[v])

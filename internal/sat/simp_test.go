@@ -260,30 +260,3 @@ func TestSimplifyStats(t *testing.T) {
 		t.Fatal("chain instance should be SAT")
 	}
 }
-
-// TestSimplifyLeavesNoTouchedFlag checks that a pass leaves the pooled
-// simplifier's touched set empty. finish's final normalize touches the
-// variables of clauses that units found late in the pass satisfy; a flag
-// left set would make touch skip its variable in every later pass, so a
-// solver would simplify differently from a Clone (which starts with a
-// fresh simplifier).
-func TestSimplifyLeavesNoTouchedFlag(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 2000; i++ {
-		nVars := 6 + rng.Intn(30)
-		s := loadInstance(randomInstance(rng, nVars, nVars*(1+rng.Intn(4))), nVars)
-		for v := 0; v < nVars; v++ {
-			if rng.Intn(3) == 0 {
-				s.FreezeLit(MkLit(v, false))
-			}
-		}
-		if !s.Simplify(true) {
-			continue
-		}
-		for v, f := range s.sp.touched {
-			if f {
-				t.Fatalf("instance %d: variable %d still touched after Simplify", i, v)
-			}
-		}
-	}
-}

@@ -202,14 +202,12 @@ type Solver struct {
 	// Simplification state (see simp.go). frozen vars are exempt from
 	// variable elimination; elim vars have been resolved away, together
 	// with the clauses that mentioned them, and have no model value.
-	// sp is the pooled simplifier scratch, reused across Simplify calls.
 	frozen []bool
 	elim   []bool
 	// numElim counts the set elim flags: once the trail holds the other
 	// numVars-numElim variables, the assignment is total.
 	numElim   int
 	simpStats SimpStats
-	sp        *simplifier
 	// Incremental-simplification watermarks: problem clauses at index >=
 	// simpMark and root assignments at trail index >= simpTrailMark are
 	// new since the last Simplify finished. simpMark < 0 means no pass
@@ -273,7 +271,6 @@ func (s *Solver) Clone() *Solver {
 	c.ctxDone = nil
 	c.progressFn, c.progressEvery, c.progressNext = nil, 0, 0
 	c.learntBuf, c.clearBuf, c.addBuf, c.redScratch = nil, nil, nil, nil
-	c.sp = nil
 	return &c
 }
 

@@ -24,7 +24,6 @@ import (
 	"obfuslock/internal/aig"
 	"obfuslock/internal/sample"
 	"obfuslock/internal/sim"
-	"obfuslock/internal/simp"
 )
 
 // Bits converts a probability p of being 1 into bits of skewness:
@@ -90,9 +89,6 @@ type SplittingOptions struct {
 	SamplesPerStage int
 	// Seed drives sampling.
 	Seed int64
-	// Simp controls CNF preprocessing inside the witness samplers (zero
-	// value: enabled).
-	Simp simp.Options
 }
 
 // DefaultSplittingOptions returns sane defaults.
@@ -192,7 +188,7 @@ func Splitting(g *aig.AIG, root aig.Lit, stages []aig.Lit, opt SplittingOptions)
 	if len(stages) == 1 {
 		return sk
 	}
-	pool := sample.NewPool(g, opt.Simp)
+	pool := sample.NewPool(g)
 	for i := 1; i < len(stages); i++ {
 		prev, cur := stages[i-1], stages[i]
 		// P(cur | prev): sample witnesses of prev.
